@@ -39,11 +39,10 @@ def main() -> None:
         worst = 0.0
         inside = 0
         total = 0
-        for tid in game.players:
-            target = float(exact[tid])
-            for seed in range(args.runs):
-                estimate = games.shapley_monte_carlo(game, tid, epsilon, args.delta, seed)
-                err = abs(estimate.value - target)
+        for seed in range(args.runs):
+            estimates = games.shapley_monte_carlo_all(game, epsilon, args.delta, seed)
+            for tid, estimate in estimates.items():
+                err = abs(estimate.value - float(exact[tid]))
                 worst = max(worst, err)
                 inside += err <= epsilon
                 total += 1

@@ -214,21 +214,27 @@ def _cmd_db_scores(args) -> list[dict]:
     probability = Fraction(args.probability) if args.probability else None
 
     all_ids = db.tuple_ids()
+    swings = None  # counted once, shared by the exact kinds
     records: list[dict] = []
     for kind in kinds:
         if kind == "responsibility":
             for report in dbscores.lineage_causes(lineage, all_ids):
                 records.append(_cause_record(report))
-        elif kind == "causal_effect":
-            for tid in all_ids:
-                value = dbscores.causal_effect(
-                    lineage, tid, probabilities=probability, budget=budget
-                )
-                records.append(_score_record(dbscores.TupleScore(tid, "causal_effect", value)))
-        elif kind == "shapley":
-            records.extend(_shapley_records(args, db, lineage, query, budget))
-        elif kind == "banzhaf":
-            records.extend(_game_score_records(db, lineage, query, "banzhaf", budget))
+            continue
+        if kind == "shapley" and args.mode == "approx":
+            records.extend(_monte_carlo_records(args, db, lineage, query))
+            continue
+        if kind == "causal_effect":
+            dbscores.check_intervention_budget(lineage, probability, budget)
+        else:
+            _check_game_budget(all_ids, lineage, query, budget)
+        if swings is None:
+            swings = dbscores.swing_counts(lineage)
+        values = dbscores.swing_scores(swings, kind, probability)
+        for tid in all_ids:
+            # Tuples outside the lineage support are null players; score 0.
+            value = values.get(tid, Fraction(0))
+            records.append(_score_record(dbscores.TupleScore(tid, kind, value)))
     if args.tuple:
         for tid in args.tuple:
             db.values_of(tid)
@@ -240,51 +246,41 @@ def _cmd_db_scores(args) -> list[dict]:
     return records
 
 
-def _shapley_records(args, db, lineage, query, budget) -> list[dict]:
-    if args.mode == "approx":
-        if args.epsilon is None or args.delta is None:
-            raise ValueError("--mode approx needs --epsilon and --delta")
-        game = (
-            dbscores.query_game(db, query)
-            if query is not None
-            else dbscores.lineage_game(lineage)
-        )
-        out = []
-        for tid in db.tuple_ids():
-            if tid in game.players:
-                result = games.shapley_monte_carlo(game, tid, args.epsilon, args.delta, args.seed)
-                score = dbscores.TupleScore(
-                    tid,
-                    "shapley",
-                    result.value,
-                    mode="monte_carlo",
-                    epsilon=args.epsilon,
-                    delta=args.delta,
-                    seed=args.seed,
-                )
-                out.append(_score_record(score, samples=result.samples))
-            else:
-                score = dbscores.TupleScore(
-                    tid, "shapley", 0.0, mode="monte_carlo",
-                    epsilon=args.epsilon, delta=args.delta, seed=args.seed,
-                )
-                out.append(_score_record(score, samples=0))
-        return out
-    return _game_score_records(db, lineage, query, "shapley", budget)
-
-
-def _game_score_records(db, lineage, query, kind, budget) -> list[dict]:
-    compute = games.shapley_all if kind == "shapley" else games.banzhaf_all
-    if query is not None:
-        values = compute(dbscores.query_game(db, query), budget=budget)
+def _check_game_budget(all_ids, lineage, query, budget) -> None:
+    # The query game plays every tuple of the instance, the lineage game
+    # only the support; the cap stays on 2^players coalitions.
+    if query is None:
+        games.check_budget(len(lineage.support()), budget)
     else:
-        # Tuples outside the lineage support are null players; score 0.
-        values = dict.fromkeys(db.tuple_ids(), Fraction(0))
-        values.update(compute(dbscores.lineage_game(lineage), budget=budget))
-    return [
-        _score_record(dbscores.TupleScore(tid, kind, values[tid]))
-        for tid in db.tuple_ids()
-    ]
+        dbscores.require_boolean(query)
+        games.check_budget(len(all_ids), budget)
+
+
+def _monte_carlo_records(args, db, lineage, query) -> list[dict]:
+    if args.epsilon is None or args.delta is None:
+        raise ValueError("--mode approx needs --epsilon and --delta")
+    if query is None:
+        game = dbscores.lineage_game(lineage)
+    else:
+        # The query game: every tuple plays, winning as the lineage does.
+        dbscores.require_boolean(query)
+        game = dbscores.lineage_game(lineage, players=db.tuple_ids())
+    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed)
+    out = []
+    for tid in db.tuple_ids():
+        result = estimates.get(tid)  # None for a tuple outside the lineage
+        value, samples = (0.0, 0) if result is None else (result.value, result.samples)
+        score = dbscores.TupleScore(
+            tid,
+            "shapley",
+            value,
+            mode="monte_carlo",
+            epsilon=args.epsilon,
+            delta=args.delta,
+            seed=args.seed,
+        )
+        out.append(_score_record(score, samples=samples))
+    return out
 
 
 def _cmd_ml_scores(args) -> list[dict]:

@@ -4,13 +4,23 @@ Four scores are computed over the same instance: causal responsibility
 (via minimum contingency sets), the interventional causal effect on the
 query lineage under an independent tuple-probability model, and the
 Shapley / Banzhaf values of the query coalition game.
+
+All but responsibility depend only on the lineage.  One memoized Shannon
+expansion counts, for each support tuple and each size, the sets of other
+tuples on which adding it makes the lineage true; Shapley, Banzhaf and
+the causal effect at a shared tuple probability are weighted sums of
+those counts.
+The same expansion with per-tuple probabilities gives lineage
+probabilities.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import formula, games
@@ -36,6 +46,10 @@ __all__ = [
     "intervene",
     "lineage_probability",
     "causal_effect",
+    "swing_counts",
+    "swing_scores",
+    "check_intervention_budget",
+    "require_boolean",
     "query_game",
     "lineage_game",
     "summation_game",
@@ -43,7 +57,7 @@ __all__ = [
     "banzhaf_tuple",
 ]
 
-#: Cap on 2^|support| valuations enumerated for exact lineage probabilities.
+#: Cap on 2^|support| valuations for exact lineage probabilities, checked up front.
 DEFAULT_VALUATION_BUDGET = 2**20
 
 HALF = Fraction(1, 2)
@@ -199,23 +213,18 @@ def lineage_probability(
     """Probability that the lineage is true under independent tuple variables.
 
     Each tuple is present with its own probability (default 1/2 for all).
-    Computed exactly by enumerating every valuation of the support.
+    Computed exactly by Shannon expansion, P = p_t P(f|t=1) + (1 - p_t)
+    P(f|t=0); the budget caps 2^|support| valuations, checked up front.
     """
-    support = sorted(lineage.support())
-    prob = _probability_table(support, probabilities)
-    if 2 ** len(support) > budget:
-        raise BudgetExceededError(
-            f"lineage support of {len(support)} needs {2 ** len(support)} valuations, budget is {budget}"
-        )
-    total = Fraction(0)
-    for bits in product((False, True), repeat=len(support)):
-        present = frozenset(t for t, bit in zip(support, bits) if bit)
-        if lineage.evaluate(present):
-            weight = Fraction(1)
-            for t, bit in zip(support, bits):
-                weight *= prob[t] if bit else 1 - prob[t]
-            total += weight
-    return total
+    support = lineage.support()
+    prob = _probability_table(sorted(support), probabilities)
+    _check_valuations(len(support), budget)
+
+    def weight(t):
+        return [prob[t]], [1 - prob[t]]
+
+    (total,) = _weighted_count(lineage.root, support, weight, {})
+    return Fraction(total)
 
 
 def causal_effect(
@@ -244,6 +253,132 @@ def causal_effect(
     return p_on - p_off
 
 
+def swing_counts(lineage: Lineage) -> dict[str, list[int]]:
+    """Swing counts d[k] of every support tuple t, for k = 0 .. m-1.
+
+    d[k] is the number of k-sets S of the other m-1 support tuples on
+    which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  The
+    cofactors of all tuples share one memo of sub-formula counts.
+    """
+    support = lineage.support()
+    memo: dict = {}
+    counts = {}
+    for t in sorted(support):
+        rest = support - {t}
+        on, off = (
+            _weighted_count(formula.substitute(lineage.root, {t: value}), rest, _by_size, memo)
+            for value in (True, False)
+        )
+        counts[t] = [a - b for a, b in zip(on, off)]
+    return counts
+
+
+def swing_scores(
+    swings: Mapping[str, list[int]], kind: str, probability: Fraction | None = None
+) -> dict[str, Fraction]:
+    """Exact scores of the support tuples from their `swing_counts`.
+
+    Shapley weighs a swing of size k by k!(m-1-k)!/m!, Banzhaf by
+    1/2^(m-1), and the causal effect by p^k (1-p)^(m-1-k) for the shared
+    tuple probability p (default 1/2).  Tuples outside the support are
+    null players and score 0 in every kind, so these equal the scores of
+    the query game over the whole instance.
+    """
+    m = len(swings)
+    if kind == "shapley":
+        f = math.factorial
+        weights = [Fraction(f(k) * f(m - 1 - k), f(m)) for k in range(m)]
+    elif kind == "banzhaf":
+        weights = [Fraction(1, 2 ** (m - 1)) for _ in range(m)]
+    elif kind == "causal_effect":
+        p = HALF if probability is None else Fraction(probability)
+        _check_probability(p)
+        weights = [p**k * (1 - p) ** (m - 1 - k) for k in range(m)]
+    else:
+        raise ValueError(f"no swing score of kind {kind!r}")
+    return {t: sum(w * d for w, d in zip(weights, counts)) for t, counts in swings.items()}
+
+
+def check_intervention_budget(
+    lineage: Lineage, probability: Fraction | None, budget: int
+) -> None:
+    """The up-front checks of `causal_effect` for every support tuple.
+
+    The probability is validated first, then 2^|support| of each tuple's
+    do(t=1) and do(t=0) lineages is checked against the budget, in tuple
+    order.
+    """
+    support = sorted(lineage.support())
+    if support and probability is not None:
+        _check_probability(Fraction(probability))
+    for t in support:
+        for value in (1, 0):
+            _check_valuations(len(intervene(lineage, t, value).support()), budget)
+
+
+def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) -> list:
+    """Weighted model count of `node` over the tuples `names`.
+
+    A count is a polynomial as a coefficient list.  `weight(t)` gives the
+    (present, absent) polynomials of tuple t, and every valuation of
+    `names` that satisfies the node adds the product of its tuples'
+    weights.  `names` must hold the node's variables; each distinct
+    sub-formula is expanded once per memo.
+    """
+    got = memo.get(node)
+    if got is None:
+        got = memo[node] = _shannon(node, weight, memo)
+    own, count = got
+    for t in names - own:  # a tuple the node ignores may take either value
+        count = _poly_mul(count, _poly_add(*weight(t)))
+    return count
+
+
+def _shannon(node: formula.Node, weight, memo: dict) -> tuple[frozenset, list]:
+    # Expand on the tuple occurring most often (least id on ties).
+    if isinstance(node, formula.Const):
+        return frozenset(), [int(node.value)]
+    occurrences = Counter(_leaves(node))
+    pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
+    own = frozenset(occurrences)
+    rest = own - {pivot}
+    total = [0]
+    for value, w in zip((True, False), weight(pivot)):
+        branch = formula.substitute(node, {pivot: value})
+        total = _poly_add(total, _poly_mul(w, _weighted_count(branch, rest, weight, memo)))
+    return own, total
+
+
+def _leaves(node: formula.Node):
+    if isinstance(node, formula.Var):
+        yield node.name
+    elif isinstance(node, formula.Not):
+        yield from _leaves(node.child)
+    elif isinstance(node, (formula.And, formula.Or)):
+        for part in node.parts:
+            yield from _leaves(part)
+
+
+def _by_size(t: str) -> tuple[list[int], list[int]]:
+    # Counting sets by size: a present tuple adds one to the size.
+    return [0, 1], [1]
+
+
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Coalition games over database tuples
 
@@ -251,8 +386,7 @@ def causal_effect(
 def query_game(db: Database, query: ConjunctiveQuery) -> Game:
     """The 0/1 game whose players are all tuples of `db` and whose value on
     a coalition S is whether the query holds in the sub-instance S."""
-    if not query.is_boolean:
-        raise ValueError("query games need a Boolean query (empty head)")
+    require_boolean(query)
     evaluate(db, query)  # surface schema errors before play begins
 
     def value(coalition):
@@ -261,14 +395,24 @@ def query_game(db: Database, query: ConjunctiveQuery) -> Game:
     return Game(players=db.tuple_ids(), value=value)
 
 
-def lineage_game(lineage: Lineage) -> Game:
+def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game:
     """The 0/1 game over the lineage support; a coalition wins when the
-    formula is true with exactly that coalition present."""
+    formula is true with exactly that coalition present.
+
+    `players` (default: the support) may add null players, such as the
+    other tuples of the instance; with every tuple of `db` this is the
+    query game of the query whose lineage it is.
+    """
 
     def value(coalition):
         return 1 if lineage.evaluate(coalition) else 0
 
-    return Game(players=tuple(sorted(lineage.support())), value=value)
+    return Game(players=tuple(lineage.support() if players is None else players), value=value)
+
+
+def require_boolean(query: ConjunctiveQuery) -> None:
+    if not query.is_boolean:
+        raise ValueError("query games need a Boolean query (empty head)")
 
 
 def summation_game(db: Database, query: ConjunctiveQuery, value_var: str | None = None) -> Game:
@@ -352,6 +496,13 @@ def _probability_table(
         _check_probability(p)
         table[t] = p
     return table
+
+
+def _check_valuations(support: int, budget: int) -> None:
+    if 2**support > budget:
+        raise BudgetExceededError(
+            f"lineage support of {support} needs {2**support} valuations, budget is {budget}"
+        )
 
 
 def _check_probability(p: Fraction) -> None:

@@ -68,15 +68,6 @@ def variables(node: Node) -> frozenset[str]:
     return frozenset(out)
 
 
-def is_monotone(node: Node) -> bool:
-    """True when the formula is negation-free."""
-    if isinstance(node, (Var, Const)):
-        return True
-    if isinstance(node, Not):
-        return False
-    return all(is_monotone(p) for p in node.parts)
-
-
 def substitute(node: Node, assignment: dict[str, bool]) -> Node:
     """Replace named variables by constants, then constant-propagate."""
     if isinstance(node, Var):

@@ -45,13 +45,10 @@ class Game:
     The oracle must be defined on every subset of `players`, including the
     empty coalition (which is always evaluated, never assumed to be 0).
     Players are kept in ascending order so batch output is deterministic.
-    `concurrency_safe` declares whether the oracle tolerates concurrent
-    calls; the engine itself is pure.
     """
 
     players: tuple
     value: Callable[[Coalition], Fraction | int | float]
-    concurrency_safe: bool = True
 
     def __post_init__(self):
         ordered = tuple(sorted(self.players))
@@ -105,7 +102,7 @@ def shapley_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> F
     with exact integer factorials and rational arithmetic throughout.
     """
     _check_player(game, player)
-    _check_budget(game, budget)
+    check_budget(len(game.players), budget)
     return _shapley_one(game, player, _memoized(game))
 
 
@@ -113,21 +110,21 @@ def banzhaf_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> F
     """Exact Banzhaf index: the average marginal contribution of `player`
     over all 2^(n-1) coalitions of the other players."""
     _check_player(game, player)
-    _check_budget(game, budget)
+    check_budget(len(game.players), budget)
     return _banzhaf_one(game, player, _memoized(game))
 
 
 def shapley_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact Shapley values for every player, sharing one coalition-value
     memo so each subset is evaluated at most once."""
-    _check_budget(game, budget)
+    check_budget(len(game.players), budget)
     value = _memoized(game)
     return {p: _shapley_one(game, p, value) for p in game.players}
 
 
 def banzhaf_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact Banzhaf indices for every player (shared memo, as above)."""
-    _check_budget(game, budget)
+    check_budget(len(game.players), budget)
     value = _memoized(game)
     return {p: _banzhaf_one(game, p, value) for p in game.players}
 
@@ -139,37 +136,53 @@ def shapley_monte_carlo(
     delta: float,
     seed: int,
 ) -> ScoreResult:
-    """Monte Carlo Shapley estimate from uniformly random player orders.
-
-    Averages the marginal contribution of `player` over `sample_count(
-    epsilon, delta)` sampled permutations.  For games whose marginals lie in
-    [0, 1] (monotone 0/1 games in particular) the estimate is within
-    epsilon of the exact value with probability at least 1 - delta.
-
-    Each sample's permutation is drawn from an RNG derived from (seed,
-    sample index), so results are reproducible and independent of how the
-    sample range might be partitioned across workers.
-    """
+    """Monte Carlo Shapley estimate of one player: its entry of
+    `shapley_monte_carlo_all`."""
     _check_player(game, player)
+    return shapley_monte_carlo_all(game, epsilon, delta, seed)[player]
+
+
+def shapley_monte_carlo_all(game: Game, epsilon: float, delta: float, seed: int) -> dict:
+    """Monte Carlo Shapley estimates for every player from shared orders.
+
+    Averages each player's marginal contribution over `sample_count(
+    epsilon, delta)` uniformly random player orders.  For games whose
+    marginals lie in [0, 1] (monotone 0/1 games in particular) each
+    estimate is within epsilon of the exact value with probability at
+    least 1 - delta.
+
+    Each sample's order is drawn from an RNG derived from (seed, sample
+    index), so results are reproducible and independent of how the sample
+    range might be partitioned across workers.  One walk over the order's
+    prefixes credits every player with its marginal contribution.
+    """
     m = sample_count(epsilon, delta)
     value = _memoized(game)
     players = list(game.players)
-    total = Fraction(0)
+    totals = dict.fromkeys(players, Fraction(0))
     for index in range(m):
         rng = random.Random(_derived_seed(seed, index))
         order = players[:]
         rng.shuffle(order)
-        before = frozenset(order[: order.index(player)])
-        total += value(before | {player}) - value(before)
-    return ScoreResult(
-        player=player,
-        value=float(total / m),
-        mode="monte_carlo",
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
-        samples=m,
-    )
+        before = frozenset()
+        previous = value(before)
+        for player in order:
+            before = before | {player}
+            current = value(before)
+            totals[player] += current - previous
+            previous = current
+    return {
+        p: ScoreResult(
+            player=p,
+            value=float(totals[p] / m),
+            mode="monte_carlo",
+            epsilon=epsilon,
+            delta=delta,
+            seed=seed,
+            samples=m,
+        )
+        for p in players
+    }
 
 
 def _shapley_one(game: Game, player: Player, value) -> Fraction:
@@ -222,8 +235,9 @@ def _check_player(game: Game, player: Player) -> None:
         raise PlayerNotInGameError(f"player {player!r} is not in the game")
 
 
-def _check_budget(game: Game, budget: int) -> None:
-    needed = 2 ** len(game.players)
+def check_budget(players: int, budget: int) -> None:
+    """Refuse exact enumeration over 2^players coalitions past `budget`."""
+    needed = 2**players
     if needed > budget:
         raise BudgetExceededError(
             f"exact enumeration needs {needed} coalition evaluations, "

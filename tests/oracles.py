@@ -4,15 +4,20 @@ Everything here recomputes scores from first principles, on purpose not
 sharing code paths with the package: the engine sums subset-weighted
 marginals, so the Shapley oracle averages over explicit permutations; the
 causes oracle searches raw sub-databases instead of the lineage; the
-hierarchy oracle re-derives Atoms(x) from scratch.
+hierarchy oracle re-derives Atoms(x) from scratch; lineage probabilities
+and causal effects enumerate every valuation of the support instead of
+counting by Shannon expansion; the Monte Carlo oracle redraws every order
+for each player on its own.
 """
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from xscore import reldb
+from xscore import formula, reldb
 from xscore.classify import Entity, FeatureSpace, TableClassifier
 from xscore.games import Game
 
@@ -27,6 +32,65 @@ def shapley_by_permutations(game: Game, player) -> Fraction:
         total += Fraction(game.value(before | {player})) - Fraction(game.value(before))
         count += 1
     return total / count
+
+
+def monte_carlo_by_player(game: Game, player, epsilon: float, delta: float, seed: int):
+    """The seeded per-player Shapley estimate: sample i shuffles the
+    players with an RNG seeded by the first 8 bytes of sha256("seed:i"),
+    and the player's marginal contribution at its place is averaged over
+    ceil(ln(2/delta) / (2 epsilon^2)) samples."""
+    samples = math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
+    total = Fraction(0)
+    for index in range(samples):
+        digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
+        order = list(game.players)
+        random.Random(int.from_bytes(digest[:8], "big")).shuffle(order)
+        before = frozenset(order[: order.index(player)])
+        total += Fraction(game.value(before | {player})) - Fraction(game.value(before))
+    return float(total / samples), samples
+
+
+def lineage_probability_by_enumeration(lineage: reldb.Lineage, probabilities=None) -> Fraction:
+    """Sum of the weights of the satisfying valuations of the support.
+
+    `probabilities` is None (1/2 for all), one shared value, or a per-tuple
+    table whose missing tuples default to 1/2.
+    """
+    support = sorted(lineage.support())
+    prob = _presence(support, probabilities)
+    total = Fraction(0)
+    for bits in product((False, True), repeat=len(support)):
+        present = frozenset(t for t, bit in zip(support, bits) if bit)
+        if lineage.evaluate(present):
+            weight = Fraction(1)
+            for t, bit in zip(support, bits):
+                weight *= prob[t] if bit else 1 - prob[t]
+            total += weight
+    return total
+
+
+def causal_effect_by_enumeration(lineage: reldb.Lineage, tuple_id: str, probabilities=None) -> Fraction:
+    """E[f | do(t=1)] - E[f | do(t=0)], summed over every valuation of the
+    other support tuples (0 for a tuple outside the support)."""
+    others = sorted(lineage.support() - {tuple_id})
+    prob = _presence(others, probabilities)
+    total = Fraction(0)
+    for bits in product((False, True), repeat=len(others)):
+        present = frozenset(t for t, bit in zip(others, bits) if bit)
+        swing = int(lineage.evaluate(present | {tuple_id})) - int(lineage.evaluate(present))
+        if swing:
+            weight = Fraction(1)
+            for t, bit in zip(others, bits):
+                weight *= prob[t] if bit else 1 - prob[t]
+            total += swing * weight
+    return total
+
+
+def _presence(support, probabilities) -> dict:
+    if probabilities is None or isinstance(probabilities, (Fraction, int)):
+        shared = Fraction(1, 2) if probabilities is None else Fraction(probabilities)
+        return {t: shared for t in support}
+    return {t: Fraction(probabilities.get(t, Fraction(1, 2))) for t in support}
 
 
 def hierarchy_by_definition(query: reldb.ConjunctiveQuery) -> bool:
@@ -106,6 +170,15 @@ def random_rational_game(rng: random.Random, n: int) -> Game:
         for coalition in combinations(players, size):
             table[frozenset(coalition)] = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
     return Game(players=players, value=lambda s: table[frozenset(s)])
+
+
+def random_nested_lineage(rng: random.Random, ids, depth: int = 3) -> formula.Node:
+    """Random negation-free And/Or tree over some of `ids`, nested rather
+    than a DNF, with repeated tuples; ids it misses are null players."""
+    if depth == 0 or rng.random() < 0.3:
+        return formula.Var(rng.choice(ids))
+    kind = rng.choice((formula.And, formula.Or))
+    return kind(tuple(random_nested_lineage(rng, ids, depth - 1) for _ in range(rng.randint(2, 3))))
 
 
 QUERY_RELATIONS = ("R", "S", "T")

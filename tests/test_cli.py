@@ -187,6 +187,65 @@ def test_budget_env_override(capsys, data_dir, monkeypatch):
     assert code == 0
 
 
+GAME_BUDGET_ERROR = (
+    "xscore: error: exact enumeration needs {} coalition evaluations, "
+    "budget is {}; use shapley_monte_carlo instead\n"
+)
+
+
+def _assert_budget_edge(capsys, argv, failing, message):
+    """Exit 3 with `message` at budget `failing`, success one above it."""
+    code, out = run(capsys, *argv, "--budget", str(failing))
+    assert code == cli.EXIT_BUDGET
+    assert out.err == message
+    code, out = run(capsys, *argv, "--budget", str(failing + 1))
+    assert code == 0, out.err
+
+
+def test_budget_edge_banzhaf_query_counts_every_tuple(capsys, data_dir):
+    # The query game has all six ex1 tuples as players: 2^6 coalitions.
+    _assert_budget_edge(
+        capsys, db_args(data_dir, "--kinds", "banzhaf"), 63, GAME_BUDGET_ERROR.format(64, 63)
+    )
+
+
+def test_budget_edge_causal_effect_counts_intervened_support(capsys, data_dir):
+    # The largest intervened lineage, do(S(b)=1), keeps three tuples.
+    _assert_budget_edge(
+        capsys,
+        db_args(data_dir, "--kinds", "causal_effect"),
+        7,
+        "xscore: error: lineage support of 3 needs 8 valuations, budget is 7\n",
+    )
+    # Here only the do(t=0) lineages keep three tuples.
+    argv = (
+        "db-scores",
+        "--relation",
+        f"E={data_dir / 'path_E.csv'}",
+        "--lineage",
+        "(t1 | t2) & (t3 | t4)",
+        "--kinds",
+        "causal_effect",
+    )
+    _assert_budget_edge(
+        capsys, argv, 7, "xscore: error: lineage support of 3 needs 8 valuations, budget is 7\n"
+    )
+
+
+def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
+    # Four of the six path edges are in the lineage support: 2^4 coalitions.
+    argv = (
+        "db-scores",
+        "--relation",
+        f"E={data_dir / 'path_E.csv'}",
+        "--lineage",
+        "t1 | (t2 & t3) | (t2 & t4)",
+        "--kinds",
+        "shapley",
+    )
+    _assert_budget_edge(capsys, argv, 15, GAME_BUDGET_ERROR.format(16, 15))
+
+
 def test_exit_code_usage_error(capsys, data_dir):
     code, _ = run(capsys, "ml-scores", "--classifier", str(data_dir / "ex6_table.csv"))
     assert code == cli.EXIT_PARSE  # missing --entity
@@ -219,6 +278,25 @@ def test_monte_carlo_mode_is_seeded(capsys, data_dir):
     assert sb["mode"] == "monte_carlo"
     assert sb["seed"] == 5
     assert abs(sb["value_float"] - 7 / 12) <= 0.2
+
+
+def test_query_and_its_compiled_lineage_give_equal_exact_records(capsys, tmp_path):
+    # ex1 with generated ids (R:0 ...), which lineage text can name.
+    (tmp_path / "R.csv").write_text("A,B\na,b\nc,d\nb,b\n")
+    (tmp_path / "S.csv").write_text("A\na\nc\nb\n")
+    relations = ("--relation", f"R={tmp_path / 'R.csv'}", "--relation", f"S={tmp_path / 'S.csv'}")
+    query = "Q() :- S(x), R(x,y), S(y)"
+    (compiled,) = run_json(capsys, "lineage", *relations, "--query", query)["records"]
+    assert compiled["support"] == ["R:0", "R:2", "S:0", "S:2"]
+    kinds = ("--kinds", "responsibility,causal_effect,shapley,banzhaf")
+    by_query = run_json(capsys, "db-scores", *relations, "--query", query, *kinds)
+    by_lineage = run_json(capsys, "db-scores", *relations, "--lineage", compiled["text"], *kinds)
+    assert by_query["records"] == by_lineage["records"]
+    assert len(by_query["records"]) == 24
+    shapley = {r["tuple"]: r["value"] for r in by_query["records"] if r["kind"] == "shapley"}
+    assert shapley == {
+        "R:0": "1/12", "R:1": "0", "R:2": "1/4", "S:0": "1/12", "S:1": "0", "S:2": "7/12"
+    }
 
 
 def test_report_values_satisfy_cross_invariants(capsys, data_dir):

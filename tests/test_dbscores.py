@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    causal_effect_by_enumeration,
+    lineage_probability_by_enumeration,
     min_contingency_unrestricted,
     random_database_for,
+    random_nested_lineage,
     random_sjf_query,
     shapley_by_permutations,
 )
@@ -28,6 +31,8 @@ from xscore.dbscores import (
     responsibility,
     shapley_tuple,
     summation_game,
+    swing_counts,
+    swing_scores,
 )
 from xscore.games import BudgetExceededError
 from xscore.reldb import Database, compile_lineage, parse_lineage, parse_query
@@ -219,6 +224,61 @@ def test_lineage_game_matches_query_game(ce_db, ce_query):
     qg = query_game(ce_db, ce_query)
     lg = lineage_game(lineage)
     assert games.shapley_all(qg) == games.shapley_all(lg)
+
+
+# ---------------------------------------------------------------------------
+# Lineage counting against brute force
+
+
+NESTED_IDS = ("t1", "t2", "t3", "t4", "t5", "t6")
+PROBABILITIES = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
+def test_swing_counts_path_lineage(path_lineage):
+    # t1 swings every set of the other five tuples on which neither
+    # (t2 & t3) nor (t4 & t5 & t6) holds.
+    counts = swing_counts(path_lineage)
+    assert counts["t1"] == [1, 5, 9, 6, 0, 0]
+    assert counts["t2"] == [0, 1, 3, 3, 0, 0]
+    assert sum(swing_scores(counts, "shapley").values()) == 1
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_lineage_counting_matches_enumeration(seed):
+    rng = random.Random(seed)
+    # t6 never occurs, so there is always at least one null player.
+    lineage = reldb.Lineage(random_nested_lineage(rng, NESTED_IDS[:5]), source="user")
+    support = lineage.support()
+    counts = swing_counts(lineage)
+    assert set(counts) == support
+
+    shapley = swing_scores(counts, "shapley")
+    with_nulls = lineage_game(lineage, players=NESTED_IDS)
+    assert games.shapley_all(with_nulls) == {t: shapley.get(t, 0) for t in NESTED_IDS}
+    assert shapley == games.shapley_all(lineage_game(lineage))
+    for t in support:
+        assert shapley[t] == shapley_by_permutations(with_nulls, t)
+    banzhaf = swing_scores(counts, "banzhaf")
+    assert games.banzhaf_all(with_nulls) == {t: banzhaf.get(t, 0) for t in NESTED_IDS}
+
+    for p in PROBABILITIES:
+        effects = swing_scores(counts, "causal_effect", p)
+        for t in NESTED_IDS:
+            expected = causal_effect_by_enumeration(lineage, t, p)
+            assert effects.get(t, 0) == expected
+            assert causal_effect(lineage, t, probabilities=p) == expected
+        assert lineage_probability(lineage, p) == lineage_probability_by_enumeration(lineage, p)
+    assert swing_scores(counts, "causal_effect") == swing_scores(counts, "banzhaf")
+
+    table = {t: rng.choice(PROBABILITIES + (Fraction(2, 7),)) for t in NESTED_IDS[:4]}
+    assert lineage_probability(lineage, table) == lineage_probability_by_enumeration(
+        lineage, table
+    )
+    for t in support:
+        assert causal_effect(lineage, t, probabilities=table) == causal_effect_by_enumeration(
+            lineage, t, table
+        )
 
 
 EX1_SHAPLEY = {

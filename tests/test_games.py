@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_monotone_game, random_rational_game, shapley_by_permutations
+from oracles import (
+    monte_carlo_by_player,
+    random_monotone_game,
+    random_rational_game,
+    shapley_by_permutations,
+)
 from xscore.games import (
     BudgetExceededError,
     Game,
@@ -16,6 +21,7 @@ from xscore.games import (
     shapley_all,
     shapley_exact,
     shapley_monte_carlo,
+    shapley_monte_carlo_all,
 )
 
 
@@ -173,3 +179,29 @@ def test_monte_carlo_tracks_exact_value():
     exact = shapley_exact(game, "p1")
     result = shapley_monte_carlo(game, "p1", epsilon=0.05, delta=0.05, seed=7)
     assert abs(result.value - float(exact)) <= 0.05
+
+
+@given(st.integers(0, 10**9), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_monte_carlo_all_players_pins_per_player_records(game_seed, seed):
+    rng = random.Random(game_seed)
+    if rng.random() < 0.5:
+        game = random_monotone_game(rng)
+    else:
+        game = random_rational_game(rng, rng.randint(1, 4))
+    epsilon, delta = rng.choice(((0.3, 0.2), (0.5, 0.4), (0.25, 0.05)))
+    estimates = shapley_monte_carlo_all(game, epsilon, delta, seed)
+    assert list(estimates) == list(game.players)
+    for player in game.players:
+        result = estimates[player]
+        assert result == shapley_monte_carlo(game, player, epsilon, delta, seed)
+        assert (result.value, result.samples) == monte_carlo_by_player(
+            game, player, epsilon, delta, seed
+        )
+        assert (result.player, result.mode, result.epsilon, result.delta, result.seed) == (
+            player,
+            "monte_carlo",
+            epsilon,
+            delta,
+            seed,
+        )
