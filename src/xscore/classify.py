@@ -31,6 +31,11 @@ PROTOCOL_HANDSHAKE = "xscore-clf v1"
 class ZeroMassEventError(ValueError):
     """A conditioning event has probability 0 under the distribution."""
 
+    @classmethod
+    def pinned(cls, entity: "Entity", fixed: Iterable[str]) -> "ZeroMassEventError":
+        """The error for the event "agrees with `entity` on `fixed`"."""
+        return cls(f"no mass on entities agreeing with {entity} on features {sorted(fixed)}")
+
 
 class InconsistentConstraintError(ValueError):
     """Conditioning on a constraint whose satisfying set has mass 0."""
@@ -309,10 +314,6 @@ class Constraint:
         return formula.to_text(self.root)
 
 
-def satisfies(entity: Entity, constraint: Constraint) -> bool:
-    return constraint.satisfied_by(entity)
-
-
 def conjoin(constraints: Sequence[Constraint]) -> Constraint:
     """Conjunction of a non-empty set of constraints over one space."""
     if not constraints:
@@ -544,10 +545,15 @@ def conditional_expectation(
         if classifier.label(candidate) == 1:
             numerator += p
     if mass == 0:
-        raise ZeroMassEventError(
-            f"no mass on entities agreeing with {entity} on features {sorted(fixed)}"
-        )
+        raise ZeroMassEventError.pinned(entity, fixed)
     return numerator / mass
+
+
+def check_free_width(free: int) -> None:
+    """Refuse to enumerate the completions of `free` unpinned features past
+    `WIDTH_LIMIT`."""
+    if free > WIDTH_LIMIT:
+        raise WidthLimitError(f"{free} free features exceed the enumeration limit {WIDTH_LIMIT}")
 
 
 def _agreeing_entities(
@@ -560,10 +566,7 @@ def _agreeing_entities(
                 yield e
         return
     free = [i for i in range(entity.width) if i not in fixed_indices]
-    if len(free) > WIDTH_LIMIT:
-        raise WidthLimitError(
-            f"{len(free)} free features exceed the enumeration limit {WIDTH_LIMIT}"
-        )
+    check_free_width(len(free))
     for bits in product((0, 1), repeat=len(free)):
         yield entity.with_bits(dict(zip(free, bits)))
 

@@ -284,6 +284,7 @@ def _monte_carlo_records(args, db, lineage, query) -> list[dict]:
 
 
 def _cmd_ml_scores(args) -> list[dict]:
+    budget = _budget(args)
     kinds = _split_kinds(args.kinds, mlscores.SCORE_KINDS)
     space, classifier, sample = _resolve_classifier(args)
     try:
@@ -302,7 +303,7 @@ def _cmd_ml_scores(args) -> list[dict]:
             max_contingency=args.max_contingency,
             skip_zero_mass=args.skip_zero_mass,
         )
-        scores = mlscores.score_all(request, kinds)
+        scores = mlscores.score_all(request, kinds, budget)
     finally:
         if isinstance(classifier, classify.ExternalClassifier):
             classifier.close()

@@ -20,15 +20,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from . import games
 from .classify import (
+    WIDTH_LIMIT,
     Classifier,
     Distribution,
     Entity,
     ZeroMassEventError,
+    all_entities,
+    check_free_width,
     conditional_expectation,
 )
 
@@ -103,19 +106,23 @@ class FeatureScore:
     witness: RespWitness | None = None
 
 
-def shap(request: ExplanationRequest, feature: str) -> FeatureScore:
+def shap(
+    request: ExplanationRequest, feature: str, budget: int = games.DEFAULT_BUDGET
+) -> FeatureScore:
     """SHAP score of one feature value, as an exact rational.
 
     The coalition game maps a feature set S to the expected label over
     entities agreeing with the request's entity on S; the score is that
-    game's Shapley value for the feature.
+    game's Shapley value for the feature.  Refuses (`BudgetExceededError`)
+    when the 2^n coalitions exceed `budget`.
     """
     space = request.distribution.space
     space.index(feature)
     if request.skip_zero_mass:
-        value = _shap_skipping_zero_mass(request, feature)
+        expectations = _coalition_expectations(request, budget)
+        value = _shap_skipping_zero_mass(request, feature, expectations)
     else:
-        value = games.shapley_exact(_shap_game(request), feature)
+        value = games.shapley_exact(_shap_game(request, budget), feature, budget)
     return FeatureScore(feature=feature, kind="shap", value=value)
 
 
@@ -183,9 +190,12 @@ def resp(request: ExplanationRequest, feature: str) -> FeatureScore:
     return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
 
 
-def score_all(request: ExplanationRequest, kinds: Iterable[str]) -> list[FeatureScore]:
+def score_all(
+    request: ExplanationRequest, kinds: Iterable[str], budget: int = games.DEFAULT_BUDGET
+) -> list[FeatureScore]:
     """Scores of every feature for the requested kinds, ranked within each
-    kind by descending value with feature-name tiebreak."""
+    kind by descending value with feature-name tiebreak.  `budget` caps
+    the 2^n coalitions SHAP enumerates."""
     wanted = sorted(set(kinds))
     for kind in wanted:
         if kind not in SCORE_KINDS:
@@ -193,60 +203,116 @@ def score_all(request: ExplanationRequest, kinds: Iterable[str]) -> list[Feature
     names = request.distribution.space.names
     out: list[FeatureScore] = []
     for kind in wanted:
-        if kind == "shap" and not request.skip_zero_mass:
-            # One engine pass shares the coalition-value memo across features.
-            values = games.shapley_all(_shap_game(request))
+        if kind == "shap":
+            values = _shap_values(request, budget)
             batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
         else:
-            fn = {"shap": shap, "counter": counter, "resp": resp}[kind]
+            fn = {"counter": counter, "resp": resp}[kind]
             batch = [fn(request, n) for n in names]
         batch.sort(key=lambda s: (-s.value, s.feature))
         out.extend(batch)
     return out
 
 
-def _shap_game(request: ExplanationRequest) -> games.Game:
+def _shap_values(request: ExplanationRequest, budget: int) -> dict[str, Fraction]:
+    """SHAP score of every feature from one coalition table."""
+    if request.skip_zero_mass:
+        expectations = _coalition_expectations(request, budget)
+        names = request.distribution.space.names
+        return {n: _shap_skipping_zero_mass(request, n, expectations) for n in names}
+    # One engine pass shares the coalition-value memo across features.
+    return games.shapley_all(_shap_game(request, budget), budget)
+
+
+def _shap_game(request: ExplanationRequest, budget: int = games.DEFAULT_BUDGET) -> games.Game:
+    """The SHAP coalition game; a zero-mass coalition raises
+    `ZeroMassEventError` when the engine reaches it."""
+    space = request.distribution.space
+    expectations = _coalition_expectations(request, budget)
+    bits = _feature_bits(space)
+
     def value(coalition):
-        return conditional_expectation(
-            request.distribution, request.classifier, request.entity, coalition
-        )
+        got = expectations[sum(bits[name] for name in coalition)]
+        if got is None:
+            raise ZeroMassEventError.pinned(request.entity, coalition)
+        return got
 
-    return games.Game(players=request.distribution.space.names, value=value)
+    return games.Game(players=space.names, value=value)
 
 
-def _shap_skipping_zero_mass(request: ExplanationRequest, feature: str) -> Fraction:
+def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fraction | None]:
+    """E[L | e on S] for every feature set S, indexed by the sum of the
+    features' `_feature_bits`; None where the event has no mass.
+
+    Each positive-mass entity x is labelled once and filed under its
+    agreement mask with the request's entity e (the features where x and
+    e agree).  Distinct entities have distinct masks, so before the sum
+    each slot holds at most one entity's mass, scaled to an integer by the
+    lcm of the mass denominators.  Adding slot S | {j} into slot S for each
+    feature j (O(n 2^n) integer additions) turns the slots into the
+    label-1 mass and the total mass of the entities agreeing with e on S.
+    """
+    dist, entity = request.distribution, request.entity
+    n = entity.width
+    games.check_budget(n, budget)
+    candidates = dist.finite_support
+    if candidates is None:
+        # Evaluated one by one, the game's first coalitions are a singleton
+        # and the empty set: the first of them too wide to enumerate fails.
+        check_free_width(n - 1 if n - 1 > WIDTH_LIMIT else n)
+        candidates = all_entities(n)
+    full = (1 << n) - 1
+    target = int(str(entity), 2)
+    num: list = [0] * (full + 1)
+    den: list = [0] * (full + 1)
+    for x in candidates:
+        p = dist.prob(x)
+        if p == 0:
+            continue
+        agree = full & ~(int(str(x), 2) ^ target)
+        den[agree] = p
+        if request.classifier.label(x) == 1:
+            num[agree] = p
+    scale = lcm(*(p.denominator for p in den))
+    num = [p.numerator * (scale // p.denominator) for p in num]
+    den = [p.numerator * (scale // p.denominator) for p in den]
+    for j in range(n):
+        bit = 1 << j
+        for s in range(full + 1):
+            if not s & bit:
+                num[s] += num[s | bit]
+                den[s] += den[s | bit]
+    return [Fraction(a, b) if b else None for a, b in zip(num, den)]
+
+
+def _feature_bits(space) -> dict[str, int]:
+    # Feature j is bit n-1-j, so an entity's bit string reads as its mask.
+    return {name: 1 << (space.width - 1 - j) for j, name in enumerate(space.names)}
+
+
+def _shap_skipping_zero_mass(
+    request: ExplanationRequest, feature: str, expectations: list[Fraction | None]
+) -> Fraction:
     """Subset-weighted SHAP sum that drops zero-mass coalitions.
 
-    Only needed under finite-support distributions; every dropped term is
-    reported through `ZeroMassSkipWarning`.
+    Only needed where some coalition's event has no mass (a finite
+    support, a constraint, a 0 or 1 marginal); the number of dropped terms
+    is reported through `ZeroMassSkipWarning`.
     """
-    names = request.distribution.space.names
-    n = len(names)
-    others = [m for m in names if m != feature]
-    cache: dict[frozenset, Fraction | None] = {}
-
-    def expectation(coalition: frozenset) -> Fraction | None:
-        if coalition not in cache:
-            try:
-                cache[coalition] = conditional_expectation(
-                    request.distribution, request.classifier, request.entity, coalition
-                )
-            except ZeroMassEventError:
-                cache[coalition] = None
-        return cache[coalition]
-
+    space = request.distribution.space
+    n = space.width
+    bit = _feature_bits(space)[feature]
+    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
     total = Fraction(0)
     skipped = 0
-    for size in range(n):
-        weight = Fraction(factorial(size) * factorial(n - size - 1), factorial(n))
-        for chosen in combinations(others, size):
-            coalition = frozenset(chosen)
-            with_feature = expectation(coalition | {feature})
-            without = expectation(coalition)
-            if with_feature is None or without is None:
-                skipped += 1
-                continue
-            total += weight * (with_feature - without)
+    for without in range(1 << n):
+        if without & bit:
+            continue
+        with_value, without_value = expectations[without | bit], expectations[without]
+        if with_value is None or without_value is None:
+            skipped += 1
+            continue
+        total += weights[without.bit_count()] * (with_value - without_value)
     if skipped:
         warnings.warn(
             f"shap({feature}): skipped {skipped} zero-mass coalitions",

@@ -7,7 +7,8 @@ causes oracle searches raw sub-databases instead of the lineage; the
 hierarchy oracle re-derives Atoms(x) from scratch; lineage probabilities
 and causal effects enumerate every valuation of the support instead of
 counting by Shannon expansion; the Monte Carlo oracle redraws every order
-for each player on its own.
+for each player on its own; the SHAP oracle plays the coalition game with
+one conditional expectation per coalition instead of one table.
 """
 from __future__ import annotations
 
@@ -18,7 +19,19 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from xscore import formula, reldb
-from xscore.classify import Entity, FeatureSpace, TableClassifier
+from xscore.classify import (
+    Constraint,
+    EmpiricalDistribution,
+    Entity,
+    FeatureSpace,
+    ProductDistribution,
+    TableClassifier,
+    UniformDistribution,
+    ZeroMassEventError,
+    all_entities,
+    condition,
+    conditional_expectation,
+)
 from xscore.games import Game
 
 
@@ -139,6 +152,53 @@ def resp_by_exhaustion(classifier, space: FeatureSpace, entity: Entity, feature:
     return Fraction(0)
 
 
+def shap_game_by_expectation(request) -> Game:
+    """The SHAP coalition game of an explanation request, each coalition's
+    value one `conditional_expectation` over the entities agreeing with the
+    request's entity on it."""
+
+    def value(coalition):
+        return conditional_expectation(
+            request.distribution, request.classifier, request.entity, coalition
+        )
+
+    return Game(players=request.distribution.space.names, value=value)
+
+
+def shap_skipping_by_expectation(request, feature) -> tuple[Fraction, int]:
+    """Subset-weighted SHAP sum of `feature` over the per-coalition game,
+    dropping every term with a zero-mass coalition; returns the sum and
+    the number of dropped terms."""
+    names = request.distribution.space.names
+    n = len(names)
+    others = [m for m in names if m != feature]
+    cache: dict[frozenset, Fraction | None] = {}
+
+    def expectation(coalition: frozenset) -> Fraction | None:
+        if coalition not in cache:
+            try:
+                cache[coalition] = conditional_expectation(
+                    request.distribution, request.classifier, request.entity, coalition
+                )
+            except ZeroMassEventError:
+                cache[coalition] = None
+        return cache[coalition]
+
+    total = Fraction(0)
+    skipped = 0
+    for size in range(n):
+        weight = Fraction(math.factorial(size) * math.factorial(n - size - 1), math.factorial(n))
+        for chosen in combinations(others, size):
+            coalition = frozenset(chosen)
+            with_feature = expectation(coalition | {feature})
+            without = expectation(coalition)
+            if with_feature is None or without is None:
+                skipped += 1
+                continue
+            total += weight * (with_feature - without)
+    return total, skipped
+
+
 # ---------------------------------------------------------------------------
 # Random instances
 
@@ -245,3 +305,43 @@ def random_truth_table(rng: random.Random, width: int) -> tuple[FeatureSpace, Ta
     space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
     table = {bits: rng.randint(0, 1) for bits in product((0, 1), repeat=width)}
     return space, TableClassifier(width, table)
+
+
+MARGINALS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+DISTRIBUTIONS = ("uniform", "product", "empirical", "conditioned")
+
+
+def random_distribution(rng: random.Random, space: FeatureSpace, kind: str):
+    """Random distribution of one of `DISTRIBUTIONS` over the space.
+
+    Product marginals include 0 and 1; an empirical sample is a random
+    non-empty subset of the space; a conditioned distribution restricts a
+    random base of the other three kinds by a denial constraint or a
+    general formula (`InconsistentConstraintError` when it has no mass).
+    """
+    if kind == "uniform":
+        return UniformDistribution(space)
+    if kind == "product":
+        marginals = [
+            rng.choice(MARGINALS + (Fraction(rng.randint(1, 6), 7),)) for _ in space.names
+        ]
+        return ProductDistribution(space, marginals)
+    if kind == "empirical":
+        population = list(all_entities(space.width))
+        return EmpiricalDistribution(space, rng.sample(population, rng.randint(1, len(population))))
+    base = random_distribution(rng, space, rng.choice(DISTRIBUTIONS[:3]))
+    if rng.random() < 0.5:
+        chosen = rng.sample(space.names, rng.randint(1, space.width))
+        split = rng.randint(0, len(chosen))
+        return condition(base, Constraint.denial(space, chosen[:split], chosen[split:]))
+    return condition(base, Constraint(space=space, root=random_formula(rng, space.names)))
+
+
+def random_formula(rng: random.Random, names, depth: int = 3) -> formula.Node:
+    """Random propositional formula with negation over the feature names."""
+    if depth == 0 or rng.random() < 0.3:
+        return formula.Var(rng.choice(names))
+    if rng.random() < 0.2:
+        return formula.Not(random_formula(rng, names, depth - 1))
+    kind = rng.choice((formula.And, formula.Or))
+    return kind(tuple(random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))

@@ -31,7 +31,6 @@ from xscore.classify import (
     load_sample_csv,
     load_truth_table_csv,
     parse_constraint,
-    satisfies,
 )
 from xscore._lex import ParseError
 
@@ -254,7 +253,7 @@ def test_denial_requires_disjoint_sides(ex6_space):
 def test_tautology_via_general_form(ex6_space):
     chi = parse_constraint("true", ex6_space)
     for e in all_entities(3):
-        assert satisfies(e, chi)
+        assert chi.satisfied_by(e)
 
 
 def test_conjunction_semantics(ex6_space):
@@ -262,7 +261,7 @@ def test_conjunction_semantics(ex6_space):
     b = parse_constraint("!(F3)", ex6_space)
     both = conjoin([a, b])
     for e in all_entities(3):
-        assert satisfies(e, both) == (satisfies(e, a) and satisfies(e, b))
+        assert both.satisfied_by(e) == (a.satisfied_by(e) and b.satisfied_by(e))
     with pytest.raises(ValueError):
         conjoin([])
 

@@ -362,6 +362,19 @@ def ml_args(data_dir, *extra):
     )
 
 
+@pytest.mark.parametrize("skip", [(), ("--skip-zero-mass",)])
+def test_budget_edge_ml_shap_counts_coalitions(capsys, data_dir, monkeypatch, skip):
+    # Three features: 2^3 coalitions, with or without zero-mass skipping.
+    argv = ml_args(data_dir, "--kinds", "shap", *skip)
+    _assert_budget_edge(capsys, argv, 7, GAME_BUDGET_ERROR.format(8, 7))
+    monkeypatch.setenv("XSCORE_BUDGET", "7")
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_BUDGET
+    assert out.err == GAME_BUDGET_ERROR.format(8, 7)
+    monkeypatch.setenv("XSCORE_BUDGET", "8")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_ml_scores_resp_golden(capsys, data_dir):
     report = run_json(capsys, *ml_args(data_dir, "--kinds", "resp"))
     records = report["records"]

@@ -1,20 +1,34 @@
 import random
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_truth_table, resp_by_exhaustion, shapley_by_permutations
-from xscore import mlscores
+from oracles import (
+    DISTRIBUTIONS,
+    random_distribution,
+    random_truth_table,
+    resp_by_exhaustion,
+    shap_game_by_expectation,
+    shap_skipping_by_expectation,
+    shapley_by_permutations,
+)
+from xscore import games, mlscores
 from xscore.classify import (
     EmpiricalDistribution,
     Entity,
     FeatureSpace,
     FunctionClassifier,
+    InconsistentConstraintError,
     UniformDistribution,
+    WidthLimitError,
     ZeroMassEventError,
     all_entities,
+    condition,
+    parse_constraint,
 )
 from xscore.mlscores import (
     ExplanationRequest,
@@ -126,6 +140,109 @@ def test_shap_zero_mass_error_and_skip(ex6_space, ex6_classifier):
     with pytest.warns(ZeroMassSkipWarning):
         score = shap(skipping, "F1")
     assert isinstance(score.value, Fraction)
+
+
+def _shap_outcome(compute):
+    """What a SHAP computation reports: its values and warning texts, or
+    the text of its zero-mass error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = compute()
+        except ZeroMassEventError as exc:
+            return "zero mass", str(exc)
+    return values, [str(w.message) for w in caught]
+
+
+def _oracle_skipping(request, names):
+    values = {}
+    for name in names:
+        values[name], skipped = shap_skipping_by_expectation(request, name)
+        if skipped:
+            warnings.warn(f"shap({name}): skipped {skipped} zero-mass coalitions")
+    return values
+
+
+@given(st.integers(0, 10**9), st.sampled_from(DISTRIBUTIONS), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_shap_matches_per_coalition_oracle(seed, kind, skip_zero_mass):
+    rng = random.Random(seed)
+    width = rng.randint(1, 7)
+    space, clf = random_truth_table(rng, width)
+    try:
+        dist = random_distribution(rng, space, kind)
+    except InconsistentConstraintError:
+        return
+    support = dist.finite_support
+    if support and rng.random() < 0.5:
+        entity = rng.choice(support)
+    else:  # possibly outside the support or violating the constraint
+        entity = Entity(tuple(rng.randint(0, 1) for _ in range(width)))
+    request = ExplanationRequest(
+        entity=entity, classifier=clf, distribution=dist, skip_zero_mass=skip_zero_mass
+    )
+    feature = rng.choice(space.names)
+    if skip_zero_mass:
+        oracle = _shap_outcome(lambda: _oracle_skipping(request, space.names))
+        oracle_one = _shap_outcome(lambda: _oracle_skipping(request, [feature])[feature])
+    else:
+        game = shap_game_by_expectation(request)
+        oracle = _shap_outcome(lambda: games.shapley_all(game))
+        oracle_one = _shap_outcome(lambda: games.shapley_exact(game, feature))
+    batch = _shap_outcome(lambda: {s.feature: s.value for s in score_all(request, ["shap"])})
+    assert batch == oracle
+    assert _shap_outcome(lambda: shap(request, feature).value) == oracle_one
+
+
+@pytest.mark.parametrize("width, free", [(21, 21), (22, 21), (23, 22)])
+def test_shap_too_wide_to_enumerate(width, free):
+    # The first coalitions the game reaches are a singleton and the empty
+    # set; the first of them with too many free features is reported.
+    space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
+    request = uniform_request(space, FunctionClassifier(width, sum), Entity((1,) * width))
+    message = f"{free} free features exceed the enumeration limit 20"
+    for skip_zero_mass in (False, True):
+        with pytest.raises(WidthLimitError, match=message):
+            score_all(replace(request, skip_zero_mass=skip_zero_mass), ["shap"])
+
+
+class CountingClassifier(FunctionClassifier):
+    """Counts every `label` call, cache hits included."""
+
+    def __init__(self, width, fn):
+        super().__init__(width, fn)
+        self.calls = 0
+
+    def label(self, entity):
+        self.calls += 1
+        return super().label(entity)
+
+
+@pytest.mark.parametrize("skip_zero_mass", [False, True])
+@pytest.mark.parametrize("constraint, calls", [(None, 8), ("!(~F2)", 4)])
+def test_shap_labels_each_entity_once(
+    ex6_space, ex6_classifier, ex6_e1, skip_zero_mass, constraint, calls
+):
+    # One label call per positive-mass entity, not one per (coalition, entity).
+    clf = CountingClassifier(3, ex6_classifier.label)
+    dist = UniformDistribution(ex6_space)
+    if constraint is not None:  # F2 = 0 gets no mass and no label call
+        dist = condition(dist, parse_constraint(constraint, ex6_space))
+    request = ExplanationRequest(
+        entity=ex6_e1, classifier=clf, distribution=dist, skip_zero_mass=skip_zero_mass
+    )
+    score_all(request, ["shap"])
+    assert clf.calls == calls
+
+
+def test_shap_budget_counts_coalitions(ex6_request):
+    message = "exact enumeration needs 8 coalition evaluations, budget is 7"
+    for request in (ex6_request, replace(ex6_request, skip_zero_mass=True)):
+        with pytest.raises(games.BudgetExceededError, match=message):
+            score_all(request, ["shap"], budget=7)
+        with pytest.raises(games.BudgetExceededError, match=message):
+            shap(request, "F1", budget=7)
+        assert len(score_all(request, ["shap"], budget=8)) == 3
 
 
 # ---------------------------------------------------------------------------
