@@ -199,7 +199,7 @@ def test_shap_too_wide_to_enumerate(width, free):
     # The first coalitions the game reaches are a singleton and the empty
     # set; the first of them with too many free features is reported.
     space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
-    request = uniform_request(space, FunctionClassifier(width, sum), Entity((1,) * width))
+    request = uniform_request(space, FunctionClassifier(width, lambda e: 1), Entity((1,) * width))
     message = f"{free} free features exceed the enumeration limit 20"
     for skip_zero_mass in (False, True):
         with pytest.raises(WidthLimitError, match=message):
