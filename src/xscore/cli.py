@@ -218,7 +218,7 @@ def _cmd_db_scores(args) -> list[dict]:
     records: list[dict] = []
     for kind in kinds:
         if kind == "responsibility":
-            for report in dbscores.lineage_causes(lineage, all_ids):
+            for report in dbscores.lineage_causes(lineage, all_ids, budget):
                 records.append(_cause_record(report))
             continue
         if kind == "shapley" and args.mode == "approx":
@@ -378,9 +378,7 @@ def _resolve_query_or_lineage(args, db):
     query_text = args.query or (args.query_file.read_text() if args.query_file else None)
     if query_text is not None:
         query = reldb.parse_query(query_text.strip())
-        if not reldb.evaluate(db, query):
-            raise dbscores.NothingToExplainError("query is false in the database")
-        return reldb.compile_lineage(db, query), query
+        return dbscores.query_lineage(db, query), query
     lineage_text = args.lineage or args.lineage_file.read_text()
     lineage = reldb.parse_lineage(lineage_text.strip(), db)
     if not lineage.evaluate(lineage.support()):

@@ -20,7 +20,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Mapping
 
 from . import formula, games
@@ -41,6 +41,7 @@ __all__ = [
     "NonNumericValueError",
     "VacuousInterventionWarning",
     "causes",
+    "query_lineage",
     "lineage_causes",
     "responsibility",
     "intervene",
@@ -115,47 +116,70 @@ def causes(db: Database, query: ConjunctiveQuery) -> list[CauseReport]:
     over the lineage support only; tuples outside every disjunct cannot
     affect the query and are reported as non-causes directly.
     """
-    if not evaluate(db, query):
-        raise NothingToExplainError("query is false in the database")
-    return lineage_causes(compile_lineage(db, query), db.tuple_ids())
+    return lineage_causes(query_lineage(db, query), db.tuple_ids())
 
 
-def lineage_causes(lineage: Lineage, tuple_ids: Iterable[str] | None = None) -> list[CauseReport]:
+def lineage_causes(
+    lineage: Lineage,
+    tuple_ids: Iterable[str] | None = None,
+    budget: int = games.DEFAULT_BUDGET,
+) -> list[CauseReport]:
     """Causal reports computed directly from a lineage formula.
 
     `tuple_ids` defaults to the lineage support; pass the full instance's
-    ids to also report the (zero) scores of unmentioned tuples.
+    ids to also report the (zero) scores of unmentioned tuples.  Each
+    contingency candidate tested costs one unit of `budget`, summed over
+    the batch; the first candidate past it raises `BudgetExceededError`.
     """
-    support = sorted(lineage.support())
+    support = lineage.support()
     if not lineage.evaluate(support):
         raise NothingToExplainError("lineage is false even with every tuple present")
-    players = sorted(set(tuple_ids)) if tuple_ids is not None else support
+    players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
     truth = _memoized_truth(lineage)
-    return [_cause_of(lineage, support, tid, truth) for tid in players]
+    charge = _candidate_meter(budget)
+    return [_cause_of(support, tid, truth, charge) for tid in players]
 
 
-def responsibility(db: Database, query: ConjunctiveQuery, tuple_id: str) -> Fraction:
+def responsibility(
+    db: Database, query: ConjunctiveQuery, tuple_id: str, budget: int = games.DEFAULT_BUDGET
+) -> Fraction:
     """Responsibility of one tuple: 1 / (1 + minimum contingency size)."""
     db.values_of(tuple_id)
-    if not evaluate(db, query):
-        raise NothingToExplainError("query is false in the database")
-    lineage = compile_lineage(db, query)
-    report = _cause_of(lineage, sorted(lineage.support()), tuple_id)
+    (report,) = lineage_causes(query_lineage(db, query), [tuple_id], budget)
     return report.responsibility
 
 
-def _cause_of(lineage: Lineage, support: list[str], tuple_id: str, truth=None) -> CauseReport:
+def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
+    """The query's compiled lineage; `NothingToExplainError` when the query is false."""
+    lineage = compile_lineage(db, query)
+    if lineage.root is formula.FALSE:
+        raise NothingToExplainError("query is false in the database")
+    return lineage
+
+
+def _candidate_meter(budget: int):
+    # Charged once per contingency candidate tested, across one batch.
+    tested = count(1)
+
+    def charge() -> None:
+        if next(tested) > budget:
+            raise BudgetExceededError(
+                f"contingency search needs more than {budget} candidate sets, budget is {budget}"
+            )
+
+    return charge
+
+
+def _cause_of(support: frozenset, tuple_id: str, truth, charge) -> CauseReport:
     # Breadth-first over contingency sizes; the first hit is minimal, and
     # combinations() of the sorted support yields the lexicographic least.
-    if tuple_id not in lineage.support():
+    if tuple_id not in support:
         return CauseReport(tuple_id, False, False, None, None, Fraction(0))
-    if truth is None:
-        truth = _memoized_truth(lineage)
-    rest = [t for t in support if t != tuple_id]
-    everything = frozenset(support)
+    rest = sorted(support - {tuple_id})
     for size in range(len(rest) + 1):
         for gamma in combinations(rest, size):
-            present = everything.difference(gamma)
+            charge()
+            present = support.difference(gamma)
             if truth(present) and not truth(present - {tuple_id}):
                 return CauseReport(
                     tuple_id=tuple_id,

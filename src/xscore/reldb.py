@@ -430,30 +430,49 @@ def _check_query_against(db: Database, query: ConjunctiveQuery) -> None:
 def _matches(
     db: Database, query: ConjunctiveQuery
 ) -> Iterator[tuple[dict[Var, str], tuple[str, ...]]]:
-    """All satisfying valuations as (binding, matched tuple ids)."""
+    """All satisfying valuations as (binding, matched tuple ids).
+
+    A hash join in query order.  Each atom's rows are read once and filed
+    under their values at the atom's key positions: constants and
+    variables bound by earlier atoms.  Rows that break a repeated fresh
+    variable, as in `R(x,x)`, are dropped then.  A partial binding visits
+    only the rows under its own key and binds the fresh variables from
+    them.
+    """
+    steps = []
+    bound: set[Var] = set()
+    for atom in query.atoms:
+        key_terms: list[Term] = []
+        key_positions: list[int] = []
+        first: dict[Var, int] = {}  # fresh variable -> its first position
+        repeats: list[tuple[int, int]] = []
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Const) or term in bound:
+                key_terms.append(term)
+                key_positions.append(position)
+            elif term in first:
+                repeats.append((position, first[term]))
+            else:
+                first[term] = position
+        index: dict[tuple[str, ...], list[tuple[str, tuple[str, ...]]]] = {}
+        for tid, values in db.rows(atom.relation):
+            if all(values[p] == values[q] for p, q in repeats):
+                key = tuple(values[p] for p in key_positions)
+                index.setdefault(key, []).append((tid, values))
+        steps.append((tuple(key_terms), tuple(first.items()), index))
+        bound.update(first)
 
     def extend(i: int, binding: dict[Var, str], used: tuple[str, ...]):
-        if i == len(query.atoms):
+        if i == len(steps):
             yield binding, used
             return
-        atom = query.atoms[i]
-        for tid, values in db.rows(atom.relation):
+        key_terms, fresh, index = steps[i]
+        key = tuple(t.value if isinstance(t, Const) else binding[t] for t in key_terms)
+        for tid, values in index.get(key, ()):
             new = dict(binding)
-            ok = True
-            for term, value in zip(atom.terms, values):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = new.get(term)
-                    if bound is None:
-                        new[term] = value
-                    elif bound != value:
-                        ok = False
-                        break
-            if ok:
-                yield from extend(i + 1, new, used + (tid,))
+            for var, position in fresh:
+                new[var] = values[position]
+            yield from extend(i + 1, new, used + (tid,))
 
     yield from extend(0, {}, ())
 

@@ -4,11 +4,13 @@ Everything here recomputes scores from first principles, on purpose not
 sharing code paths with the package: the engine sums subset-weighted
 marginals, so the Shapley oracle averages over explicit permutations; the
 causes oracle searches raw sub-databases instead of the lineage; the
-hierarchy oracle re-derives Atoms(x) from scratch; lineage probabilities
-and causal effects enumerate every valuation of the support instead of
-counting by Shannon expansion; the Monte Carlo oracle redraws every order
-for each player on its own; the SHAP oracle plays the coalition game with
-one conditional expectation per coalition instead of one table.
+hierarchy oracle re-derives Atoms(x) from scratch; the join oracle re-scans
+each relation for every partial binding instead of probing one hash index
+per atom; lineage probabilities and causal effects enumerate every
+valuation of the support instead of counting by Shannon expansion; the
+Monte Carlo oracle redraws every order for each player on its own; the SHAP
+oracle plays the coalition game with one conditional expectation per
+coalition instead of one table.
 """
 from __future__ import annotations
 
@@ -104,6 +106,37 @@ def _presence(support, probabilities) -> dict:
         shared = Fraction(1, 2) if probabilities is None else Fraction(probabilities)
         return {t: shared for t in support}
     return {t: Fraction(probabilities.get(t, Fraction(1, 2))) for t in support}
+
+
+def matches_by_nested_loop(db: reldb.Database, query: reldb.ConjunctiveQuery):
+    """All satisfying valuations as (binding, matched tuple ids), by a
+    nested-loop join: every partial binding re-scans the next relation and
+    tests each position of each row."""
+
+    def extend(i: int, binding: dict, used: tuple):
+        if i == len(query.atoms):
+            yield binding, used
+            return
+        atom = query.atoms[i]
+        for tid, values in db.rows(atom.relation):
+            new = dict(binding)
+            ok = True
+            for term, value in zip(atom.terms, values):
+                if isinstance(term, reldb.Const):
+                    if term.value != value:
+                        ok = False
+                        break
+                else:
+                    bound = new.get(term)
+                    if bound is None:
+                        new[term] = value
+                    elif bound != value:
+                        ok = False
+                        break
+            if ok:
+                yield from extend(i + 1, new, used + (tid,))
+
+    yield from extend(0, {}, ())
 
 
 def hierarchy_by_definition(query: reldb.ConjunctiveQuery) -> bool:
@@ -262,14 +295,24 @@ def random_sjf_query(rng: random.Random, max_atoms: int = 3) -> reldb.Conjunctiv
     return reldb.parse_query("Q() :- " + ", ".join(parts))
 
 
-def random_query(rng: random.Random, max_atoms: int = 4) -> reldb.ConjunctiveQuery:
-    """Random Boolean query, self-joins allowed (at a consistent arity)."""
+def random_query(
+    rng: random.Random, max_atoms: int = 4, constants: float = 0.0
+) -> reldb.ConjunctiveQuery:
+    """Random Boolean query, self-joins allowed (at a consistent arity).
+
+    Each term is a constant with probability `constants`, else a variable.
+    """
     atom_count = rng.randint(1, max_atoms)
     arities = {r: rng.randint(1, 3) for r in QUERY_RELATIONS}
     parts = []
     for _ in range(atom_count):
         relation = rng.choice(QUERY_RELATIONS)
-        terms = [rng.choice(QUERY_VARIABLES) for _ in range(arities[relation])]
+        terms = [
+            '"' + rng.choice(QUERY_CONSTANTS) + '"'
+            if constants and rng.random() < constants
+            else rng.choice(QUERY_VARIABLES)
+            for _ in range(arities[relation])
+        ]
         parts.append(f"{relation}({', '.join(terms)})")
     text = "Q() :- " + ", ".join(parts)
     try:

@@ -246,6 +246,43 @@ def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
     _assert_budget_edge(capsys, argv, 15, GAME_BUDGET_ERROR.format(16, 15))
 
 
+RESPONSIBILITY_BUDGET_ERROR = (
+    "xscore: error: contingency search needs more than {0} candidate sets, budget is {0}\n"
+)
+
+
+def test_budget_edge_responsibility_counts_candidates(capsys, data_dir):
+    # Summed over the batch, the ex1 contingency searches test 8 candidates.
+    _assert_budget_edge(
+        capsys,
+        db_args(data_dir, "--kinds", "responsibility"),
+        7,
+        RESPONSIBILITY_BUDGET_ERROR.format(7),
+    )
+
+
+def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
+    # T:1 is never pivotal, so its search would test all 2^15 candidates.
+    csv = tmp_path / "T.csv"
+    csv.write_text("_id,a\n" + "".join(f"T:{i},{i}\n" for i in range(16)))
+    lineage = "T:0 | (" + " & ".join(f"T:{i}" for i in range(16)) + ")"
+    code, out = run(
+        capsys,
+        "db-scores",
+        "--relation",
+        f"T={csv}",
+        "--lineage",
+        lineage,
+        "--kinds",
+        "responsibility",
+        "--budget",
+        "1000",
+    )
+    assert code == cli.EXIT_BUDGET
+    assert out.err == RESPONSIBILITY_BUDGET_ERROR.format(1000)
+    assert out.out == ""
+
+
 def test_exit_code_usage_error(capsys, data_dir):
     code, _ = run(capsys, "ml-scores", "--classifier", str(data_dir / "ex6_table.csv"))
     assert code == cli.EXIT_PARSE  # missing --entity

@@ -109,6 +109,18 @@ def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
         assert report.min_contingency_size == direct
 
 
+def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
+    # The ex1 batch tests 8 candidates in all; R(a,b) alone tests () and
+    # then its witness (R(b,b),).
+    lineage = compile_lineage(ex1_db, ex1_query)
+    with pytest.raises(BudgetExceededError, match="more than 7 candidate sets"):
+        lineage_causes(lineage, ex1_db.tuple_ids(), budget=7)
+    assert lineage_causes(lineage, ex1_db.tuple_ids(), budget=8) == causes(ex1_db, ex1_query)
+    with pytest.raises(BudgetExceededError, match="more than 1 candidate sets"):
+        responsibility(ex1_db, ex1_query, "R(a,b)", budget=1)
+    assert responsibility(ex1_db, ex1_query, "R(a,b)", budget=2) == Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Interventions and lineage probability
 

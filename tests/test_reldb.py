@@ -1,11 +1,17 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hierarchy_by_definition, random_database_for, random_query
+from oracles import (
+    hierarchy_by_definition,
+    matches_by_nested_loop,
+    random_database_for,
+    random_query,
+)
 from xscore import reldb
 from xscore.reldb import (
     ArityMismatchError,
@@ -222,6 +228,92 @@ def test_monotone_growth(seed):
         grown = small | {t for t in ids if rng.random() < 0.5}
         if evaluate(db.restrict(small), query):
             assert evaluate(db.restrict(grown), query)
+
+
+# ---------------------------------------------------------------------------
+# The hash join against the nested-loop oracle
+
+
+def _join_outputs(db, query):
+    """Everything the join shows above `_matches`: lineage text and support,
+    truth, answers on the first two variables, and the valuations."""
+    headed = reldb.ConjunctiveQuery(atoms=query.atoms, head=query.variables()[:2])
+    lineage = compile_lineage(db, query)
+    matches = list(reldb._matches(db, query))  # each binding must stay as yielded
+    valuations = sorted(
+        (tuple(sorted((v.index, value) for v, value in binding.items())), used)
+        for binding, used in matches
+    )
+    return (
+        str(lineage),
+        lineage.support(),
+        evaluate(db, query),
+        reldb.answers(db, headed),
+        valuations,
+    )
+
+
+def _assert_join_matches_oracle(db, query):
+    fast = _join_outputs(db, query)
+    with mock.patch.object(reldb, "_matches", matches_by_nested_loop):
+        slow = _join_outputs(db, query)
+    assert fast == slow
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_join_matches_nested_loop_random(seed):
+    # Constants, repeated variables, self-joins and empty relations all occur.
+    rng = random.Random(seed)
+    query = random_query(rng, max_atoms=4, constants=0.2)
+    db = random_database_for(rng, query, max_tuples=12)
+    _assert_join_matches_oracle(db, query)
+
+
+JOIN_DB = {
+    "R": [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")],
+    "S": [("a",), ("c",)],
+    "T": [("a", "b", "b"), ("b", "b", "b"), ("c", "a", "b")],
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Q() :- R(x,x)",
+        "Q() :- R(x,x), S(x)",
+        'Q() :- R("b", y), S(y)',
+        'Q() :- R(x, y), R(y, "a")',
+        "Q() :- R(x,y), R(y,z), S(z)",
+        "Q() :- T(x,y,y), R(y,y)",
+        "Q() :- S(x), S(y)",
+        "Q() :- R(x,y), E(y,z)",
+        'Q() :- R(x, "zzz")',
+    ],
+)
+def test_join_matches_nested_loop_cases(text):
+    db = Database.from_dict(JOIN_DB)
+    db.add_relation("E", 2)
+    _assert_join_matches_oracle(db, parse_query(text))
+
+
+def test_compile_reads_each_atom_once(monkeypatch):
+    # The nested loop read R again for every partial binding.
+    db = Database.from_dict(JOIN_DB)
+    read = []
+    rows = Database.rows
+
+    def spy(self, relation):
+        read.append(relation)
+        return rows(self, relation)
+
+    monkeypatch.setattr(Database, "rows", spy)
+    lineage = compile_lineage(db, parse_query("Q() :- R(x,y), R(y,z), S(z)"))
+    assert read == ["R", "R", "S"]
+    assert str(lineage) == (
+        "(R:0 & R:3 & S:0) | (R:0 & S:0) | (R:1 & R:2 & S:1) | (R:2 & R:3 & S:0)"
+        " | (R:2 & R:4 & S:1)"
+    )
 
 
 def test_parse_lineage_path_example(path_db):
