@@ -11,7 +11,10 @@ constraints.
 from __future__ import annotations
 
 import csv
+import os
+import select
 import subprocess
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,6 +29,10 @@ from ._lex import ParseError, TokenStream, tokenize
 WIDTH_LIMIT = 20
 
 PROTOCOL_HANDSHAKE = "xscore-clf v1"
+
+#: Seconds an external classifier may take to send its handshake or one
+#: response line before it is killed as hung.
+RESPONSE_DEADLINE_S = 30.0
 
 
 class ZeroMassEventError(ValueError):
@@ -199,24 +206,24 @@ class ExternalClassifier(Classifier):
     * startup: the child emits ``xscore-clf v1 n=<width>``;
     * request: <width> characters '0'/'1' followed by a newline;
     * response: a single '0' or '1' line; anything else is an error.
+
+    The handshake and each response must arrive within
+    `RESPONSE_DEADLINE_S`; a child that stays silent longer is killed.
     """
 
     def __init__(self, command: Sequence[str], expected_width: int | None = None, pure: bool = True):
         try:
             self._proc = subprocess.Popen(
-                list(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
+        self._pending = b""
         width = self._read_handshake(expected_width)
         super().__init__(width, pure=pure)
 
     def _read_handshake(self, expected_width: int | None) -> int:
-        line = self._proc.stdout.readline()
+        line = self._read_line()
         prefix = PROTOCOL_HANDSHAKE + " n="
         if not line.startswith(prefix):
             self.close()
@@ -240,14 +247,35 @@ class ExternalClassifier(Classifier):
         if self._proc.poll() is not None:
             raise ClassifierProtocolError("external classifier process has exited")
         try:
-            self._proc.stdin.write(str(entity) + "\n")
+            self._proc.stdin.write(f"{entity}\n".encode("ascii"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ClassifierProtocolError("external classifier pipe is closed") from exc
-        line = self._proc.stdout.readline()
+        line = self._read_line()
         if line.strip() not in ("0", "1"):
             raise ClassifierProtocolError(f"bad response {line!r}")
         return int(line.strip())
+
+    def _read_line(self) -> str:
+        """The child's next output line ("" at end of file, as `readline`
+        gives).  Past `RESPONSE_DEADLINE_S` without a full line the child
+        is killed and the read fails."""
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + RESPONSE_DEADLINE_S
+        while b"\n" not in self._pending:
+            left = max(0.0, deadline - time.monotonic())
+            if not select.select([fd], [], [], left)[0]:
+                self._proc.kill()
+                self.close()
+                raise ClassifierProtocolError(
+                    f"external classifier sent no line within {RESPONSE_DEADLINE_S} s"
+                )
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break
+            self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode(errors="replace")
 
     def close(self) -> None:
         for pipe in (self._proc.stdin, self._proc.stdout):

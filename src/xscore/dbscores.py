@@ -20,7 +20,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import formula, games
@@ -136,7 +136,7 @@ def lineage_causes(
         raise NothingToExplainError("lineage is false even with every tuple present")
     players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
     truth = _memoized_truth(lineage)
-    charge = _candidate_meter(budget)
+    charge = games.candidate_meter(budget)
     return [_cause_of(support, tid, truth, charge) for tid in players]
 
 
@@ -155,19 +155,6 @@ def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
     if lineage.root is formula.FALSE:
         raise NothingToExplainError("query is false in the database")
     return lineage
-
-
-def _candidate_meter(budget: int):
-    # Charged once per contingency candidate tested, across one batch.
-    tested = count(1)
-
-    def charge() -> None:
-        if next(tested) > budget:
-            raise BudgetExceededError(
-                f"contingency search needs more than {budget} candidate sets, budget is {budget}"
-            )
-
-    return charge
 
 
 def _cause_of(support: frozenset, tuple_id: str, truth, charge) -> CauseReport:

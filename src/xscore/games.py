@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Hashable, Mapping
 
 Player = Hashable
@@ -243,6 +243,21 @@ def check_budget(players: int, budget: int) -> None:
             f"exact enumeration needs {needed} coalition evaluations, "
             f"budget is {budget}; use shapley_monte_carlo instead"
         )
+
+
+def candidate_meter(budget: int) -> Callable[[], None]:
+    """A charge to call once per contingency candidate a search tests; the
+    call past `budget` raises `BudgetExceededError`.  One meter shared by
+    several searches caps their sum."""
+    tested = count(1)
+
+    def charge() -> None:
+        if next(tested) > budget:
+            raise BudgetExceededError(
+                f"contingency search needs more than {budget} candidate sets, budget is {budget}"
+            )
+
+    return charge
 
 
 def _check_epsilon_delta(epsilon: float, delta: float) -> None:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import games
 from .classify import (
@@ -139,16 +139,23 @@ def counter(request: ExplanationRequest, feature: str) -> FeatureScore:
     return FeatureScore(feature=feature, kind="counter", value=label - expected)
 
 
-def resp(request: ExplanationRequest, feature: str) -> FeatureScore:
+def resp(
+    request: ExplanationRequest, feature: str, charge: Callable[[], None] | None = None
+) -> FeatureScore:
     """Responsibility of one feature value for the explained label.
 
     Searches contingency sets Y of other features in increasing size; the
     feature is a counterfactual explanation when changing its value alone
-    flips the label to 0, and an actual explanation when jointly changing
-    Y (to any replacement values, the originals included) and the feature
-    (to a genuinely different value) does.  Score: 1 / (1 + |Y|) for the
-    smallest such Y, with the lexicographically least witness; 0 when no
-    contingency within the cap works.
+    flips the label, and an actual explanation when jointly changing Y and
+    the feature does.  Score: 1 / (1 + |Y|) for the smallest such Y, with
+    the lexicographically least witness; 0 when no contingency within the
+    cap works.
+
+    Each Y is tried once, with every feature of Y flipped: a replacement
+    that keeps some original value is the entity of a smaller contingency,
+    which the search tested at its own size.  Each candidate tested calls
+    `charge`, which raises `BudgetExceededError` past its budget; the
+    default is a fresh `games.candidate_meter(games.DEFAULT_BUDGET)`.
     """
     space = request.distribution.space
     index = space.index(feature)
@@ -158,35 +165,37 @@ def resp(request: ExplanationRequest, feature: str) -> FeatureScore:
         raise LabelMismatchError(
             f"entity has label {label}, request explains label {request.target_label}"
         )
+    if charge is None:
+        charge = games.candidate_meter(games.DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
     cap = request.max_contingency
     if cap is None:
         cap = space.width - 1
     cap = min(cap, space.width - 1)
 
-    other_names = sorted(n for n in space.names if n != feature)
-    replacement = 1 - entity.bits[index]
+    others = sorted((n, space.index(n)) for n in space.names if n != feature)
+    bits = list(entity.bits)
+    bits[index] = 1 - bits[index]
     for size in range(cap + 1):
-        for names in combinations(other_names, size):
-            indices = [space.index(n) for n in names]
-            for values in product((0, 1), repeat=size):
-                changes = dict(zip(indices, values))
-                changes[index] = replacement
-                candidate = entity.with_bits(changes)
-                if request.classifier.label(candidate) == flipped_label:
-                    kind = "counterfactual" if size == 0 else "actual"
-                    return FeatureScore(
-                        feature=feature,
-                        kind="resp",
-                        value=Fraction(1, size + 1),
-                        explanation_kind=kind,
-                        witness=RespWitness(
-                            contingency=names,
-                            contingency_values=values,
-                            replacement=replacement,
-                            entity=candidate,
-                        ),
-                    )
+        for chosen in combinations(others, size):
+            flipped = bits[:]
+            for _, i in chosen:
+                flipped[i] = 1 - flipped[i]
+            candidate = Entity(tuple(flipped))
+            charge()
+            if request.classifier.label(candidate) == flipped_label:
+                return FeatureScore(
+                    feature=feature,
+                    kind="resp",
+                    value=Fraction(1, size + 1),
+                    explanation_kind="counterfactual" if size == 0 else "actual",
+                    witness=RespWitness(
+                        contingency=tuple(n for n, _ in chosen),
+                        contingency_values=tuple(candidate.bits[i] for _, i in chosen),
+                        replacement=bits[index],
+                        entity=candidate,
+                    ),
+                )
     return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
 
 
@@ -195,7 +204,8 @@ def score_all(
 ) -> list[FeatureScore]:
     """Scores of every feature for the requested kinds, ranked within each
     kind by descending value with feature-name tiebreak.  `budget` caps
-    the 2^n coalitions SHAP enumerates."""
+    the 2^n coalitions SHAP enumerates, and separately the RESP candidates
+    tested, summed over the features."""
     wanted = sorted(set(kinds))
     for kind in wanted:
         if kind not in SCORE_KINDS:
@@ -206,9 +216,11 @@ def score_all(
         if kind == "shap":
             values = _shap_values(request, budget)
             batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
+        elif kind == "resp":
+            charge = games.candidate_meter(budget)
+            batch = [resp(request, n, charge) for n in names]
         else:
-            fn = {"counter": counter, "resp": resp}[kind]
-            batch = [fn(request, n) for n in names]
+            batch = [counter(request, n) for n in names]
         batch.sort(key=lambda s: (-s.value, s.feature))
         out.extend(batch)
     return out

@@ -10,7 +10,8 @@ per atom; lineage probabilities and causal effects enumerate every
 valuation of the support instead of counting by Shannon expansion; the
 Monte Carlo oracle redraws every order for each player on its own; the SHAP
 oracle plays the coalition game with one conditional expectation per
-coalition instead of one table.
+coalition instead of one table; the RESP oracle tries every replacement
+vector of each contingency instead of the one that flips all of it.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from xscore.classify import (
     conditional_expectation,
 )
 from xscore.games import Game
+from xscore.mlscores import FeatureScore, LabelMismatchError, RespWitness
 
 
 def shapley_by_permutations(game: Game, player) -> Fraction:
@@ -183,6 +185,47 @@ def resp_by_exhaustion(classifier, space: FeatureSpace, entity: Entity, feature:
                 if classifier.label(entity.with_bits(changes)) == 0:
                     return Fraction(1, size + 1)
     return Fraction(0)
+
+
+def resp_by_replacement_search(request, feature: str) -> FeatureScore:
+    """RESP by trying every replacement vector of every contingency.
+
+    Contingencies Y of other features go by size, then in combinations of
+    the sorted names; each Y tries all 2^|Y| replacement vectors in binary
+    counting order, the inspected feature set to its other value.  The
+    first vector whose entity takes the other label is the witness.
+    """
+    space = request.distribution.space
+    index = space.index(feature)
+    entity = request.entity
+    label = request.classifier.label(entity)
+    if label != request.target_label:
+        raise LabelMismatchError(
+            f"entity has label {label}, request explains label {request.target_label}"
+        )
+    flipped_label = 0 if request.target_label == 1 else 1
+    cap = request.max_contingency
+    if cap is None:
+        cap = space.width - 1
+    cap = min(cap, space.width - 1)
+    other_names = sorted(n for n in space.names if n != feature)
+    replacement = 1 - entity.bits[index]
+    for size in range(cap + 1):
+        for names in combinations(other_names, size):
+            indices = [space.index(n) for n in names]
+            for values in product((0, 1), repeat=size):
+                changes = dict(zip(indices, values))
+                changes[index] = replacement
+                candidate = entity.with_bits(changes)
+                if request.classifier.label(candidate) == flipped_label:
+                    return FeatureScore(
+                        feature=feature,
+                        kind="resp",
+                        value=Fraction(1, size + 1),
+                        explanation_kind="counterfactual" if size == 0 else "actual",
+                        witness=RespWitness(names, values, replacement, candidate),
+                    )
+    return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
 
 
 def shap_game_by_expectation(request) -> Game:

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_truth_table
+from xscore import classify
 from xscore.classify import (
     Constraint,
     ClassifierProtocolError,
@@ -423,6 +425,23 @@ def test_external_process_death():
         clf._proc.wait(timeout=5)
         with pytest.raises(ClassifierProtocolError):
             clf.label(Entity.from_bits("01"))
+
+
+SILENT_CHILDREN = {
+    "before the handshake": "import time; time.sleep(60)",
+    "after a request": "print('xscore-clf v1 n=2', flush=True); input(); import time; time.sleep(60)",
+}
+
+
+@pytest.mark.parametrize("code", SILENT_CHILDREN.values(), ids=SILENT_CHILDREN.keys())
+def test_external_silent_child_hits_deadline(monkeypatch, code):
+    monkeypatch.setattr(classify, "RESPONSE_DEADLINE_S", 1.0)
+    start = time.monotonic()
+    with pytest.raises(ClassifierProtocolError, match="no line within 1.0 s"):
+        with ExternalClassifier([sys.executable, "-c", code]) as clf:
+            clf.label(Entity.from_bits("01"))
+    # The child is killed, not waited for: closing waits up to 5 s.
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

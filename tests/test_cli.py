@@ -1,10 +1,11 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from xscore import cli
+from xscore import classify, cli
 
 
 def run(capsys, *argv):
@@ -412,6 +413,18 @@ def test_budget_edge_ml_shap_counts_coalitions(capsys, data_dir, monkeypatch, sk
     assert run(capsys, *argv)[0] == 0
 
 
+def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
+    # Summed over the features, the ex6 RESP searches test 6 candidates.
+    argv = ml_args(data_dir, "--kinds", "resp")
+    _assert_budget_edge(capsys, argv, 5, RESPONSIBILITY_BUDGET_ERROR.format(5))
+    monkeypatch.setenv("XSCORE_BUDGET", "5")
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_BUDGET
+    assert out.err == RESPONSIBILITY_BUDGET_ERROR.format(5)
+    monkeypatch.setenv("XSCORE_BUDGET", "6")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_ml_scores_resp_golden(capsys, data_dir):
     report = run_json(capsys, *ml_args(data_dir, "--kinds", "resp"))
     records = report["records"]
@@ -573,6 +586,18 @@ def test_ml_scores_external_classifier_protocol_error(capsys):
     )
     assert code == cli.EXIT_PROTOCOL
     assert "handshake" in out.err
+
+
+def test_ml_scores_silent_external_classifier_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(classify, "RESPONSE_DEADLINE_S", 1.0)
+    code = "print('xscore-clf v1 n=3', flush=True); import time; time.sleep(60)"
+    start = time.monotonic()
+    exit_code, out = run(
+        capsys, "ml-scores", "--classifier-cmd", f'{sys.executable} -c "{code}"', "--entity", "011"
+    )
+    assert time.monotonic() - start < 2.0
+    assert exit_code == cli.EXIT_PROTOCOL
+    assert out.err == "xscore: error: external classifier sent no line within 1.0 s\n"
 
 
 def test_ml_scores_external_matches_local(capsys, data_dir):

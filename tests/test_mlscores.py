@@ -12,6 +12,7 @@ from oracles import (
     random_distribution,
     random_truth_table,
     resp_by_exhaustion,
+    resp_by_replacement_search,
     shap_game_by_expectation,
     shap_skipping_by_expectation,
     shapley_by_permutations,
@@ -207,15 +208,21 @@ def test_shap_too_wide_to_enumerate(width, free):
 
 
 class CountingClassifier(FunctionClassifier):
-    """Counts every `label` call, cache hits included."""
+    """Counts every `label` call, cache hits included, and the distinct
+    entities it computes a label for."""
 
     def __init__(self, width, fn):
         super().__init__(width, fn)
         self.calls = 0
+        self.distinct = 0
 
     def label(self, entity):
         self.calls += 1
         return super().label(entity)
+
+    def _label(self, entity):
+        self.distinct += 1
+        return super()._label(entity)
 
 
 @pytest.mark.parametrize("skip_zero_mass", [False, True])
@@ -404,6 +411,84 @@ def test_resp_witness_is_lexicographically_least():
     score = resp(request, "F1")
     assert score.witness.contingency == ("F2",)
     assert score.witness.contingency_values == (1,)
+
+
+def _resp_outcome(search, width, names, table, entity, target_label, cap):
+    """Every feature's RESP score (or label-mismatch text) under `search`,
+    with the distinct entities the classifier was asked, in order."""
+    asked = []
+
+    def fn(e):
+        asked.append(e.bits)
+        return table[e.bits]
+
+    request = uniform_request(
+        FeatureSpace(names),
+        FunctionClassifier(width, fn),
+        entity,
+        target_label=target_label,
+        max_contingency=cap,
+    )
+    scores = []
+    for name in names:
+        try:
+            scores.append(search(request, name))
+        except LabelMismatchError as exc:
+            scores.append(str(exc))
+    return scores, asked
+
+
+@given(st.integers(0, 10**9), st.integers(1, 8), st.sampled_from((0, 1)))
+@settings(max_examples=150, deadline=None)
+def test_resp_matches_replacement_search_oracle(seed, width, target_label):
+    rng = random.Random(seed)
+    names = [f"F{i + 1}" for i in range(width)]
+    rng.shuffle(names)  # sorted order differs from declaration order
+    if rng.random() < 0.5:
+        table = {e.bits: rng.randint(0, 1) for e in all_entities(width)}
+    else:  # a threshold: witnesses at every contingency size
+        least = rng.randint(0, width)
+        table = {e.bits: int(sum(e.bits) >= least) for e in all_entities(width)}
+    target = [bits for bits, label in table.items() if label == target_label]
+    if target and rng.random() < 0.9:
+        entity = Entity(rng.choice(target))
+    else:
+        entity = Entity(tuple(rng.randint(0, 1) for _ in range(width)))
+    cap = rng.choice((None, -1, 0, 1, 2, width + 3))
+    args = (width, tuple(names), table, entity, target_label, cap)
+    assert _resp_outcome(resp, *args) == _resp_outcome(resp_by_replacement_search, *args)
+
+
+@pytest.mark.parametrize("width, calls, distinct", [(8, 808, 222), (11, 9350, 1820)])
+def test_resp_tests_one_candidate_per_contingency(width, calls, distinct):
+    # From all ones, a flip set reaches the label-0 side only at size
+    # n - n//2 + 1, so each feature tests every smaller contingency.
+    clf = CountingClassifier(width, lambda e: int(sum(e.bits) >= width // 2 - 1))
+    space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
+    score_all(uniform_request(space, clf, Entity((1,) * width)), ["resp"])
+    assert (clf.calls, clf.distinct) == (calls, distinct)
+
+
+RESP_BUDGET_ERROR = "contingency search needs more than {0} candidate sets, budget is {0}"
+
+
+def test_resp_budget_counts_candidates_over_features(ex6_request):
+    # F1 tests two candidates, F2 one and F3 three.
+    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(5)):
+        score_all(ex6_request, ["resp"], budget=5)
+    assert len(score_all(ex6_request, ["resp"], budget=6)) == 3
+    # SHAP's 2^3 coalitions are checked on their own, not added in.
+    assert len(score_all(ex6_request, ["shap", "resp"], budget=8)) == 6
+
+
+def test_resp_budget_meter_is_shared(ex6_request):
+    charge = games.candidate_meter(4)
+    assert resp(ex6_request, "F1", charge).value == Fraction(1, 2)
+    assert resp(ex6_request, "F2", charge).value == 1
+    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(4)):
+        resp(ex6_request, "F3", charge)
+    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(0)):
+        resp(ex6_request, "F2", games.candidate_meter(0))
 
 
 # ---------------------------------------------------------------------------
