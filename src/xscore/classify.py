@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formula
-from ._lex import ParseError, TokenStream, tokenize
+from ._lex import ParseError
 
 #: Widths above this refuse full entity-space enumeration; larger spaces
 #: need a finite-support (empirical) distribution.
@@ -361,28 +361,8 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
     group, and `true` / `false` are constants.  The denial form is written
     `!(F1 & ~F2)`.
     """
-    stream = TokenStream(tokenize(text))
 
-    def parse_disj() -> formula.Node:
-        parts = [parse_conj()]
-        while stream.accept_punct("|"):
-            parts.append(parse_conj())
-        return parts[0] if len(parts) == 1 else formula.Or(tuple(parts))
-
-    def parse_conj() -> formula.Node:
-        parts = [parse_unary()]
-        while stream.accept_punct("&"):
-            parts.append(parse_unary())
-        return parts[0] if len(parts) == 1 else formula.And(tuple(parts))
-
-    def parse_unary() -> formula.Node:
-        if stream.accept_punct("!") or stream.accept_punct("~"):
-            return formula.Not(parse_unary())
-        if stream.accept_punct("("):
-            inner = parse_disj()
-            stream.expect_punct(")")
-            return inner
-        tok = stream.expect_name("feature name")
+    def resolve(tok) -> formula.Node:
         if tok.text == "true":
             return formula.TRUE
         if tok.text == "false":
@@ -391,9 +371,7 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
             raise ParseError(f"unknown feature {tok.text!r}", tok.line, tok.column)
         return formula.Var(tok.text)
 
-    root = parse_disj()
-    stream.expect_end()
-    return Constraint(space=space, root=root)
+    return Constraint(space=space, root=formula.parse(text, resolve, "feature name"))
 
 
 # ---------------------------------------------------------------------------

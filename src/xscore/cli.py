@@ -234,7 +234,7 @@ def _cmd_db_scores(args) -> list[dict]:
         for tid in all_ids:
             # Tuples outside the lineage support are null players; score 0.
             value = values.get(tid, Fraction(0))
-            records.append(_score_record(dbscores.TupleScore(tid, kind, value)))
+            records.append(_score_record(tid, kind, value))
     if args.tuple:
         for tid in args.tuple:
             db.values_of(tid)
@@ -266,20 +266,12 @@ def _monte_carlo_records(args, db, lineage, query) -> list[dict]:
         dbscores.require_boolean(query)
         game = dbscores.lineage_game(lineage, players=db.tuple_ids())
     estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed)
+    settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
     for tid in db.tuple_ids():
         result = estimates.get(tid)  # None for a tuple outside the lineage
         value, samples = (0.0, 0) if result is None else (result.value, result.samples)
-        score = dbscores.TupleScore(
-            tid,
-            "shapley",
-            value,
-            mode="monte_carlo",
-            epsilon=args.epsilon,
-            delta=args.delta,
-            seed=args.seed,
-        )
-        out.append(_score_record(score, samples=samples))
+        out.append(_score_record(tid, "shapley", value, **settings, samples=samples))
     return out
 
 
@@ -497,23 +489,17 @@ def _cause_record(report: dbscores.CauseReport) -> dict:
     return record
 
 
-def _score_record(score: dbscores.TupleScore, samples: int | None = None) -> dict:
+def _score_record(tuple_id: str, kind: str, value, **monte_carlo) -> dict:
+    """An exact score, or a Monte Carlo estimate with its epsilon, delta,
+    seed and samples."""
     record = {
         "type": "tuple_score",
-        "tuple": score.tuple_id,
-        "kind": score.kind,
-        "mode": score.mode,
+        "tuple": tuple_id,
+        "kind": kind,
+        "mode": "monte_carlo" if monte_carlo else "exact",
     }
-    record.update(_rational(score.value))
-    if score.mode == "monte_carlo":
-        record.update(
-            {
-                "epsilon": score.epsilon,
-                "delta": score.delta,
-                "seed": score.seed,
-                "samples": samples,
-            }
-        )
+    record.update(_rational(value))
+    record.update(monte_carlo)
     return record
 
 

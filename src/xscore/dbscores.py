@@ -36,14 +36,12 @@ from .reldb import (
 
 __all__ = [
     "CauseReport",
-    "TupleScore",
     "NothingToExplainError",
     "NonNumericValueError",
     "VacuousInterventionWarning",
     "causes",
     "query_lineage",
     "lineage_causes",
-    "responsibility",
     "intervene",
     "lineage_probability",
     "causal_effect",
@@ -54,8 +52,6 @@ __all__ = [
     "query_game",
     "lineage_game",
     "summation_game",
-    "shapley_tuple",
-    "banzhaf_tuple",
 ]
 
 #: Cap on 2^|support| valuations for exact lineage probabilities, checked up front.
@@ -94,17 +90,6 @@ class CauseReport:
     responsibility: Fraction
 
 
-@dataclass(frozen=True)
-class TupleScore:
-    tuple_id: str
-    kind: str  # "responsibility" | "causal_effect" | "shapley" | "banzhaf"
-    value: Fraction | float
-    mode: str = "exact"
-    epsilon: float | None = None
-    delta: float | None = None
-    seed: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # Actual causes and responsibility
 
@@ -138,15 +123,6 @@ def lineage_causes(
     truth = _memoized_truth(lineage)
     charge = games.candidate_meter(budget)
     return [_cause_of(support, tid, truth, charge) for tid in players]
-
-
-def responsibility(
-    db: Database, query: ConjunctiveQuery, tuple_id: str, budget: int = games.DEFAULT_BUDGET
-) -> Fraction:
-    """Responsibility of one tuple: 1 / (1 + minimum contingency size)."""
-    db.values_of(tuple_id)
-    (report,) = lineage_causes(query_lineage(db, query), [tuple_id], budget)
-    return report.responsibility
 
 
 def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
@@ -447,48 +423,6 @@ def summation_game(db: Database, query: ConjunctiveQuery, value_var: str | None 
         return total
 
     return Game(players=db.tuple_ids(), value=value)
-
-
-def shapley_tuple(
-    db: Database,
-    query: ConjunctiveQuery,
-    tuple_id: str,
-    mode: str = "exact",
-    epsilon: float | None = None,
-    delta: float | None = None,
-    seed: int | None = None,
-    budget: int = games.DEFAULT_BUDGET,
-) -> TupleScore:
-    """Shapley value of one tuple in the query game, exact or sampled."""
-    game = query_game(db, query)
-    if mode == "exact":
-        value = games.shapley_exact(game, tuple_id, budget=budget)
-        return TupleScore(tuple_id=tuple_id, kind="shapley", value=value)
-    if mode == "monte_carlo":
-        if epsilon is None or delta is None or seed is None:
-            raise ValueError("monte_carlo mode needs epsilon, delta and seed")
-        result = games.shapley_monte_carlo(game, tuple_id, epsilon, delta, seed)
-        return TupleScore(
-            tuple_id=tuple_id,
-            kind="shapley",
-            value=result.value,
-            mode="monte_carlo",
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def banzhaf_tuple(
-    db: Database,
-    query: ConjunctiveQuery,
-    tuple_id: str,
-    budget: int = games.DEFAULT_BUDGET,
-) -> TupleScore:
-    """Banzhaf index of one tuple in the query game (always exact)."""
-    value = games.banzhaf_exact(query_game(db, query), tuple_id, budget=budget)
-    return TupleScore(tuple_id=tuple_id, kind="banzhaf", value=value)
 
 
 def _probability_table(

@@ -1,4 +1,4 @@
-"""Small immutable propositional-formula trees.
+"""Small immutable propositional-formula trees and their text grammar.
 
 Shared by query lineage (monotone formulas over tuple ids) and entity
 constraints (general formulas over feature names).
@@ -6,7 +6,9 @@ constraints (general formulas over feature names).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Union
+from typing import AbstractSet, Callable, Union
+
+from ._lex import ParseError, Token, TokenStream, tokenize
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,52 @@ def simplify(node: Node) -> Node:
     if len(kept) == 1:
         return kept[0]
     return type(node)(tuple(kept))
+
+
+def parse(
+    text: str,
+    resolve: Callable[[Token], Node],
+    what: str,
+    negation_error: str | None = None,
+    name_chars: str = "",
+) -> Node:
+    """Parse formula text: `|`, `&` (binding tighter), `!` or `~`, and
+    parentheses.
+
+    Each name token becomes `resolve(token)`; names may also contain the
+    characters of `name_chars`, and a missing name reads "expected
+    {what}".  With `negation_error`, a `!` or `~` raises `ParseError`
+    with that message instead of negating.
+    """
+    stream = TokenStream(tokenize(text, extra_name_chars=name_chars))
+
+    def disjunction() -> Node:
+        parts = [conjunction()]
+        while stream.accept_punct("|"):
+            parts.append(conjunction())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+    def conjunction() -> Node:
+        parts = [unary()]
+        while stream.accept_punct("&"):
+            parts.append(unary())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+    def unary() -> Node:
+        tok = stream.current
+        if stream.accept_punct("!") or stream.accept_punct("~"):
+            if negation_error is not None:
+                raise ParseError(negation_error, tok.line, tok.column)
+            return Not(unary())
+        if stream.accept_punct("("):
+            inner = disjunction()
+            stream.expect_punct(")")
+            return inner
+        return resolve(stream.expect_name(what))
+
+    root = disjunction()
+    stream.expect_end()
+    return root
 
 
 def to_text(node: Node) -> str:

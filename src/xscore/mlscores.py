@@ -116,13 +116,8 @@ def shap(
     game's Shapley value for the feature.  Refuses (`BudgetExceededError`)
     when the 2^n coalitions exceed `budget`.
     """
-    space = request.distribution.space
-    space.index(feature)
-    if request.skip_zero_mass:
-        expectations = _coalition_expectations(request, budget)
-        value = _shap_skipping_zero_mass(request, feature, expectations)
-    else:
-        value = games.shapley_exact(_shap_game(request, budget), feature, budget)
+    request.distribution.space.index(feature)
+    value = _shap_values(request, budget, [feature])[feature]
     return FeatureScore(feature=feature, kind="shap", value=value)
 
 
@@ -205,11 +200,14 @@ def score_all(
     """Scores of every feature for the requested kinds, ranked within each
     kind by descending value with feature-name tiebreak.  `budget` caps
     the 2^n coalitions SHAP enumerates, and separately the RESP candidates
-    tested, summed over the features."""
+    tested, summed over the features.  SHAP's refusals come before any
+    kind runs."""
     wanted = sorted(set(kinds))
     for kind in wanted:
         if kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}")
+    if "shap" in wanted:
+        _check_enumerable(request, budget)
     names = request.distribution.space.names
     out: list[FeatureScore] = []
     for kind in wanted:
@@ -226,30 +224,69 @@ def score_all(
     return out
 
 
-def _shap_values(request: ExplanationRequest, budget: int) -> dict[str, Fraction]:
-    """SHAP score of every feature from one coalition table."""
-    if request.skip_zero_mass:
-        expectations = _coalition_expectations(request, budget)
-        names = request.distribution.space.names
-        return {n: _shap_skipping_zero_mass(request, n, expectations) for n in names}
-    # One engine pass shares the coalition-value memo across features.
-    return games.shapley_all(_shap_game(request, budget), budget)
+def _shap_values(
+    request: ExplanationRequest, budget: int, features: Iterable[str] | None = None
+) -> dict[str, Fraction]:
+    """SHAP scores of `features` (default: all, in space order) as one
+    subset-weighted sum over the coalition table.
 
-
-def _shap_game(request: ExplanationRequest, budget: int = games.DEFAULT_BUDGET) -> games.Game:
-    """The SHAP coalition game; a zero-mass coalition raises
-    `ZeroMassEventError` when the engine reaches it."""
+    Feature j's score sums k!(n-1-k)!/n! (E[S + j] - E[S]) over the sets S
+    of k other features.  A zero-mass coalition raises the
+    `ZeroMassEventError` of the first term that reaches it, taking the
+    least feature and then S by size and in `combinations` order; with
+    `skip_zero_mass` its terms are dropped instead, and each feature's
+    count of dropped terms is reported through `ZeroMassSkipWarning`.
+    """
     space = request.distribution.space
+    names = space.names if features is None else list(features)
     expectations = _coalition_expectations(request, budget)
     bits = _feature_bits(space)
+    if not request.skip_zero_mass and None in expectations:
+        _raise_first_zero_mass(request, min(names), expectations, bits)
+    n = space.width
+    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
+    values = {}
+    for name in names:
+        bit = bits[name]
+        by_size = [Fraction(0)] * n
+        skipped = 0
+        for without in range(1 << n):
+            if without & bit:
+                continue
+            with_value, without_value = expectations[without | bit], expectations[without]
+            if with_value is None or without_value is None:
+                skipped += 1
+                continue
+            by_size[without.bit_count()] += with_value - without_value
+        if skipped:
+            warnings.warn(
+                f"shap({name}): skipped {skipped} zero-mass coalitions",
+                ZeroMassSkipWarning,
+                stacklevel=3,
+            )
+        values[name] = sum((w * d for w, d in zip(weights, by_size)), Fraction(0))
+    return values
 
-    def value(coalition):
-        got = expectations[sum(bits[name] for name in coalition)]
-        if got is None:
-            raise ZeroMassEventError.pinned(request.entity, coalition)
-        return got
 
-    return games.Game(players=space.names, value=value)
+def _raise_first_zero_mass(request, feature, expectations, bits) -> None:
+    # Zero mass is upward closed, so the first term to reach a zero-mass
+    # coalition does so through S + feature.
+    others = sorted(n for n in request.distribution.space.names if n != feature)
+    for size in range(len(others) + 1):
+        for chosen in combinations(others, size):
+            if expectations[bits[feature] + sum(bits[n] for n in chosen)] is None:
+                raise ZeroMassEventError.pinned(request.entity, (feature, *chosen))
+
+
+def _check_enumerable(request: ExplanationRequest, budget: int) -> None:
+    """SHAP's refusals: 2^n coalitions past `budget`, or a space without a
+    finite support too wide to enumerate."""
+    n = request.entity.width
+    games.check_budget(n, budget)
+    if request.distribution.finite_support is None:
+        # Evaluated one by one, the game's first coalitions are a singleton
+        # and the empty set: the first of them too wide to enumerate fails.
+        check_free_width(n - 1 if n - 1 > WIDTH_LIMIT else n)
 
 
 def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fraction | None]:
@@ -264,14 +301,11 @@ def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fr
     feature j (O(n 2^n) integer additions) turns the slots into the
     label-1 mass and the total mass of the entities agreeing with e on S.
     """
+    _check_enumerable(request, budget)
     dist, entity = request.distribution, request.entity
     n = entity.width
-    games.check_budget(n, budget)
     candidates = dist.finite_support
     if candidates is None:
-        # Evaluated one by one, the game's first coalitions are a singleton
-        # and the empty set: the first of them too wide to enumerate fails.
-        check_free_width(n - 1 if n - 1 > WIDTH_LIMIT else n)
         candidates = all_entities(n)
     full = (1 << n) - 1
     target = int(str(entity), 2)
@@ -300,35 +334,3 @@ def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fr
 def _feature_bits(space) -> dict[str, int]:
     # Feature j is bit n-1-j, so an entity's bit string reads as its mask.
     return {name: 1 << (space.width - 1 - j) for j, name in enumerate(space.names)}
-
-
-def _shap_skipping_zero_mass(
-    request: ExplanationRequest, feature: str, expectations: list[Fraction | None]
-) -> Fraction:
-    """Subset-weighted SHAP sum that drops zero-mass coalitions.
-
-    Only needed where some coalition's event has no mass (a finite
-    support, a constraint, a 0 or 1 marginal); the number of dropped terms
-    is reported through `ZeroMassSkipWarning`.
-    """
-    space = request.distribution.space
-    n = space.width
-    bit = _feature_bits(space)[feature]
-    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
-    total = Fraction(0)
-    skipped = 0
-    for without in range(1 << n):
-        if without & bit:
-            continue
-        with_value, without_value = expectations[without | bit], expectations[without]
-        if with_value is None or without_value is None:
-            skipped += 1
-            continue
-        total += weights[without.bit_count()] * (with_value - without_value)
-    if skipped:
-        warnings.warn(
-            f"shap({feature}): skipped {skipped} zero-mass coalitions",
-            ZeroMassSkipWarning,
-            stacklevel=3,
-        )
-    return total

@@ -283,9 +283,6 @@ class Database:
     def values_of(self, tuple_id: str) -> tuple[str, ...]:
         return self._lookup(tuple_id)[1]
 
-    def relation_of(self, tuple_id: str) -> str:
-        return self._lookup(tuple_id)[0]
-
     def restrict(self, tuple_ids: Iterable[str]) -> "Database":
         """Sub-instance containing exactly the given tuples; relation names
         and arities are preserved even when emptied."""
@@ -386,35 +383,19 @@ def parse_lineage(text: str, db: Database) -> Lineage:
 
     Every id must name a tuple of `db`; negation is rejected.
     """
-    stream = TokenStream(tokenize(text, extra_name_chars=":.-"))
 
-    def parse_disj() -> formula.Node:
-        parts = [parse_conj()]
-        while stream.accept_punct("|"):
-            parts.append(parse_conj())
-        return parts[0] if len(parts) == 1 else formula.Or(tuple(parts))
+    def resolve(tok) -> formula.Node:
+        if tok.text not in db:
+            raise UnknownTupleError(f"unknown tuple id {tok.text!r} in lineage")
+        return formula.Var(tok.text)
 
-    def parse_conj() -> formula.Node:
-        parts = [parse_atom()]
-        while stream.accept_punct("&"):
-            parts.append(parse_atom())
-        return parts[0] if len(parts) == 1 else formula.And(tuple(parts))
-
-    def parse_atom() -> formula.Node:
-        tok = stream.current
-        if tok.kind == "punct" and tok.text in ("!", "~"):
-            raise ParseError("negation is not allowed: lineage must be monotone", tok.line, tok.column)
-        if stream.accept_punct("("):
-            inner = parse_disj()
-            stream.expect_punct(")")
-            return inner
-        id_tok = stream.expect_name("tuple id")
-        if id_tok.text not in db:
-            raise UnknownTupleError(f"unknown tuple id {id_tok.text!r} in lineage")
-        return formula.Var(id_tok.text)
-
-    root = parse_disj()
-    stream.expect_end()
+    root = formula.parse(
+        text,
+        resolve,
+        "tuple id",
+        negation_error="negation is not allowed: lineage must be monotone",
+        name_chars=":.-",
+    )
     return Lineage(root=root, source="user")
 
 

@@ -413,6 +413,13 @@ def test_budget_edge_ml_shap_counts_coalitions(capsys, data_dir, monkeypatch, sk
     assert run(capsys, *argv)[0] == 0
 
 
+def test_ml_shap_refusal_comes_before_other_kinds(capsys, data_dir):
+    # RESP would exit 3 on its second candidate; SHAP's 2^n check runs first.
+    code, out = run(capsys, *ml_args(data_dir, "--kinds", "shap,counter,resp", "--budget", "1"))
+    assert code == cli.EXIT_BUDGET
+    assert out.err == GAME_BUDGET_ERROR.format(8, 1)
+
+
 def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
     # Summed over the features, the ex6 RESP searches test 6 candidates.
     argv = ml_args(data_dir, "--kinds", "resp")

@@ -20,7 +20,6 @@ from xscore.dbscores import (
     NonNumericValueError,
     NothingToExplainError,
     VacuousInterventionWarning,
-    banzhaf_tuple,
     causal_effect,
     causes,
     intervene,
@@ -28,8 +27,7 @@ from xscore.dbscores import (
     lineage_game,
     lineage_probability,
     query_game,
-    responsibility,
-    shapley_tuple,
+    query_lineage,
     summation_game,
     swing_counts,
     swing_scores,
@@ -78,11 +76,16 @@ def test_causes_golden(ex1_db, ex1_query):
         assert report.witness_contingency is None
 
 
+def _responsibility(db, query, tuple_id, budget=games.DEFAULT_BUDGET):
+    (report,) = lineage_causes(query_lineage(db, query), [tuple_id], budget)
+    return report.responsibility
+
+
 def test_responsibility_projection(ex1_db, ex1_query):
-    assert responsibility(ex1_db, ex1_query, "S(b)") == 1
-    assert responsibility(ex1_db, ex1_query, "R(b,b)") == Fraction(1, 2)
-    assert responsibility(ex1_db, ex1_query, "S(a)") == Fraction(1, 2)
-    assert responsibility(ex1_db, ex1_query, "R(c,d)") == 0
+    assert _responsibility(ex1_db, ex1_query, "S(b)") == 1
+    assert _responsibility(ex1_db, ex1_query, "R(b,b)") == Fraction(1, 2)
+    assert _responsibility(ex1_db, ex1_query, "S(a)") == Fraction(1, 2)
+    assert _responsibility(ex1_db, ex1_query, "R(c,d)") == 0
 
 
 def test_causes_requires_true_query(ex1_db):
@@ -117,8 +120,8 @@ def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
         lineage_causes(lineage, ex1_db.tuple_ids(), budget=7)
     assert lineage_causes(lineage, ex1_db.tuple_ids(), budget=8) == causes(ex1_db, ex1_query)
     with pytest.raises(BudgetExceededError, match="more than 1 candidate sets"):
-        responsibility(ex1_db, ex1_query, "R(a,b)", budget=1)
-    assert responsibility(ex1_db, ex1_query, "R(a,b)", budget=2) == Fraction(1, 2)
+        _responsibility(ex1_db, ex1_query, "R(a,b)", budget=1)
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", budget=2) == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,31 +308,28 @@ EX1_SHAPLEY = {
 
 def test_shapley_tuple_golden(ex1_db, ex1_query):
     game = query_game(ex1_db, ex1_query)
+    values = games.shapley_all(game)
     for tid, expected in EX1_SHAPLEY.items():
-        score = shapley_tuple(ex1_db, ex1_query, tid)
-        assert score.value == expected
-        assert score.value == shapley_by_permutations(game, tid)
+        assert values[tid] == expected
+        assert values[tid] == shapley_by_permutations(game, tid)
     assert sum(EX1_SHAPLEY.values()) == 1  # efficiency: G(D) - G(empty)
 
 
 def test_shapley_tuple_monte_carlo(ex1_db, ex1_query):
-    score = shapley_tuple(
-        ex1_db, ex1_query, "S(b)", mode="monte_carlo", epsilon=0.1, delta=0.1, seed=3
-    )
+    game = query_game(ex1_db, ex1_query)
+    score = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
     assert score.mode == "monte_carlo"
     assert abs(score.value - float(EX1_SHAPLEY["S(b)"])) <= 0.1
-    again = shapley_tuple(
-        ex1_db, ex1_query, "S(b)", mode="monte_carlo", epsilon=0.1, delta=0.1, seed=3
-    )
+    again = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
     assert score == again
     with pytest.raises(ValueError):
-        shapley_tuple(ex1_db, ex1_query, "S(b)", mode="monte_carlo")
+        games.shapley_monte_carlo(game, "S(b)", epsilon=0.0, delta=0.1, seed=3)
 
 
 def test_banzhaf_equals_causal_effect_worked_example(ce_db, ce_query):
-    score = banzhaf_tuple(ce_db, ce_query, "S(b)")
-    assert score.value == Fraction(9, 16)
-    assert score.value == causal_effect(ce_db, "S(b)", query=ce_query)
+    value = games.banzhaf_exact(query_game(ce_db, ce_query), "S(b)")
+    assert value == Fraction(9, 16)
+    assert value == causal_effect(ce_db, "S(b)", query=ce_query)
 
 
 @given(st.integers(0, 10**9))

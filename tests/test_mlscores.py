@@ -17,7 +17,7 @@ from oracles import (
     shap_skipping_by_expectation,
     shapley_by_permutations,
 )
-from xscore import games, mlscores
+from xscore import games
 from xscore.classify import (
     EmpiricalDistribution,
     Entity,
@@ -93,7 +93,7 @@ def test_shap_golden_truth_table(ex6_request):
 
 
 def test_shap_matches_permutation_oracle(ex6_request):
-    game = mlscores._shap_game(ex6_request)
+    game = shap_game_by_expectation(ex6_request)
     for name in ("F1", "F2", "F3"):
         assert shap(ex6_request, name).value == shapley_by_permutations(game, name)
 
@@ -205,6 +205,16 @@ def test_shap_too_wide_to_enumerate(width, free):
     for skip_zero_mass in (False, True):
         with pytest.raises(WidthLimitError, match=message):
             score_all(replace(request, skip_zero_mass=skip_zero_mass), ["shap"])
+
+
+def test_shap_width_refusal_comes_before_any_label():
+    def unreachable(entity):
+        raise AssertionError("no kind may run before SHAP's refusals")
+
+    space = FeatureSpace(tuple(f"F{i + 1}" for i in range(21)))
+    request = uniform_request(space, FunctionClassifier(21, unreachable), Entity((1,) * 21))
+    with pytest.raises(WidthLimitError, match="21 free features"):
+        score_all(request, ["counter", "resp", "shap"])
 
 
 class CountingClassifier(FunctionClassifier):
