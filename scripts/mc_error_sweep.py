@@ -42,7 +42,7 @@ def main() -> None:
         for seed in range(args.runs):
             estimates = games.shapley_monte_carlo_all(game, epsilon, args.delta, seed)
             for tid, estimate in estimates.items():
-                err = abs(estimate.value - float(exact[tid]))
+                err = abs(estimate - float(exact[tid]))
                 worst = max(worst, err)
                 inside += err <= epsilon
                 total += 1

@@ -140,29 +140,26 @@ def all_entities(width: int) -> Iterator[Entity]:
 
 
 class Classifier:
-    """Total function from entities to {0, 1}.
+    """Deterministic total function from entities to {0, 1}.
 
-    `pure` declares determinism; labels of pure classifiers are cached by
-    bit vector, which also serializes access to external processes.
+    Labels are cached by bit vector, so each entity is asked at most once,
+    which also serializes access to external processes.
     """
 
-    def __init__(self, width: int, pure: bool = True):
+    def __init__(self, width: int):
         self.width = width
-        self.pure = pure
         self._cache: dict[tuple[int, ...], int] = {}
 
     def label(self, entity: Entity) -> int:
         if entity.width != self.width:
             raise ValueError(f"entity width {entity.width} != classifier width {self.width}")
-        if self.pure:
-            hit = self._cache.get(entity.bits)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(entity.bits)
+        if hit is not None:
+            return hit
         out = self._label(entity)
         if out not in (0, 1):
             raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
-        if self.pure:
-            self._cache[entity.bits] = out
+        self._cache[entity.bits] = out
         return out
 
     def _label(self, entity: Entity) -> int:
@@ -173,7 +170,7 @@ class TableClassifier(Classifier):
     """Classifier backed by an explicit (usually total) truth table."""
 
     def __init__(self, width: int, table: Mapping[tuple[int, ...], int], total: bool = True):
-        super().__init__(width, pure=True)
+        super().__init__(width)
         self._table = dict(table)
         if total and len(self._table) != 2**width:
             raise ValueError(
@@ -190,8 +187,8 @@ class TableClassifier(Classifier):
 class FunctionClassifier(Classifier):
     """Classifier wrapping an arbitrary Python callable."""
 
-    def __init__(self, width: int, fn, pure: bool = True):
-        super().__init__(width, pure=pure)
+    def __init__(self, width: int, fn):
+        super().__init__(width)
         self._fn = fn
 
     def _label(self, entity: Entity) -> int:
@@ -211,7 +208,7 @@ class ExternalClassifier(Classifier):
     `RESPONSE_DEADLINE_S`; a child that stays silent longer is killed.
     """
 
-    def __init__(self, command: Sequence[str], expected_width: int | None = None, pure: bool = True):
+    def __init__(self, command: Sequence[str], expected_width: int | None = None):
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -220,7 +217,7 @@ class ExternalClassifier(Classifier):
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
         self._pending = b""
         width = self._read_handshake(expected_width)
-        super().__init__(width, pure=pure)
+        super().__init__(width)
 
     def _read_handshake(self, expected_width: int | None) -> int:
         line = self._read_line()
@@ -469,7 +466,8 @@ class ConditionedDistribution(Distribution):
 
     Violating entities get probability exactly 0; survivors keep mass
     proportional to the base.  Construction fails when the satisfying set
-    has zero base mass (the conditional is undefined).
+    has zero base mass (the conditional is undefined).  A base with a
+    finite support is filtered once, here.
     """
 
     def __init__(self, base: Distribution, constraint: Constraint):
@@ -478,24 +476,17 @@ class ConditionedDistribution(Distribution):
         super().__init__(base.space)
         self.base = base
         self.constraint = constraint
-        self._mass = self._satisfying_mass()
+        support = base.finite_support
+        if support is None:
+            survivors = (e for e in all_entities(self.space.width) if constraint.satisfied_by(e))
+        else:
+            survivors = support = tuple(e for e in support if constraint.satisfied_by(e))
+        self._support = support
+        self._mass = sum((base.prob(e) for e in survivors), Fraction(0))
         if self._mass == 0:
             raise InconsistentConstraintError(
                 f"constraint {constraint} has zero mass under the base distribution"
             )
-
-    def _satisfying_mass(self) -> Fraction:
-        total = Fraction(0)
-        for e in self._candidates():
-            if self.constraint.satisfied_by(e):
-                total += self.base.prob(e)
-        return total
-
-    def _candidates(self) -> Iterator[Entity]:
-        support = self.base.finite_support
-        if support is not None:
-            return iter(support)
-        return all_entities(self.space.width)
 
     def prob(self, entity: Entity) -> Fraction:
         self._check(entity)
@@ -505,10 +496,7 @@ class ConditionedDistribution(Distribution):
 
     @property
     def finite_support(self) -> tuple[Entity, ...] | None:
-        support = self.base.finite_support
-        if support is None:
-            return None
-        return tuple(e for e in support if self.constraint.satisfied_by(e))
+        return self._support
 
 
 def condition(dist: Distribution, constraints: Constraint | Sequence[Constraint]) -> Distribution:

@@ -214,6 +214,9 @@ def _cmd_db_scores(args) -> list[dict]:
     probability = Fraction(args.probability) if args.probability else None
 
     all_ids = db.tuple_ids()
+    # The query game plays every tuple of the instance, the lineage game
+    # only the support; tuples outside the support are null players.
+    players = all_ids if query is not None else sorted(lineage.support())
     swings = None  # counted once, shared by the exact kinds
     records: list[dict] = []
     for kind in kinds:
@@ -222,17 +225,17 @@ def _cmd_db_scores(args) -> list[dict]:
                 records.append(_cause_record(report))
             continue
         if kind == "shapley" and args.mode == "approx":
-            records.extend(_monte_carlo_records(args, db, lineage, query))
+            records.extend(_monte_carlo_records(args, all_ids, lineage, query, players))
             continue
         if kind == "causal_effect":
             dbscores.check_intervention_budget(lineage, probability, budget)
         else:
-            _check_game_budget(all_ids, lineage, query, budget)
+            _require_boolean(query)
+            games.check_budget(len(players), budget)
         if swings is None:
             swings = dbscores.swing_counts(lineage)
         values = dbscores.swing_scores(swings, kind, probability)
         for tid in all_ids:
-            # Tuples outside the lineage support are null players; score 0.
             value = values.get(tid, Fraction(0))
             records.append(_score_record(tid, kind, value))
     if args.tuple:
@@ -246,32 +249,25 @@ def _cmd_db_scores(args) -> list[dict]:
     return records
 
 
-def _check_game_budget(all_ids, lineage, query, budget) -> None:
-    # The query game plays every tuple of the instance, the lineage game
-    # only the support; the cap stays on 2^players coalitions.
-    if query is None:
-        games.check_budget(len(lineage.support()), budget)
-    else:
+def _require_boolean(query) -> None:
+    # Only a query game needs a Boolean query; a lineage game has none.
+    if query is not None:
         dbscores.require_boolean(query)
-        games.check_budget(len(all_ids), budget)
 
 
-def _monte_carlo_records(args, db, lineage, query) -> list[dict]:
+def _monte_carlo_records(args, all_ids, lineage, query, players) -> list[dict]:
     if args.epsilon is None or args.delta is None:
         raise ValueError("--mode approx needs --epsilon and --delta")
-    if query is None:
-        game = dbscores.lineage_game(lineage)
-    else:
-        # The query game: every tuple plays, winning as the lineage does.
-        dbscores.require_boolean(query)
-        game = dbscores.lineage_game(lineage, players=db.tuple_ids())
+    _require_boolean(query)
+    game = dbscores.lineage_game(lineage, players)
     estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed)
+    samples = games.sample_count(args.epsilon, args.delta)
     settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
-    for tid in db.tuple_ids():
-        result = estimates.get(tid)  # None for a tuple outside the lineage
-        value, samples = (0.0, 0) if result is None else (result.value, result.samples)
-        out.append(_score_record(tid, "shapley", value, **settings, samples=samples))
+    for tid in all_ids:
+        # A tuple outside the game is never sampled.
+        value, used = (estimates[tid], samples) if tid in estimates else (0.0, 0)
+        out.append(_score_record(tid, "shapley", value, **settings, samples=used))
     return out
 
 
@@ -367,11 +363,11 @@ def _resolve_query_or_lineage(args, db):
         raise ValueError(
             "exactly one of --query/--query-file/--lineage/--lineage-file is required"
         )
-    query_text = args.query or (args.query_file.read_text() if args.query_file else None)
-    if query_text is not None:
+    if args.query is not None or args.query_file is not None:
+        query_text = args.query if args.query is not None else args.query_file.read_text()
         query = reldb.parse_query(query_text.strip())
         return dbscores.query_lineage(db, query), query
-    lineage_text = args.lineage or args.lineage_file.read_text()
+    lineage_text = args.lineage if args.lineage is not None else args.lineage_file.read_text()
     lineage = reldb.parse_lineage(lineage_text.strip(), db)
     if not lineage.evaluate(lineage.support()):
         raise dbscores.NothingToExplainError("lineage is false even with every tuple present")

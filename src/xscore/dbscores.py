@@ -15,7 +15,6 @@ probabilities.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -265,24 +264,19 @@ def swing_scores(
 ) -> dict[str, Fraction]:
     """Exact scores of the support tuples from their `swing_counts`.
 
-    Shapley weighs a swing of size k by k!(m-1-k)!/m!, Banzhaf by
-    1/2^(m-1), and the causal effect by p^k (1-p)^(m-1-k) for the shared
-    tuple probability p (default 1/2).  Tuples outside the support are
-    null players and score 0 in every kind, so these equal the scores of
-    the query game over the whole instance.
+    Each tuple's counts are weighted by `games.size_weights` of the kind,
+    over the m support tuples; the causal effect takes the shared tuple
+    probability p (default 1/2).  Tuples outside the support are null
+    players and score 0 in every kind, so these equal the scores of the
+    query game over the whole instance.
     """
-    m = len(swings)
-    if kind == "shapley":
-        f = math.factorial
-        weights = [Fraction(f(k) * f(m - 1 - k), f(m)) for k in range(m)]
-    elif kind == "banzhaf":
-        weights = [Fraction(1, 2 ** (m - 1)) for _ in range(m)]
-    elif kind == "causal_effect":
-        p = HALF if probability is None else Fraction(probability)
-        _check_probability(p)
-        weights = [p**k * (1 - p) ** (m - 1 - k) for k in range(m)]
-    else:
+    if kind not in ("shapley", "banzhaf", "causal_effect"):
         raise ValueError(f"no swing score of kind {kind!r}")
+    p = HALF
+    if kind == "causal_effect" and probability is not None:
+        p = Fraction(probability)
+        _check_probability(p)
+    weights = games.size_weights(kind, len(swings), p)
     return {t: sum(w * d for w, d in zip(weights, counts)) for t, counts in swings.items()}
 
 
@@ -372,14 +366,14 @@ def _poly_mul(a: list, b: list) -> list:
 
 def query_game(db: Database, query: ConjunctiveQuery) -> Game:
     """The 0/1 game whose players are all tuples of `db` and whose value on
-    a coalition S is whether the query holds in the sub-instance S."""
+    a coalition S is whether the query holds in the sub-instance S.
+
+    That is the game of the query's lineage, with the tuples outside it as
+    null players (Livshits et al., ICDT 2020), so it is played on the
+    lineage compiled once instead of on a sub-instance per coalition.
+    """
     require_boolean(query)
-    evaluate(db, query)  # surface schema errors before play begins
-
-    def value(coalition):
-        return 1 if evaluate(db.restrict(coalition), query) else 0
-
-    return Game(players=db.tuple_ids(), value=value)
+    return lineage_game(compile_lineage(db, query), players=db.tuple_ids())
 
 
 def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game:

@@ -70,23 +70,6 @@ class Game:
         return cls(players=tuple(players), value=value)
 
 
-@dataclass(frozen=True)
-class ScoreResult:
-    """A per-player score with its computation mode.
-
-    Exact mode carries a reduced rational; Monte Carlo mode carries a float
-    together with the (epsilon, delta, seed, samples) it was produced with.
-    """
-
-    player: Player
-    value: Fraction | float
-    mode: str  # "exact" | "monte_carlo"
-    epsilon: float | None = None
-    delta: float | None = None
-    seed: int | None = None
-    samples: int | None = None
-
-
 def sample_count(epsilon: float, delta: float) -> int:
     """Hoeffding sample size for an additive (epsilon, delta) guarantee on
     [0, 1]-bounded marginal contributions: ceil(ln(2/delta) / (2 eps^2))."""
@@ -95,38 +78,29 @@ def sample_count(epsilon: float, delta: float) -> int:
 
 
 def shapley_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact Shapley value of `player`.
-
-    Sums over all coalitions S not containing the player, weighting the
-    marginal contribution G(S + player) - G(S) by |S|! (n-|S|-1)! / n!,
-    with exact integer factorials and rational arithmetic throughout.
-    """
+    """Exact Shapley value of `player`: its marginal contributions
+    G(S + player) - G(S) over the coalitions S of the other players,
+    weighted by the `size_weights` of "shapley", in rational arithmetic."""
     _check_player(game, player)
-    check_budget(len(game.players), budget)
-    return _shapley_one(game, player, _memoized(game))
+    return _marginal_sums(game, "shapley", budget, [player])[player]
 
 
 def banzhaf_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact Banzhaf index: the average marginal contribution of `player`
     over all 2^(n-1) coalitions of the other players."""
     _check_player(game, player)
-    check_budget(len(game.players), budget)
-    return _banzhaf_one(game, player, _memoized(game))
+    return _marginal_sums(game, "banzhaf", budget, [player])[player]
 
 
 def shapley_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact Shapley values for every player, sharing one coalition-value
     memo so each subset is evaluated at most once."""
-    check_budget(len(game.players), budget)
-    value = _memoized(game)
-    return {p: _shapley_one(game, p, value) for p in game.players}
+    return _marginal_sums(game, "shapley", budget, game.players)
 
 
 def banzhaf_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
     """Exact Banzhaf indices for every player (shared memo, as above)."""
-    check_budget(len(game.players), budget)
-    value = _memoized(game)
-    return {p: _banzhaf_one(game, p, value) for p in game.players}
+    return _marginal_sums(game, "banzhaf", budget, game.players)
 
 
 def shapley_monte_carlo(
@@ -135,7 +109,7 @@ def shapley_monte_carlo(
     epsilon: float,
     delta: float,
     seed: int,
-) -> ScoreResult:
+) -> float:
     """Monte Carlo Shapley estimate of one player: its entry of
     `shapley_monte_carlo_all`."""
     _check_player(game, player)
@@ -171,42 +145,46 @@ def shapley_monte_carlo_all(game: Game, epsilon: float, delta: float, seed: int)
             current = value(before)
             totals[player] += current - previous
             previous = current
-    return {
-        p: ScoreResult(
-            player=p,
-            value=float(totals[p] / m),
-            mode="monte_carlo",
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-            samples=m,
-        )
-        for p in players
-    }
+    return {p: float(totals[p] / m) for p in players}
 
 
-def _shapley_one(game: Game, player: Player, value) -> Fraction:
-    n = len(game.players)
-    others = [p for p in game.players if p != player]
-    factorial = math.factorial
-    total = Fraction(0)
-    for size in range(n):
-        weight = Fraction(factorial(size) * factorial(n - size - 1), factorial(n))
-        for chosen in combinations(others, size):
-            coalition = frozenset(chosen)
-            total += weight * (value(coalition | {player}) - value(coalition))
-    return total
+def size_weights(kind: str, m: int, p: Fraction = Fraction(1, 2)) -> list[Fraction]:
+    """Weight w[k] of a marginal contribution to a size-k coalition of the
+    other m-1 players, k = 0 .. m-1: k!(m-1-k)!/m! for "shapley",
+    1/2^(m-1) for "banzhaf", and p^k (1-p)^(m-1-k) for "causal_effect",
+    where each player is present with probability p.  Empty when m = 0."""
+    if kind == "shapley":
+        f = math.factorial
+        return [Fraction(f(k) * f(m - 1 - k), f(m)) for k in range(m)]
+    if kind == "banzhaf":
+        return [Fraction(1, 2 ** (m - 1)) for _ in range(m)]
+    if kind == "causal_effect":
+        return [p**k * (1 - p) ** (m - 1 - k) for k in range(m)]
+    raise ValueError(f"no size weights of kind {kind!r}")
 
 
-def _banzhaf_one(game: Game, player: Player, value) -> Fraction:
-    n = len(game.players)
-    others = [p for p in game.players if p != player]
-    total = Fraction(0)
-    for size in range(n):
-        for chosen in combinations(others, size):
-            coalition = frozenset(chosen)
-            total += value(coalition | {player}) - value(coalition)
-    return Fraction(total, 2 ** (n - 1))
+def _marginal_sums(game: Game, kind: str, budget: int, players) -> dict:
+    """For each of `players`, the sum of w[|S|] (G(S + player) - G(S))
+    over the coalitions S of the other players, w = `size_weights(kind, n)`.
+
+    Coalitions go by size and in `combinations` order, through one memo
+    shared by all players, so each subset is evaluated at most once.
+    """
+    check_budget(len(game.players), budget)
+    value = _memoized(game)
+    weights = size_weights(kind, len(game.players))
+    out = {}
+    for player in players:
+        others = [p for p in game.players if p != player]
+        total = Fraction(0)
+        for size, weight in enumerate(weights):
+            swing = Fraction(0)
+            for chosen in combinations(others, size):
+                coalition = frozenset(chosen)
+                swing += value(coalition | {player}) - value(coalition)
+            total += weight * swing
+        out[player] = total
+    return out
 
 
 def _memoized(game: Game) -> Callable[[Coalition], Fraction]:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import lcm
 from typing import Callable, Iterable
 
 from . import games
@@ -117,7 +117,8 @@ def shap(
     when the 2^n coalitions exceed `budget`.
     """
     request.distribution.space.index(feature)
-    value = _shap_values(request, budget, [feature])[feature]
+    _check_enumerable(request, budget)
+    value = _shap_values(request, [feature])[feature]
     return FeatureScore(feature=feature, kind="shap", value=value)
 
 
@@ -212,7 +213,7 @@ def score_all(
     out: list[FeatureScore] = []
     for kind in wanted:
         if kind == "shap":
-            values = _shap_values(request, budget)
+            values = _shap_values(request)
             batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
         elif kind == "resp":
             charge = games.candidate_meter(budget)
@@ -225,26 +226,27 @@ def score_all(
 
 
 def _shap_values(
-    request: ExplanationRequest, budget: int, features: Iterable[str] | None = None
+    request: ExplanationRequest, features: Iterable[str] | None = None
 ) -> dict[str, Fraction]:
     """SHAP scores of `features` (default: all, in space order) as one
     subset-weighted sum over the coalition table.
 
-    Feature j's score sums k!(n-1-k)!/n! (E[S + j] - E[S]) over the sets S
-    of k other features.  A zero-mass coalition raises the
-    `ZeroMassEventError` of the first term that reaches it, taking the
-    least feature and then S by size and in `combinations` order; with
-    `skip_zero_mass` its terms are dropped instead, and each feature's
-    count of dropped terms is reported through `ZeroMassSkipWarning`.
+    Feature j's score sums w[k] (E[S + j] - E[S]) over the sets S of k
+    other features, w = `games.size_weights("shapley", n)`.  A zero-mass
+    coalition raises the `ZeroMassEventError` of the first term that
+    reaches it, taking the least feature and then S by size and in
+    `combinations` order; with `skip_zero_mass` its terms are dropped
+    instead, and each feature's count of dropped terms is reported
+    through `ZeroMassSkipWarning`.
     """
     space = request.distribution.space
     names = space.names if features is None else list(features)
-    expectations = _coalition_expectations(request, budget)
+    expectations = _coalition_expectations(request)
     bits = _feature_bits(space)
     if not request.skip_zero_mass and None in expectations:
         _raise_first_zero_mass(request, min(names), expectations, bits)
     n = space.width
-    weights = [Fraction(factorial(k) * factorial(n - k - 1), factorial(n)) for k in range(n)]
+    weights = games.size_weights("shapley", n)
     values = {}
     for name in names:
         bit = bits[name]
@@ -289,7 +291,7 @@ def _check_enumerable(request: ExplanationRequest, budget: int) -> None:
         check_free_width(n - 1 if n - 1 > WIDTH_LIMIT else n)
 
 
-def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fraction | None]:
+def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None]:
     """E[L | e on S] for every feature set S, indexed by the sum of the
     features' `_feature_bits`; None where the event has no mass.
 
@@ -300,8 +302,8 @@ def _coalition_expectations(request: ExplanationRequest, budget: int) -> list[Fr
     lcm of the mass denominators.  Adding slot S | {j} into slot S for each
     feature j (O(n 2^n) integer additions) turns the slots into the
     label-1 mass and the total mass of the entities agreeing with e on S.
+    The caller has passed `_check_enumerable`.
     """
-    _check_enumerable(request, budget)
     dist, entity = request.distribution, request.entity
     n = entity.width
     candidates = dist.finite_support

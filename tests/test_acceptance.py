@@ -142,7 +142,7 @@ def test_criterion_07_monte_carlo_shapley(ex1_db, ex1_query):
             hits = 0
             for seed in range(100):
                 estimate = games.shapley_monte_carlo(game, tid, epsilon, delta, seed)
-                if abs(estimate.value - float(exact[tid])) <= epsilon:
+                if abs(estimate - float(exact[tid])) <= epsilon:
                     hits += 1
             assert hits >= 95, f"{tid}: only {hits}/100 runs within ±{epsilon}"
 

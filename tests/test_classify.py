@@ -94,7 +94,7 @@ def test_pure_classifier_caches():
         calls.append(e)
         return 1
 
-    clf = FunctionClassifier(2, fn, pure=True)
+    clf = FunctionClassifier(2, fn)
     e = Entity.from_bits("10")
     assert clf.label(e) == clf.label(e) == 1
     assert len(calls) == 1
@@ -228,6 +228,15 @@ def test_nested_conditioning(ex6_space):
     assert sum(second.prob(e) for e in all_entities(3)) == 1
     for e in survivors:
         assert second.prob(e) == Fraction(1, 2)
+
+
+def test_conditioned_support_is_filtered_once(ex6_space):
+    sample = [Entity.from_bits(bits) for bits in ("000", "011", "100", "110")]
+    not_f1 = parse_constraint("!(F1)", ex6_space)
+    dist = condition(EmpiricalDistribution(ex6_space, sample), not_f1)
+    assert dist.finite_support == (sample[0], sample[1])
+    assert dist.finite_support is dist.finite_support
+    assert condition(UniformDistribution(ex6_space), not_f1).finite_support is None
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,22 @@ def test_db_scores_query_and_lineage_both_rejected(capsys, data_dir):
     assert "exactly one" in out.err
 
 
+@pytest.mark.parametrize("flag", ["--query", "--lineage"])
+def test_db_scores_empty_query_or_lineage_is_a_parse_error(capsys, data_dir, flag):
+    code, out = run(
+        capsys,
+        "db-scores",
+        "--relation",
+        f"R={data_dir / 'ex1_R.csv'}",
+        "--relation",
+        f"S={data_dir / 'ex1_S.csv'}",
+        flag,
+        "",
+    )
+    assert code == cli.EXIT_PARSE
+    assert out.err.startswith("xscore: error: ")
+
+
 def test_db_scores_multiple_kinds_sorted(capsys, data_dir):
     report = run_json(capsys, *db_args(data_dir, "--kinds", "banzhaf,shapley"))
     keys = [(r["kind"], r["tuple"]) for r in report["records"]]

@@ -1,6 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from oracles import (
     random_sjf_query,
     shapley_by_permutations,
 )
-from xscore import games, reldb
+from xscore import dbscores, games, reldb
 from xscore.dbscores import (
     NonNumericValueError,
     NothingToExplainError,
@@ -234,6 +235,22 @@ def test_query_game_rejects_head_variables(ex1_db):
         query_game(ex1_db, parse_query("Q(x) :- R(x, y)"))
 
 
+@given(st.integers(0, 10**9))
+@settings(max_examples=25, deadline=None)
+def test_query_game_is_the_sub_instance_game(seed):
+    # The query game plays the compiled lineage; each coalition's value
+    # must still be the query's truth on that sub-instance.
+    rng = random.Random(seed)
+    query = random_sjf_query(rng)
+    db = random_database_for(rng, query)
+    game = query_game(db, query)
+    ids = db.tuple_ids()
+    assert game.players == tuple(sorted(ids))
+    for bits in product((False, True), repeat=len(ids)):
+        coalition = frozenset(t for t, bit in zip(ids, bits) if bit)
+        assert game.value(coalition) == reldb.evaluate(db.restrict(coalition), query)
+
+
 def test_lineage_game_matches_query_game(ce_db, ce_query):
     lineage = compile_lineage(ce_db, ce_query)
     qg = query_game(ce_db, ce_query)
@@ -315,11 +332,32 @@ def test_shapley_tuple_golden(ex1_db, ex1_query):
     assert sum(EX1_SHAPLEY.values()) == 1  # efficiency: G(D) - G(empty)
 
 
+def test_query_game_plays_without_restrict_or_evaluate(ex1_db, ex1_query, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reldb.Database, "restrict", spy("restrict", reldb.Database.restrict))
+    for module in (reldb, dbscores):
+        monkeypatch.setattr(module, "evaluate", spy("evaluate", reldb.evaluate))
+    assert games.shapley_all(query_game(ex1_db, ex1_query)) == EX1_SHAPLEY
+    assert calls == []
+
+
+def test_swing_scores_unknown_kind(path_lineage):
+    with pytest.raises(ValueError, match="no swing score of kind 'responsibility'"):
+        swing_scores(swing_counts(path_lineage), "responsibility")
+
+
 def test_shapley_tuple_monte_carlo(ex1_db, ex1_query):
     game = query_game(ex1_db, ex1_query)
     score = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
-    assert score.mode == "monte_carlo"
-    assert abs(score.value - float(EX1_SHAPLEY["S(b)"])) <= 0.1
+    assert abs(score - float(EX1_SHAPLEY["S(b)"])) <= 0.1
     again = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
     assert score == again
     with pytest.raises(ValueError):

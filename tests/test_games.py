@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from xscore.games import (
     shapley_exact,
     shapley_monte_carlo,
     shapley_monte_carlo_all,
+    size_weights,
 )
 
 
@@ -140,6 +142,27 @@ def test_subset_form_equals_permutation_average(seed, n):
         assert shapley_exact(game, player) == shapley_by_permutations(game, player)
 
 
+@pytest.mark.parametrize(
+    "kind, p",
+    [("shapley", None), ("banzhaf", None)]
+    + [("causal_effect", Fraction(p)) for p in ("0", "1/3", "1/2", "1")],
+)
+def test_size_weights_average_over_coalitions(kind, p):
+    # Each kind's weights make a distribution over the C(m-1, k)
+    # coalitions of the other m-1 players.
+    for m in range(1, 9):
+        weights = size_weights(kind, m) if p is None else size_weights(kind, m, p)
+        assert len(weights) == m
+        assert sum(math.comb(m - 1, k) * w for k, w in enumerate(weights)) == 1
+
+
+def test_size_weights_of_no_players():
+    for kind in ("shapley", "banzhaf", "causal_effect"):
+        assert size_weights(kind, 0) == []
+    with pytest.raises(ValueError, match="kind 'responsibility'"):
+        size_weights("responsibility", 3)
+
+
 def test_sample_count_formula():
     # ln(2/0.05) / (2 * 0.05^2) = 737.78 -> 738
     assert sample_count(0.05, 0.05) == 738
@@ -159,10 +182,7 @@ def test_invalid_epsilon_delta():
 def test_monte_carlo_constant_game_is_exactly_zero():
     game = Game(players=(1, 2, 3), value=lambda s: 4)
     result = shapley_monte_carlo(game, 2, epsilon=0.5, delta=0.4, seed=11)
-    assert result.value == 0.0
-    assert result.mode == "monte_carlo"
-    assert (result.epsilon, result.delta, result.seed) == (0.5, 0.4, 11)
-    assert result.samples == sample_count(0.5, 0.4)
+    assert result == 0.0
 
 
 def test_monte_carlo_deterministic_under_seed():
@@ -171,14 +191,14 @@ def test_monte_carlo_deterministic_under_seed():
     b = shapley_monte_carlo(game, 0, 0.1, 0.1, seed=42)
     assert a == b
     c = shapley_monte_carlo(game, 0, 0.1, 0.1, seed=43)
-    assert c.value != a.value or c.seed != a.seed
+    assert c != a
 
 
 def test_monte_carlo_tracks_exact_value():
     game = and_game()
     exact = shapley_exact(game, "p1")
     result = shapley_monte_carlo(game, "p1", epsilon=0.05, delta=0.05, seed=7)
-    assert abs(result.value - float(exact)) <= 0.05
+    assert abs(result - float(exact)) <= 0.05
 
 
 @given(st.integers(0, 10**9), st.integers(0, 10**6))
@@ -195,13 +215,6 @@ def test_monte_carlo_all_players_pins_per_player_records(game_seed, seed):
     for player in game.players:
         result = estimates[player]
         assert result == shapley_monte_carlo(game, player, epsilon, delta, seed)
-        assert (result.value, result.samples) == monte_carlo_by_player(
+        assert (result, sample_count(epsilon, delta)) == monte_carlo_by_player(
             game, player, epsilon, delta, seed
-        )
-        assert (result.player, result.mode, result.epsilon, result.delta, result.seed) == (
-            player,
-            "monte_carlo",
-            epsilon,
-            delta,
-            seed,
         )
