@@ -129,8 +129,7 @@ class Entity:
 
 def all_entities(width: int) -> Iterator[Entity]:
     """Every entity of the given width, in binary counting order."""
-    if width > WIDTH_LIMIT:
-        raise WidthLimitError(f"width {width} exceeds the enumeration limit {WIDTH_LIMIT}")
+    check_free_width(width)
     for bits in product((0, 1), repeat=width):
         yield Entity(bits)
 
@@ -560,9 +559,8 @@ def _agreeing_entities(
                 yield e
         return
     free = [i for i in range(entity.width) if i not in fixed_indices]
-    check_free_width(len(free))
-    for bits in product((0, 1), repeat=len(free)):
-        yield entity.with_bits(dict(zip(free, bits)))
+    for completion in all_entities(len(free)):
+        yield entity.with_bits(dict(zip(free, completion.bits)))
 
 
 # ---------------------------------------------------------------------------

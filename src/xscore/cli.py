@@ -211,7 +211,7 @@ def _cmd_db_scores(args) -> list[dict]:
     kinds = _split_kinds(args.kinds, DB_KINDS)
     if args.mode == "exact" and (args.epsilon is not None or args.delta is not None):
         raise ValueError("--epsilon/--delta are only valid with --mode approx")
-    probability = Fraction(args.probability) if args.probability else None
+    probability = _rational_arg("--probability", args.probability) if args.probability else None
 
     all_ids = db.tuple_ids()
     # The query game plays every tuple of the instance, the lineage game
@@ -335,10 +335,20 @@ def _cmd_lineage(args) -> list[dict]:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("XSCORE_BUDGET")
-    return int(env) if env else games.DEFAULT_BUDGET
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("XSCORE_BUDGET")
+        budget = int(env) if env else games.DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    return budget
+
+
+def _rational_arg(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{flag} expects a rational number, got {text!r}") from exc
 
 
 def _load_relations(specs: list[str]) -> reldb.Database:
@@ -431,7 +441,7 @@ def _resolve_distribution(args, space, sample):
         _check_sample_space(space, sample)
         return classify.EmpiricalDistribution(space, sample.entities)
     if args.marginals:
-        marginals = [Fraction(m.strip()) for m in args.marginals.split(",")]
+        marginals = [_rational_arg("--marginals", m) for m in args.marginals.split(",")]
         return classify.ProductDistribution(space, marginals)
     if sample is None:
         raise ValueError("--distribution product needs --marginals or --sample")

@@ -19,11 +19,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import formula, games
-from .games import BudgetExceededError, Game
+from .games import Game
 from .reldb import (
     ConjunctiveQuery,
     Database,
@@ -52,9 +51,6 @@ __all__ = [
     "lineage_game",
     "summation_game",
 ]
-
-#: Cap on 2^|support| valuations for exact lineage probabilities, checked up front.
-DEFAULT_VALUATION_BUDGET = 2**20
 
 HALF = Fraction(1, 2)
 
@@ -133,36 +129,32 @@ def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
 
 
 def _cause_of(support: frozenset, tuple_id: str, truth, charge) -> CauseReport:
-    # Breadth-first over contingency sizes; the first hit is minimal, and
-    # combinations() of the sorted support yields the lexicographic least.
-    if tuple_id not in support:
+    # A contingency gamma works when the lineage holds without gamma and
+    # fails without gamma and the tuple; over the sorted support the least
+    # one is of minimum size, and the lexicographic least of it.
+    gamma = None
+    if tuple_id in support:
+        gamma = games.least_contingency(
+            sorted(support - {tuple_id}),
+            lambda g: truth(g) and not truth(tuple(sorted(g + (tuple_id,)))),
+            charge=charge,
+        )
+    if gamma is None:
         return CauseReport(tuple_id, False, False, None, None, Fraction(0))
-    rest = sorted(support - {tuple_id})
-    for size in range(len(rest) + 1):
-        for gamma in combinations(rest, size):
-            charge()
-            present = support.difference(gamma)
-            if truth(present) and not truth(present - {tuple_id}):
-                return CauseReport(
-                    tuple_id=tuple_id,
-                    is_actual_cause=True,
-                    is_counterfactual_cause=size == 0,
-                    min_contingency_size=size,
-                    witness_contingency=gamma,
-                    responsibility=Fraction(1, size + 1),
-                )
-    return CauseReport(tuple_id, False, False, None, None, Fraction(0))
+    return CauseReport(tuple_id, True, not gamma, len(gamma), gamma, Fraction(1, len(gamma) + 1))
 
 
 def _memoized_truth(lineage: Lineage):
-    # Shared across the per-tuple searches of one batch; all writers would
-    # compute identical values, so plain dict caching is safe.
-    cache: dict[frozenset, bool] = {}
+    # Truth with the sorted tuple `removed` taken out of the support, shared
+    # by the searches of one batch and keyed on `removed`, which stays small
+    # as the searches go by size.
+    support = lineage.support()
+    cache: dict[tuple, bool] = {}
 
-    def truth(present: frozenset) -> bool:
-        got = cache.get(present)
+    def truth(removed: tuple) -> bool:
+        got = cache.get(removed)
         if got is None:
-            got = cache[present] = lineage.evaluate(present)
+            got = cache[removed] = lineage.evaluate(support.difference(removed))
         return got
 
     return truth
@@ -194,7 +186,7 @@ def intervene(lineage: Lineage, tuple_id: str, value: int) -> Lineage:
 def lineage_probability(
     lineage: Lineage,
     probabilities: Mapping[str, Fraction] | Fraction | None = None,
-    budget: int = DEFAULT_VALUATION_BUDGET,
+    budget: int = games.DEFAULT_BUDGET,
 ) -> Fraction:
     """Probability that the lineage is true under independent tuple variables.
 
@@ -204,7 +196,7 @@ def lineage_probability(
     """
     support = lineage.support()
     prob = _probability_table(sorted(support), probabilities)
-    _check_valuations(len(support), budget)
+    games.check_budget(len(support), budget)
 
     def weight(t):
         return [prob[t]], [1 - prob[t]]
@@ -218,7 +210,7 @@ def causal_effect(
     tuple_id: str,
     query: ConjunctiveQuery | None = None,
     probabilities: Mapping[str, Fraction] | Fraction | None = None,
-    budget: int = DEFAULT_VALUATION_BUDGET,
+    budget: int = games.DEFAULT_BUDGET,
 ) -> Fraction:
     """Expected query value under do(X=1) minus under do(X=0).
 
@@ -294,7 +286,7 @@ def check_intervention_budget(
         _check_probability(Fraction(probability))
     for t in support:
         for value in (1, 0):
-            _check_valuations(len(intervene(lineage, t, value).support()), budget)
+            games.check_budget(len(intervene(lineage, t, value).support()), budget)
 
 
 def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) -> list:
@@ -435,13 +427,6 @@ def _probability_table(
         _check_probability(p)
         table[t] = p
     return table
-
-
-def _check_valuations(support: int, budget: int) -> None:
-    if 2**support > budget:
-        raise BudgetExceededError(
-            f"lineage support of {support} needs {2**support} valuations, budget is {budget}"
-        )
 
 
 def _check_probability(p: Fraction) -> None:

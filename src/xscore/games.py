@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 Player = Hashable
 Coalition = frozenset
 
-#: Default cap on the number of distinct coalition evaluations an exact
-#: computation may require; exceeding it raises instead of truncating.
+#: Default cap on the 2^n cases of an exact enumeration and on the candidates
+#: a contingency search tests; past it they raise instead of truncating.
 DEFAULT_BUDGET = 2**25
 
 
@@ -32,10 +32,7 @@ class PlayerNotInGameError(GameError):
 
 
 class BudgetExceededError(GameError):
-    """Exact enumeration would exceed the evaluation budget.
-
-    Callers are expected to fall back to `shapley_monte_carlo`.
-    """
+    """Exact enumeration, or a contingency search, would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -213,13 +210,11 @@ def _check_player(game: Game, player: Player) -> None:
         raise PlayerNotInGameError(f"player {player!r} is not in the game")
 
 
-def check_budget(players: int, budget: int) -> None:
-    """Refuse exact enumeration over 2^players coalitions past `budget`."""
-    needed = 2**players
-    if needed > budget:
+def check_budget(n: int, budget: int) -> None:
+    """Refuse an exact enumeration of 2^n cases past `budget`."""
+    if 2**n > budget:
         raise BudgetExceededError(
-            f"exact enumeration needs {needed} coalition evaluations, "
-            f"budget is {budget}; use shapley_monte_carlo instead"
+            f"exact enumeration needs 2^{n} = {2**n} cases, budget is {budget}"
         )
 
 
@@ -236,6 +231,23 @@ def candidate_meter(budget: int) -> Callable[[], None]:
             )
 
     return charge
+
+
+def least_contingency(
+    others: Sequence, hits: Callable, cap: int | None = None, charge: Callable | None = None
+) -> tuple | None:
+    """The first tuple `chosen` of `others`, by size up to `cap` (default:
+    all) and then in `combinations` order, for which `hits(chosen)` holds,
+    or None; over sorted `others` it is the lexicographic least of least
+    size.  `charge()`, when given, is called before each test."""
+    top = len(others) if cap is None else min(cap, len(others))
+    for size in range(top + 1):
+        for chosen in combinations(others, size):
+            if charge is not None:
+                charge()
+            if hits(chosen):
+                return chosen
+    return None
 
 
 def _check_epsilon_delta(epsilon: float, delta: float) -> None:

@@ -19,13 +19,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Callable, Iterable
 
 from . import games
 from .classify import (
-    WIDTH_LIMIT,
     Classifier,
     Distribution,
     Entity,
@@ -64,8 +62,8 @@ class ExplanationRequest:
     """One entity whose label is to be explained.
 
     `target_label` is the label being explained (1 by convention: the
-    outcome the requester wants undone).  `max_contingency` caps the
-    responsibility search; None means up to n-1 other features.  When
+    outcome the requester wants undone).  `max_contingency` (at least 0)
+    caps the responsibility search; None means up to n-1 other features.  When
     `skip_zero_mass` is set, SHAP drops coalitions whose conditioning
     event has no mass instead of failing, with a warning.
     """
@@ -78,6 +76,8 @@ class ExplanationRequest:
     skip_zero_mass: bool = False
 
     def __post_init__(self):
+        if self.max_contingency is not None and self.max_contingency < 0:
+            raise ValueError(f"max_contingency must be non-negative, got {self.max_contingency}")
         if self.entity.width != self.distribution.space.width:
             raise ValueError("entity width does not match the distribution's space")
         if self.classifier.width != self.entity.width:
@@ -140,12 +140,12 @@ def resp(
 ) -> FeatureScore:
     """Responsibility of one feature value for the explained label.
 
-    Searches contingency sets Y of other features in increasing size; the
-    feature is a counterfactual explanation when changing its value alone
-    flips the label, and an actual explanation when jointly changing Y and
-    the feature does.  Score: 1 / (1 + |Y|) for the smallest such Y, with
-    the lexicographically least witness; 0 when no contingency within the
-    cap works.
+    Searches contingency sets Y of other features by size through
+    `games.least_contingency`; the feature is a counterfactual explanation
+    when changing its value alone flips the label, and an actual
+    explanation when jointly changing Y and the feature does.  Score:
+    1 / (1 + |Y|) for the smallest such Y, with the lexicographically least
+    witness; 0 when no contingency within the cap works.
 
     Each Y is tried once, with every feature of Y flipped: a replacement
     that keeps some original value is the entity of a smaller contingency,
@@ -164,35 +164,31 @@ def resp(
     if charge is None:
         charge = games.candidate_meter(games.DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
-    cap = request.max_contingency
-    if cap is None:
-        cap = space.width - 1
-    cap = min(cap, space.width - 1)
-
-    others = sorted((n, space.index(n)) for n in space.names if n != feature)
     bits = list(entity.bits)
     bits[index] = 1 - bits[index]
-    for size in range(cap + 1):
-        for chosen in combinations(others, size):
-            flipped = bits[:]
-            for _, i in chosen:
-                flipped[i] = 1 - flipped[i]
-            candidate = Entity(tuple(flipped))
-            charge()
-            if request.classifier.label(candidate) == flipped_label:
-                return FeatureScore(
-                    feature=feature,
-                    kind="resp",
-                    value=Fraction(1, size + 1),
-                    explanation_kind="counterfactual" if size == 0 else "actual",
-                    witness=RespWitness(
-                        contingency=tuple(n for n, _ in chosen),
-                        contingency_values=tuple(candidate.bits[i] for _, i in chosen),
-                        replacement=bits[index],
-                        entity=candidate,
-                    ),
-                )
-    return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
+
+    def flip(y) -> Entity:
+        flipped = bits[:]
+        for _, i in y:
+            flipped[i] = 1 - flipped[i]
+        return Entity(tuple(flipped))
+
+    chosen = games.least_contingency(
+        sorted((n, space.index(n)) for n in space.names if n != feature),
+        lambda y: request.classifier.label(flip(y)) == flipped_label,
+        request.max_contingency,
+        charge,
+    )
+    if chosen is None:
+        return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
+    witness = RespWitness(
+        contingency=tuple(n for n, _ in chosen),
+        contingency_values=tuple(1 - entity.bits[i] for _, i in chosen),
+        replacement=bits[index],
+        entity=flip(chosen),
+    )
+    kind = "actual" if chosen else "counterfactual"
+    return FeatureScore(feature, "resp", Fraction(1, len(chosen) + 1), kind, witness)
 
 
 def score_all(
@@ -234,8 +230,8 @@ def _shap_values(
     Feature j's score sums w[k] (E[S + j] - E[S]) over the sets S of k
     other features, w = `games.size_weights("shapley", n)`.  A zero-mass
     coalition raises the `ZeroMassEventError` of the first term that
-    reaches it, taking the least feature and then S by size and in
-    `combinations` order; with `skip_zero_mass` its terms are dropped
+    reaches it, taking the least feature and then the first S of
+    `games.least_contingency`; with `skip_zero_mass` its terms are dropped
     instead, and each feature's count of dropped terms is reported
     through `ZeroMassSkipWarning`.
     """
@@ -273,11 +269,11 @@ def _shap_values(
 def _raise_first_zero_mass(request, feature, expectations, bits) -> None:
     # Zero mass is upward closed, so the first term to reach a zero-mass
     # coalition does so through S + feature.
-    others = sorted(n for n in request.distribution.space.names if n != feature)
-    for size in range(len(others) + 1):
-        for chosen in combinations(others, size):
-            if expectations[bits[feature] + sum(bits[n] for n in chosen)] is None:
-                raise ZeroMassEventError.pinned(request.entity, (feature, *chosen))
+    chosen = games.least_contingency(
+        sorted(n for n in request.distribution.space.names if n != feature),
+        lambda s: expectations[bits[feature] + sum(bits[n] for n in s)] is None,
+    )
+    raise ZeroMassEventError.pinned(request.entity, (feature, *chosen))
 
 
 def _check_enumerable(request: ExplanationRequest, budget: int) -> None:
@@ -286,9 +282,7 @@ def _check_enumerable(request: ExplanationRequest, budget: int) -> None:
     n = request.entity.width
     games.check_budget(n, budget)
     if request.distribution.finite_support is None:
-        # Evaluated one by one, the game's first coalitions are a singleton
-        # and the empty set: the first of them too wide to enumerate fails.
-        check_free_width(n - 1 if n - 1 > WIDTH_LIMIT else n)
+        check_free_width(n)
 
 
 def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None]:

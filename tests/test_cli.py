@@ -204,10 +204,9 @@ def test_budget_env_override(capsys, data_dir, monkeypatch):
     assert code == 0
 
 
-GAME_BUDGET_ERROR = (
-    "xscore: error: exact enumeration needs {} coalition evaluations, "
-    "budget is {}; use shapley_monte_carlo instead\n"
-)
+def enumeration_error(n, budget):
+    """The one refusal of every exact kind: 2^n cases past the budget."""
+    return f"xscore: error: exact enumeration needs 2^{n} = {2**n} cases, budget is {budget}\n"
 
 
 def _assert_budget_edge(capsys, argv, failing, message):
@@ -222,7 +221,7 @@ def _assert_budget_edge(capsys, argv, failing, message):
 def test_budget_edge_banzhaf_query_counts_every_tuple(capsys, data_dir):
     # The query game has all six ex1 tuples as players: 2^6 coalitions.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "banzhaf"), 63, GAME_BUDGET_ERROR.format(64, 63)
+        capsys, db_args(data_dir, "--kinds", "banzhaf"), 63, enumeration_error(6, 63)
     )
 
 
@@ -232,7 +231,7 @@ def test_budget_edge_causal_effect_counts_intervened_support(capsys, data_dir):
         capsys,
         db_args(data_dir, "--kinds", "causal_effect"),
         7,
-        "xscore: error: lineage support of 3 needs 8 valuations, budget is 7\n",
+        enumeration_error(3, 7),
     )
     # Here only the do(t=0) lineages keep three tuples.
     argv = (
@@ -244,9 +243,7 @@ def test_budget_edge_causal_effect_counts_intervened_support(capsys, data_dir):
         "--kinds",
         "causal_effect",
     )
-    _assert_budget_edge(
-        capsys, argv, 7, "xscore: error: lineage support of 3 needs 8 valuations, budget is 7\n"
-    )
+    _assert_budget_edge(capsys, argv, 7, enumeration_error(3, 7))
 
 
 def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
@@ -260,7 +257,7 @@ def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
         "--kinds",
         "shapley",
     )
-    _assert_budget_edge(capsys, argv, 15, GAME_BUDGET_ERROR.format(16, 15))
+    _assert_budget_edge(capsys, argv, 15, enumeration_error(4, 15))
 
 
 RESPONSIBILITY_BUDGET_ERROR = (
@@ -420,11 +417,11 @@ def ml_args(data_dir, *extra):
 def test_budget_edge_ml_shap_counts_coalitions(capsys, data_dir, monkeypatch, skip):
     # Three features: 2^3 coalitions, with or without zero-mass skipping.
     argv = ml_args(data_dir, "--kinds", "shap", *skip)
-    _assert_budget_edge(capsys, argv, 7, GAME_BUDGET_ERROR.format(8, 7))
+    _assert_budget_edge(capsys, argv, 7, enumeration_error(3, 7))
     monkeypatch.setenv("XSCORE_BUDGET", "7")
     code, out = run(capsys, *argv)
     assert code == cli.EXIT_BUDGET
-    assert out.err == GAME_BUDGET_ERROR.format(8, 7)
+    assert out.err == enumeration_error(3, 7)
     monkeypatch.setenv("XSCORE_BUDGET", "8")
     assert run(capsys, *argv)[0] == 0
 
@@ -433,7 +430,7 @@ def test_ml_shap_refusal_comes_before_other_kinds(capsys, data_dir):
     # RESP would exit 3 on its second candidate; SHAP's 2^n check runs first.
     code, out = run(capsys, *ml_args(data_dir, "--kinds", "shap,counter,resp", "--budget", "1"))
     assert code == cli.EXIT_BUDGET
-    assert out.err == GAME_BUDGET_ERROR.format(8, 1)
+    assert out.err == enumeration_error(3, 1)
 
 
 def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
@@ -644,6 +641,31 @@ def test_ml_scores_entity_width_mismatch(capsys, data_dir):
     code, out = run(capsys, *ml_args(data_dir)[:-1], "01")
     assert code == cli.EXIT_PARSE
     assert "bits" in out.err
+
+
+def test_negative_budget_and_contingency_cap_exit_1(capsys, data_dir, monkeypatch):
+    budget_error = "xscore: error: budget must be non-negative, got -1\n"
+    for argv in (db_args(data_dir), ml_args(data_dir)):
+        code, out = run(capsys, *argv, "--budget", "-1")
+        assert (code, out.err) == (cli.EXIT_PARSE, budget_error)
+        monkeypatch.setenv("XSCORE_BUDGET", "-1")
+        code, out = run(capsys, *argv)
+        assert (code, out.err) == (cli.EXIT_PARSE, budget_error)
+        monkeypatch.delenv("XSCORE_BUDGET")
+    code, out = run(capsys, *ml_args(data_dir, "--kinds", "resp", "--max-contingency", "-1"))
+    assert code == cli.EXIT_PARSE
+    assert out.err == "xscore: error: max_contingency must be non-negative, got -1\n"
+
+
+def test_rational_flags_report_parse_errors(capsys, data_dir):
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError.
+    for text in ("1/0", "half"):
+        probability = db_args(data_dir, "--kinds", "causal_effect", "--probability", text)
+        marginals = ml_args(data_dir, "--distribution", "product", "--marginals", f"0,{text},1")
+        for flag, argv in (("--probability", probability), ("--marginals", marginals)):
+            code, out = run(capsys, *argv)
+            assert code == cli.EXIT_PARSE
+            assert out.err == f"xscore: error: {flag} expects a rational number, got {text!r}\n"
 
 
 # ---------------------------------------------------------------------------

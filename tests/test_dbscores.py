@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -123,6 +124,21 @@ def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
     with pytest.raises(BudgetExceededError, match="more than 1 candidate sets"):
         _responsibility(ex1_db, ex1_query, "R(a,b)", budget=1)
     assert _responsibility(ex1_db, ex1_query, "R(a,b)", budget=2) == Fraction(1, 2)
+
+
+def test_contingency_memo_stays_small_up_to_the_budget():
+    # T:1 .. T:23 are never pivotal, so the batch tests candidates up to
+    # the budget; the truth memo keys on the small removed sets.
+    db = Database.from_dict({"T": [(str(i),) for i in range(24)]})
+    lineage = parse_lineage("T:0 | (" + " & ".join(f"T:{i}" for i in range(24)) + ")", db)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            lineage_causes(lineage, budget=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

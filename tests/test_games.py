@@ -18,6 +18,7 @@ from xscore.games import (
     PlayerNotInGameError,
     banzhaf_all,
     banzhaf_exact,
+    least_contingency,
     sample_count,
     shapley_all,
     shapley_exact,
@@ -112,6 +113,33 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         banzhaf_exact(small, 0, budget=4)
     assert shapley_exact(small, 0, budget=8) == 1
+
+
+BY_SIZE = [(), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")]
+
+
+@pytest.mark.parametrize(
+    "cap, target, found, tested",
+    [
+        (0, (), (), 1),  # the empty contingency is tried first
+        (0, ("a",), None, 1),
+        (1, ("a", "b"), None, 4),
+        (None, ("b", "c"), ("b", "c"), 7),
+        (5, ("a", "b", "c"), ("a", "b", "c"), 8),  # a cap past len(others)
+        (None, ("d",), None, 8),  # no hit
+    ],
+)
+def test_least_contingency(cap, target, found, tested):
+    log = []
+
+    def hits(chosen):
+        log.append(chosen)
+        return chosen == target
+
+    got = least_contingency(("a", "b", "c"), hits, cap, charge=lambda: log.append("charge"))
+    assert got == found
+    # By size, then in combinations order, with one charge before each test.
+    assert log == [step for chosen in BY_SIZE[:tested] for step in ("charge", chosen)]
 
 
 @given(st.integers(0, 10**9), st.integers(1, 6))
