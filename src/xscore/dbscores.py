@@ -296,40 +296,28 @@ def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) ->
     (present, absent) polynomials of tuple t, and every valuation of
     `names` that satisfies the node adds the product of its tuples'
     weights.  `names` must hold the node's variables; each distinct
-    sub-formula is expanded once per memo.
+    sub-formula is Shannon-expanded once per memo, on the tuple occurring
+    most often in it (least id on ties).
     """
     got = memo.get(node)
     if got is None:
-        got = memo[node] = _shannon(node, weight, memo)
+        if isinstance(node, formula.Const):
+            got = frozenset(), [int(node.value)]
+        else:
+            occurrences = Counter(formula.occurrences(node))
+            pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
+            own = frozenset(occurrences)
+            total = [0]
+            for value, w in zip((True, False), weight(pivot)):
+                branch = formula.substitute(node, {pivot: value})
+                count = _weighted_count(branch, own - {pivot}, weight, memo)
+                total = _poly_add(total, _poly_mul(w, count))
+            got = own, total
+        memo[node] = got
     own, count = got
     for t in names - own:  # a tuple the node ignores may take either value
         count = _poly_mul(count, _poly_add(*weight(t)))
     return count
-
-
-def _shannon(node: formula.Node, weight, memo: dict) -> tuple[frozenset, list]:
-    # Expand on the tuple occurring most often (least id on ties).
-    if isinstance(node, formula.Const):
-        return frozenset(), [int(node.value)]
-    occurrences = Counter(_leaves(node))
-    pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
-    own = frozenset(occurrences)
-    rest = own - {pivot}
-    total = [0]
-    for value, w in zip((True, False), weight(pivot)):
-        branch = formula.substitute(node, {pivot: value})
-        total = _poly_add(total, _poly_mul(w, _weighted_count(branch, rest, weight, memo)))
-    return own, total
-
-
-def _leaves(node: formula.Node):
-    if isinstance(node, formula.Var):
-        yield node.name
-    elif isinstance(node, formula.Not):
-        yield from _leaves(node.child)
-    elif isinstance(node, (formula.And, formula.Or)):
-        for part in node.parts:
-            yield from _leaves(part)
 
 
 def _by_size(t: str) -> tuple[list[int], list[int]]:

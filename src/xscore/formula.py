@@ -6,7 +6,7 @@ constraints (general formulas over feature names).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Union
+from typing import AbstractSet, Callable, Iterator, Union
 
 from ._lex import ParseError, Token, TokenStream, tokenize
 
@@ -57,21 +57,30 @@ def evaluate(node: Node, true_vars: AbstractSet[str]) -> bool:
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def variables(node: Node) -> frozenset[str]:
+def occurrences(node: Node) -> Iterator[str]:
+    """Each variable name, left to right, once per occurrence."""
     if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Const):
-        return frozenset()
-    if isinstance(node, Not):
-        return variables(node.child)
-    out: set[str] = set()
-    for part in node.parts:
-        out.update(variables(part))
-    return frozenset(out)
+        yield node.name
+    elif isinstance(node, Not):
+        yield from occurrences(node.child)
+    elif isinstance(node, (And, Or)):
+        for part in node.parts:
+            yield from occurrences(part)
+
+
+def variables(node: Node) -> frozenset[str]:
+    return frozenset(occurrences(node))
 
 
 def substitute(node: Node, assignment: dict[str, bool]) -> Node:
-    """Replace named variables by constants, then constant-propagate."""
+    """Replace named variables by constants, constant-propagating as the
+    tree is rebuilt.
+
+    A part that absorbs its connective (true in an Or, false in an And)
+    replaces it, neutral constants are dropped, a connective left with one
+    part is unwrapped and a negated constant folds; the rest of the
+    structure is kept.
+    """
     if isinstance(node, Var):
         if node.name in assignment:
             return TRUE if assignment[node.name] else FALSE
@@ -79,31 +88,15 @@ def substitute(node: Node, assignment: dict[str, bool]) -> Node:
     if isinstance(node, Const):
         return node
     if isinstance(node, Not):
-        return simplify(Not(substitute(node.child, assignment)))
-    parts = tuple(substitute(p, assignment) for p in node.parts)
-    return simplify(type(node)(parts))
-
-
-def simplify(node: Node) -> Node:
-    """Constant propagation only; non-constant structure is preserved.
-
-    Singleton conjunctions/disjunctions are unwrapped so substitution
-    results read naturally.
-    """
-    if isinstance(node, (Var, Const)):
-        return node
-    if isinstance(node, Not):
-        child = simplify(node.child)
-        if isinstance(child, Const):
-            return Const(not child.value)
-        return Not(child)
-    parts = tuple(simplify(p) for p in node.parts)
-    absorbing = isinstance(node, Or)  # a true part absorbs an Or, false an And
+        child = substitute(node.child, assignment)
+        return Const(not child.value) if isinstance(child, Const) else Not(child)
+    absorbing = isinstance(node, Or)
     kept = []
-    for part in parts:
+    for part in node.parts:
+        part = substitute(part, assignment)
         if isinstance(part, Const):
             if part.value == absorbing:
-                return Const(absorbing)
+                return part
             continue
         kept.append(part)
     if not kept:

@@ -11,7 +11,9 @@ valuation of the support instead of counting by Shannon expansion; the
 Monte Carlo oracle redraws every order for each player on its own; the SHAP
 oracle plays the coalition game with one conditional expectation per
 coalition instead of one table; the RESP oracle tries every replacement
-vector of each contingency instead of the one that flips all of it.
+vector of each contingency instead of the one that flips all of it; the
+substitution oracle rebuilds the tree and constant-propagates each rebuilt
+node in a second walk instead of in the same pass.
 """
 from __future__ import annotations
 
@@ -306,6 +308,48 @@ def random_rational_game(rng: random.Random, n: int) -> Game:
         for coalition in combinations(players, size):
             table[frozenset(coalition)] = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
     return Game(players=players, value=lambda s: table[frozenset(s)])
+
+
+def substitute_then_simplify(node: formula.Node, assignment: dict) -> formula.Node:
+    """Replace the assigned variables by constants, rebuilding every node,
+    then constant-propagate each rebuilt node by walking it again."""
+    if isinstance(node, formula.Var):
+        if node.name in assignment:
+            return formula.Const(assignment[node.name])
+        return node
+    if isinstance(node, formula.Const):
+        return node
+    if isinstance(node, formula.Not):
+        return _simplify(formula.Not(substitute_then_simplify(node.child, assignment)))
+    parts = tuple(substitute_then_simplify(p, assignment) for p in node.parts)
+    return _simplify(type(node)(parts))
+
+
+def _simplify(node: formula.Node) -> formula.Node:
+    # Constant propagation only: a true part makes an Or true and a false
+    # part an And false, the other constants drop out, and a connective
+    # left with one part is unwrapped.
+    if isinstance(node, (formula.Var, formula.Const)):
+        return node
+    if isinstance(node, formula.Not):
+        child = _simplify(node.child)
+        if isinstance(child, formula.Const):
+            return formula.Const(not child.value)
+        return formula.Not(child)
+    parts = tuple(_simplify(p) for p in node.parts)
+    absorbing = isinstance(node, formula.Or)
+    kept = []
+    for part in parts:
+        if isinstance(part, formula.Const):
+            if part.value == absorbing:
+                return formula.Const(absorbing)
+            continue
+        kept.append(part)
+    if not kept:
+        return formula.Const(not absorbing)
+    if len(kept) == 1:
+        return kept[0]
+    return type(node)(tuple(kept))
 
 
 def random_nested_lineage(rng: random.Random, ids, depth: int = 3) -> formula.Node:

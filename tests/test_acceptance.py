@@ -138,12 +138,9 @@ def test_criterion_07_monte_carlo_shapley(ex1_db, ex1_query):
         game = dbscores.query_game(ex1_db, ex1_query)
         exact = games.shapley_all(game)
         epsilon = delta = 0.05
+        runs = [games.shapley_monte_carlo_all(game, epsilon, delta, seed) for seed in range(100)]
         for tid in game.players:
-            hits = 0
-            for seed in range(100):
-                estimate = games.shapley_monte_carlo(game, tid, epsilon, delta, seed)
-                if abs(estimate - float(exact[tid])) <= epsilon:
-                    hits += 1
+            hits = sum(abs(run[tid] - float(exact[tid])) <= epsilon for run in runs)
             assert hits >= 95, f"{tid}: only {hits}/100 runs within ±{epsilon}"
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -410,6 +411,16 @@ def test_external_width_mismatch(data_dir):
 def test_external_bad_handshake():
     with pytest.raises(ClassifierProtocolError, match="handshake"):
         ExternalClassifier([sys.executable, "-c", "print('hello there')"])
+
+
+@pytest.mark.parametrize(
+    "width,message",
+    [("abc", r"bad handshake width in 'xscore-clf v1 n=abc\n'"), ("0", "bad handshake width 0")],
+)
+def test_external_bad_handshake_width(width, message):
+    code = f"print('xscore-clf v1 n={width}', flush=True)"
+    with pytest.raises(ClassifierProtocolError, match=f"^{re.escape(message)}$"):
+        ExternalClassifier([sys.executable, "-c", code])
 
 
 def test_external_unreachable_command():

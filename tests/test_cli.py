@@ -657,6 +657,16 @@ def test_negative_budget_and_contingency_cap_exit_1(capsys, data_dir, monkeypatc
     assert out.err == "xscore: error: max_contingency must be non-negative, got -1\n"
 
 
+def test_non_integer_budget_variable_exits_1(capsys, data_dir, monkeypatch):
+    monkeypatch.setenv("XSCORE_BUDGET", "abc")
+    for argv in (db_args(data_dir), ml_args(data_dir)):
+        code, out = run(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out.err == (
+            "xscore: error: $XSCORE_BUDGET expects a non-negative integer, got 'abc'\n"
+        )
+
+
 def test_rational_flags_report_parse_errors(capsys, data_dir):
     # Fraction("1/0") raises ZeroDivisionError, not ValueError.
     for text in ("1/0", "half"):

@@ -47,6 +47,9 @@ CASES = [
     f"{EX6} --constraint 'F1 &'",
     f"{EX6} --constraint 'F9'",
     f"{EX6} --constraint 'F1 F2'",
+    f"{EX6} {WITHOUT_ENTITY} --skip-zero-mass --format table",
+    "analyze --query 'Q() :- S(x), R(x,y), S(y)' --format table",
+    f"lineage {EX1} --query 'Q() :- S(x), R(x,y), S(y)' --format table",
 ]
 
 

@@ -16,8 +16,9 @@ from oracles import (
     random_nested_lineage,
     random_sjf_query,
     shapley_by_permutations,
+    substitute_then_simplify,
 )
-from xscore import dbscores, games, reldb
+from xscore import dbscores, formula, games, reldb
 from xscore.dbscores import (
     NonNumericValueError,
     NothingToExplainError,
@@ -170,6 +171,26 @@ def test_intervene_vacuous_warns(path_db, path_lineage):
 def test_intervene_rejects_non_bit(path_lineage):
     with pytest.raises(ValueError):
         intervene(path_lineage, "t1", 2)
+
+
+FORMULA_NAMES = ("a", "b", "c", "d")
+FORMULAS = st.recursive(
+    st.one_of(st.sampled_from(FORMULA_NAMES).map(formula.Var), st.booleans().map(formula.Const)),
+    lambda parts: st.one_of(
+        parts.map(formula.Not),
+        st.lists(parts, max_size=3).map(lambda ps: formula.And(tuple(ps))),
+        st.lists(parts, max_size=3).map(lambda ps: formula.Or(tuple(ps))),
+    ),
+    max_leaves=12,
+)
+
+
+@given(FORMULAS, st.dictionaries(st.sampled_from(FORMULA_NAMES), st.booleans()))
+@settings(max_examples=300)
+def test_substitute_matches_two_pass_oracle(node, assignment):
+    # Negations, constant leaves and connectives of zero or one part are
+    # drawn on purpose: no compiled or parsed lineage holds them.
+    assert formula.substitute(node, assignment) == substitute_then_simplify(node, assignment)
 
 
 def test_lineage_probability_worked_example(ce_db, ce_query):
