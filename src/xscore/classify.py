@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-import select
-import subprocess
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +99,8 @@ class Entity:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        # Counted in C: a bit equal to neither 0 nor 1 is left over.
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError(f"entity bits must be 0/1, got {self.bits!r}")
 
     @classmethod
@@ -208,6 +207,7 @@ class ExternalClassifier(Classifier):
     """
 
     def __init__(self, command: Sequence[str], expected_width: int | None = None):
+        import subprocess
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -256,6 +256,7 @@ class ExternalClassifier(Classifier):
         """The child's next output line ("" at end of file, as `readline`
         gives).  Past `RESPONSE_DEADLINE_S` without a full line the child
         is killed and the read fails."""
+        import select
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + RESPONSE_DEADLINE_S
         while b"\n" not in self._pending:
@@ -280,6 +281,7 @@ class ExternalClassifier(Classifier):
             except OSError:
                 pass
         if self._proc.poll() is None:
+            import subprocess
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:

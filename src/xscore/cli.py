@@ -9,22 +9,22 @@ exact rationals serialized as "p/q" strings, or a plain text table.
 Exit codes: 0 success; 1 parse/input errors; 2 query false (nothing to
 explain); 3 budget exceeded; 4 external-classifier protocol failure;
 5 zero-mass event or inconsistent constraint.
+
+A start loads only what its subcommand runs: each handler imports its own
+modules, and heavy stdlib imports sit at their single point of use.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import shlex
 import sys
-import tempfile
 import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, classify, dbscores, games, mlscores, reldb
-from ._lex import ParseError
+from . import __version__
 
 SCHEMA = "xscore/1"
 
@@ -34,19 +34,6 @@ EXIT_QUERY_FALSE = 2
 EXIT_BUDGET = 3
 EXIT_PROTOCOL = 4
 EXIT_ZERO_MASS = 5
-
-_EXIT_BY_EXCEPTION: list[tuple[type[BaseException], int]] = [
-    (dbscores.NothingToExplainError, EXIT_QUERY_FALSE),
-    (games.BudgetExceededError, EXIT_BUDGET),
-    (classify.WidthLimitError, EXIT_BUDGET),
-    (classify.ClassifierProtocolError, EXIT_PROTOCOL),
-    (classify.ZeroMassEventError, EXIT_ZERO_MASS),
-    (classify.InconsistentConstraintError, EXIT_ZERO_MASS),
-    (ParseError, EXIT_PARSE),
-    (reldb.DatabaseError, EXIT_PARSE),
-    (OSError, EXIT_PARSE),
-    (ValueError, EXIT_PARSE),
-]
 
 DB_KINDS = ("responsibility", "causal_effect", "shapley", "banzhaf")
 
@@ -65,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="cap on exact enumeration size (default: $XSCORE_BUDGET or 2^25)",
+        help="cap on exact enumeration cases, contingency candidates and Monte Carlo "
+        "game evaluations (default: $XSCORE_BUDGET or 2^25)",
     )
     common.add_argument("--seed", type=int, default=0, help="RNG seed for approximate modes")
     common.add_argument("--output", type=Path, default=None, help="write the report to this path")
@@ -166,11 +154,11 @@ def main(argv: list[str] | None = None) -> int:
             records = args.handler(args)
         warning_texts = [str(w.message) for w in caught]
     except Exception as exc:  # noqa: BLE001 - mapped to the exit-code taxonomy
-        for kind, code in _EXIT_BY_EXCEPTION:
-            if isinstance(exc, kind):
-                print(f"xscore: error: {exc}", file=sys.stderr)
-                return code
-        raise
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"xscore: error: {exc}", file=sys.stderr)
+        return code
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -182,6 +170,25 @@ def main(argv: list[str] | None = None) -> int:
     }
     _emit(report, args)
     return EXIT_OK
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of the first error class `exc` belongs to, or None."""
+    from . import classify, dbscores, games, reldb
+    from ._lex import ParseError
+    codes = (
+        (dbscores.NothingToExplainError, EXIT_QUERY_FALSE),
+        (games.BudgetExceededError, EXIT_BUDGET),
+        (classify.WidthLimitError, EXIT_BUDGET),
+        (classify.ClassifierProtocolError, EXIT_PROTOCOL),
+        (classify.ZeroMassEventError, EXIT_ZERO_MASS),
+        (classify.InconsistentConstraintError, EXIT_ZERO_MASS),
+        (ParseError, EXIT_PARSE),
+        (reldb.DatabaseError, EXIT_PARSE),
+        (OSError, EXIT_PARSE),
+        (ValueError, EXIT_PARSE),
+    )
+    return next((code for kind, code in codes if isinstance(exc, kind)), None)
 
 
 def _config_echo(args) -> dict:
@@ -205,6 +212,7 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_db_scores(args) -> list[dict]:
+    from . import dbscores, games
     budget = _budget(args)
     db = _load_relations(args.relation)
     lineage, query = _resolve_query_or_lineage(args, db)
@@ -225,7 +233,7 @@ def _cmd_db_scores(args) -> list[dict]:
                 records.append(_cause_record(report))
             continue
         if kind == "shapley" and args.mode == "approx":
-            records.extend(_monte_carlo_records(args, all_ids, lineage, query, players))
+            records.extend(_monte_carlo_records(args, all_ids, lineage, query, players, budget))
             continue
         if kind == "causal_effect":
             dbscores.check_intervention_budget(lineage, probability, budget)
@@ -250,17 +258,19 @@ def _cmd_db_scores(args) -> list[dict]:
 
 
 def _require_boolean(query) -> None:
+    from . import dbscores
     # Only a query game needs a Boolean query; a lineage game has none.
     if query is not None:
         dbscores.require_boolean(query)
 
 
-def _monte_carlo_records(args, all_ids, lineage, query, players) -> list[dict]:
+def _monte_carlo_records(args, all_ids, lineage, query, players, budget) -> list[dict]:
+    from . import dbscores, games
     if args.epsilon is None or args.delta is None:
         raise ValueError("--mode approx needs --epsilon and --delta")
     _require_boolean(query)
     game = dbscores.lineage_game(lineage, players)
-    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed)
+    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, budget)
     samples = games.sample_count(args.epsilon, args.delta)
     settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
@@ -272,6 +282,7 @@ def _monte_carlo_records(args, all_ids, lineage, query, players) -> list[dict]:
 
 
 def _cmd_ml_scores(args) -> list[dict]:
+    from . import classify, mlscores
     budget = _budget(args)
     kinds = _split_kinds(args.kinds, mlscores.SCORE_KINDS)
     space, classifier, sample = _resolve_classifier(args)
@@ -299,6 +310,7 @@ def _cmd_ml_scores(args) -> list[dict]:
 
 
 def _cmd_analyze(args) -> list[dict]:
+    from . import reldb
     query = reldb.parse_query(args.query)
     analysis = reldb.analyze(query)
     return [
@@ -316,6 +328,7 @@ def _cmd_analyze(args) -> list[dict]:
 
 
 def _cmd_lineage(args) -> list[dict]:
+    from . import reldb
     db = _load_relations(args.relation)
     query = reldb.parse_query(args.query)
     lineage = reldb.compile_lineage(db, query)
@@ -335,6 +348,7 @@ def _cmd_lineage(args) -> list[dict]:
 
 
 def _budget(args) -> int:
+    from . import games
     budget = args.budget
     if budget is None:
         env = os.environ.get("XSCORE_BUDGET")
@@ -356,7 +370,8 @@ def _rational_arg(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag} expects a rational number, got {text!r}") from exc
 
 
-def _load_relations(specs: list[str]) -> reldb.Database:
+def _load_relations(specs: list[str]):
+    from . import reldb
     if not specs:
         raise ValueError("at least one --relation NAME=CSV is required")
     paths: dict[str, str] = {}
@@ -371,6 +386,7 @@ def _load_relations(specs: list[str]) -> reldb.Database:
 
 
 def _resolve_query_or_lineage(args, db):
+    from . import dbscores, reldb
     sources = [
         s for s in (args.query, args.query_file, args.lineage, args.lineage_file) if s is not None
     ]
@@ -397,6 +413,7 @@ def _split_kinds(text: str, allowed) -> list[str]:
 
 
 def _resolve_classifier(args):
+    from . import classify
     if args.classifier is not None and args.classifier_cmd is not None:
         raise ValueError("--classifier and --classifier-cmd are mutually exclusive")
     sample = None
@@ -408,6 +425,7 @@ def _resolve_classifier(args):
             raise ValueError("--features conflicts with --classifier (header names win)")
         return space, clf, sample
     if args.classifier_cmd is not None:
+        import shlex
         clf = classify.ExternalClassifier(shlex.split(args.classifier_cmd))
         names = (
             tuple(n.strip() for n in args.features.split(","))
@@ -435,6 +453,7 @@ def _resolve_classifier(args):
 
 
 def _resolve_distribution(args, space, sample):
+    from . import classify
     if args.distribution == "uniform":
         return classify.UniformDistribution(space)
     if args.distribution == "empirical":
@@ -459,6 +478,7 @@ def _check_sample_space(space, sample):
 
 
 def _apply_constraints(args, space, distribution):
+    from . import classify
     texts = list(args.constraint)
     if args.constraint_file is not None:
         for line in args.constraint_file.read_text().splitlines():
@@ -481,7 +501,7 @@ def _rational(value) -> dict:
     return {"value": repr(float(value)), "value_float": float(value)}
 
 
-def _cause_record(report: dbscores.CauseReport) -> dict:
+def _cause_record(report) -> dict:
     record = {
         "type": "cause_report",
         "tuple": report.tuple_id,
@@ -511,7 +531,7 @@ def _score_record(tuple_id: str, kind: str, value, **monte_carlo) -> dict:
     return record
 
 
-def _feature_record(score: mlscores.FeatureScore) -> dict:
+def _feature_record(score) -> dict:
     record = {
         "type": "feature_score",
         "feature": score.feature,
@@ -545,6 +565,7 @@ def _emit(report: dict, args) -> None:
     if args.output is None:
         sys.stdout.write(text)
         return
+    import tempfile
     # Atomic write: same-directory temp file, then rename.
     directory = args.output.parent
     directory.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,6 @@ estimate for games too large to enumerate.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -113,7 +112,9 @@ def shapley_monte_carlo(
     return shapley_monte_carlo_all(game, epsilon, delta, seed)[player]
 
 
-def shapley_monte_carlo_all(game: Game, epsilon: float, delta: float, seed: int) -> dict:
+def shapley_monte_carlo_all(
+    game: Game, epsilon: float, delta: float, seed: int, budget: int = DEFAULT_BUDGET
+) -> dict:
     """Monte Carlo Shapley estimates for every player from shared orders.
 
     Averages each player's marginal contribution over `sample_count(
@@ -125,11 +126,17 @@ def shapley_monte_carlo_all(game: Game, epsilon: float, delta: float, seed: int)
     Each sample's order is drawn from an RNG derived from (seed, sample
     index), so results are reproducible and independent of how the sample
     range might be partitioned across workers.  One walk over the order's
-    prefixes credits every player with its marginal contribution.
+    prefixes credits every player with its marginal contribution.  When
+    samples x players game evaluations exceed `budget`, it raises
+    `BudgetExceededError` before the first sample.
     """
     m = sample_count(epsilon, delta)
-    value = _memoized(game)
     players = list(game.players)
+    if m * len(players) > budget:
+        raise BudgetExceededError(
+            f"Monte Carlo needs {m} x {len(players)} game evaluations, budget is {budget}"
+        )
+    value = _memoized(game)
     totals = dict.fromkeys(players, Fraction(0))
     for index in range(m):
         rng = random.Random(_derived_seed(seed, index))
@@ -200,6 +207,7 @@ def _memoized(game: Game) -> Callable[[Coalition], Fraction]:
 
 
 def _derived_seed(seed: int, index: int) -> int:
+    import hashlib
     # hash() is randomized per process; use a stable digest instead.
     digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -49,9 +49,13 @@ def test_entity_basics():
     assert e.flip(0) == Entity((1, 1, 1))
     assert e.with_bits({1: 0, 2: 0}) == Entity((0, 0, 0))
     with pytest.raises(ValueError):
-        Entity((0, 2))
-    with pytest.raises(ValueError):
         Entity.from_bits("01x")
+
+
+@pytest.mark.parametrize("bits", [(0, 2), (0, "1"), (None,), (1, 0.5)])
+def test_entity_rejects_non_bits(bits):
+    with pytest.raises(ValueError, match="entity bits must be 0/1"):
+        Entity(bits)
 
 
 def test_feature_space_validation():

@@ -207,6 +207,15 @@ def test_invalid_epsilon_delta():
         shapley_monte_carlo(game, "p1", 0.1, 1.0, seed=1)
 
 
+def test_monte_carlo_charges_samples_times_players_up_front():
+    game = and_game()  # 185 samples at (0.1, 0.05)
+    needed = sample_count(0.1, 0.05) * len(game.players)
+    assert shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, budget=needed)
+    message = f"185 x 2 game evaluations, budget is {needed - 1}"
+    with pytest.raises(BudgetExceededError, match=message):
+        shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, budget=needed - 1)
+
+
 def test_monte_carlo_constant_game_is_exactly_zero():
     game = Game(players=(1, 2, 3), value=lambda s: 4)
     result = shapley_monte_carlo(game, 2, epsilon=0.5, delta=0.4, seed=11)
