@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import formula
 from ._lex import ParseError
@@ -518,12 +518,14 @@ def conditional_expectation(
     classifier: Classifier,
     entity: Entity,
     fixed: Iterable[str],
+    charge: Callable | None = None,
 ) -> Fraction:
     """Expected label when the features in `fixed` are pinned to the
     reference entity's values and the rest vary under `dist`.
 
     Exact rational; raises `ZeroMassEventError` when the conditioning
     event has no mass (possible under empirical and conditioned variants).
+    `charge()`, when given, is called for each entity weighed.
     """
     space = dist.space
     if classifier.width != space.width:
@@ -533,6 +535,8 @@ def conditional_expectation(
     numerator = Fraction(0)
     mass = Fraction(0)
     for candidate in _agreeing_entities(dist, entity, fixed_indices):
+        if charge is not None:
+            charge()
         p = dist.prob(candidate)
         if p == 0:
             continue

@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="cap on exact enumeration cases, contingency candidates and Monte Carlo "
-        "game evaluations (default: $XSCORE_BUDGET or 2^25)",
+        help="cap on the units of work one run charges over all its kinds "
+        "(default: $XSCORE_BUDGET or 2^25)",
     )
     common.add_argument("--seed", type=int, default=0, help="RNG seed for approximate modes")
     common.add_argument("--output", type=Path, default=None, help="write the report to this path")
@@ -213,35 +213,32 @@ def _config_echo(args) -> dict:
 
 def _cmd_db_scores(args) -> list[dict]:
     from . import dbscores, games
-    budget = _budget(args)
+    charge = games.meter(_budget(args))
     db = _load_relations(args.relation)
     lineage, query = _resolve_query_or_lineage(args, db)
     kinds = _split_kinds(args.kinds, DB_KINDS)
     if args.mode == "exact" and (args.epsilon is not None or args.delta is not None):
         raise ValueError("--epsilon/--delta are only valid with --mode approx")
-    probability = _rational_arg("--probability", args.probability) if args.probability else None
+    probability = None
+    if args.probability:
+        probability = _rational_arg("--probability", args.probability)
+        dbscores.check_probability(probability)
 
     all_ids = db.tuple_ids()
-    # The query game plays every tuple of the instance, the lineage game
-    # only the support; tuples outside the support are null players.
-    players = all_ids if query is not None else sorted(lineage.support())
     swings = None  # counted once, shared by the exact kinds
     records: list[dict] = []
     for kind in kinds:
         if kind == "responsibility":
-            for report in dbscores.lineage_causes(lineage, all_ids, budget):
+            for report in dbscores.lineage_causes(lineage, all_ids, charge):
                 records.append(_cause_record(report))
             continue
         if kind == "shapley" and args.mode == "approx":
-            records.extend(_monte_carlo_records(args, all_ids, lineage, query, players, budget))
+            records.extend(_monte_carlo_records(args, all_ids, lineage, query, charge))
             continue
-        if kind == "causal_effect":
-            dbscores.check_intervention_budget(lineage, probability, budget)
-        else:
+        if kind != "causal_effect":
             _require_boolean(query)
-            games.check_budget(len(players), budget)
         if swings is None:
-            swings = dbscores.swing_counts(lineage)
+            swings = dbscores.swing_counts(lineage, charge)
         values = dbscores.swing_scores(swings, kind, probability)
         for tid in all_ids:
             value = values.get(tid, Fraction(0))
@@ -264,13 +261,16 @@ def _require_boolean(query) -> None:
         dbscores.require_boolean(query)
 
 
-def _monte_carlo_records(args, all_ids, lineage, query, players, budget) -> list[dict]:
+def _monte_carlo_records(args, all_ids, lineage, query, charge) -> list[dict]:
     from . import dbscores, games
     if args.epsilon is None or args.delta is None:
         raise ValueError("--mode approx needs --epsilon and --delta")
     _require_boolean(query)
+    # The query game plays every tuple of the instance, the lineage game
+    # only the support; tuples outside the support are null players.
+    players = all_ids if query is not None else sorted(lineage.support())
     game = dbscores.lineage_game(lineage, players)
-    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, budget)
+    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, charge)
     samples = games.sample_count(args.epsilon, args.delta)
     settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
@@ -282,8 +282,8 @@ def _monte_carlo_records(args, all_ids, lineage, query, players, budget) -> list
 
 
 def _cmd_ml_scores(args) -> list[dict]:
-    from . import classify, mlscores
-    budget = _budget(args)
+    from . import classify, games, mlscores
+    charge = games.meter(_budget(args))
     kinds = _split_kinds(args.kinds, mlscores.SCORE_KINDS)
     space, classifier, sample = _resolve_classifier(args)
     try:
@@ -302,7 +302,7 @@ def _cmd_ml_scores(args) -> list[dict]:
             max_contingency=args.max_contingency,
             skip_zero_mass=args.skip_zero_mass,
         )
-        scores = mlscores.score_all(request, kinds, budget)
+        scores = mlscores.score_all(request, kinds, charge)
     finally:
         if isinstance(classifier, classify.ExternalClassifier):
             classifier.close()

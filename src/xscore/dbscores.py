@@ -19,7 +19,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import formula, games
 from .games import Game
@@ -45,7 +45,7 @@ __all__ = [
     "causal_effect",
     "swing_counts",
     "swing_scores",
-    "check_intervention_budget",
+    "check_probability",
     "require_boolean",
     "query_game",
     "lineage_game",
@@ -102,21 +102,20 @@ def causes(db: Database, query: ConjunctiveQuery) -> list[CauseReport]:
 def lineage_causes(
     lineage: Lineage,
     tuple_ids: Iterable[str] | None = None,
-    budget: int = games.DEFAULT_BUDGET,
+    charge: Callable | None = None,
 ) -> list[CauseReport]:
     """Causal reports computed directly from a lineage formula.
 
     `tuple_ids` defaults to the lineage support; pass the full instance's
     ids to also report the (zero) scores of unmentioned tuples.  Each
-    contingency candidate tested costs one unit of `budget`, summed over
-    the batch; the first candidate past it raises `BudgetExceededError`.
+    contingency candidate tested is charged.
     """
     support = lineage.support()
     if not lineage.evaluate(support):
         raise NothingToExplainError("lineage is false even with every tuple present")
     players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
     truth = _memoized_truth(lineage)
-    charge = games.candidate_meter(budget)
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
     return [_cause_of(support, tid, truth, charge) for tid in players]
 
 
@@ -186,22 +185,22 @@ def intervene(lineage: Lineage, tuple_id: str, value: int) -> Lineage:
 def lineage_probability(
     lineage: Lineage,
     probabilities: Mapping[str, Fraction] | Fraction | None = None,
-    budget: int = games.DEFAULT_BUDGET,
+    charge: Callable | None = None,
 ) -> Fraction:
     """Probability that the lineage is true under independent tuple variables.
 
     Each tuple is present with its own probability (default 1/2 for all).
     Computed exactly by Shannon expansion, P = p_t P(f|t=1) + (1 - p_t)
-    P(f|t=0); the budget caps 2^|support| valuations, checked up front.
+    P(f|t=0), which charges one unit per product it takes.
     """
     support = lineage.support()
     prob = _probability_table(sorted(support), probabilities)
-    games.check_budget(len(support), budget)
 
     def weight(t):
         return [prob[t]], [1 - prob[t]]
 
-    (total,) = _weighted_count(lineage.root, support, weight, {})
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    (total,) = _weighted_count(lineage.root, support, weight, {}, charge)
     return Fraction(total)
 
 
@@ -210,13 +209,13 @@ def causal_effect(
     tuple_id: str,
     query: ConjunctiveQuery | None = None,
     probabilities: Mapping[str, Fraction] | Fraction | None = None,
-    budget: int = games.DEFAULT_BUDGET,
+    charge: Callable | None = None,
 ) -> Fraction:
     """Expected query value under do(X=1) minus under do(X=0).
 
     Accepts a lineage directly, or a database together with `query`.
     Tuples the lineage never mentions have identical intervened formulas,
-    hence effect 0.
+    hence effect 0.  Both `lineage_probability` calls charge one meter.
     """
     if isinstance(source, Database):
         if query is None:
@@ -226,26 +225,29 @@ def causal_effect(
         lineage = source
     if not lineage.mentions(tuple_id):
         return Fraction(0)
-    p_on = lineage_probability(intervene(lineage, tuple_id, 1), probabilities, budget)
-    p_off = lineage_probability(intervene(lineage, tuple_id, 0), probabilities, budget)
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    p_on = lineage_probability(intervene(lineage, tuple_id, 1), probabilities, charge)
+    p_off = lineage_probability(intervene(lineage, tuple_id, 0), probabilities, charge)
     return p_on - p_off
 
 
-def swing_counts(lineage: Lineage) -> dict[str, list[int]]:
+def swing_counts(lineage: Lineage, charge: Callable | None = None) -> dict[str, list[int]]:
     """Swing counts d[k] of every support tuple t, for k = 0 .. m-1.
 
     d[k] is the number of k-sets S of the other m-1 support tuples on
     which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  The
-    cofactors of all tuples share one memo of sub-formula counts.
+    cofactors of all tuples share one memo of sub-formula counts.  Each
+    product of polynomials a and b charges len(a) len(b) units.
     """
     support = lineage.support()
     memo: dict = {}
     counts = {}
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
     for t in sorted(support):
         rest = support - {t}
         on, off = (
-            _weighted_count(formula.substitute(lineage.root, {t: value}), rest, _by_size, memo)
-            for value in (True, False)
+            _weighted_count(formula.substitute(lineage.root, {t: v}), rest, _by_size, memo, charge)
+            for v in (True, False)
         )
         counts[t] = [a - b for a, b in zip(on, off)]
     return counts
@@ -267,29 +269,12 @@ def swing_scores(
     p = HALF
     if kind == "causal_effect" and probability is not None:
         p = Fraction(probability)
-        _check_probability(p)
+        check_probability(p)
     weights = games.size_weights(kind, len(swings), p)
     return {t: sum(w * d for w, d in zip(weights, counts)) for t, counts in swings.items()}
 
 
-def check_intervention_budget(
-    lineage: Lineage, probability: Fraction | None, budget: int
-) -> None:
-    """The up-front checks of `causal_effect` for every support tuple.
-
-    The probability is validated first, then 2^|support| of each tuple's
-    do(t=1) and do(t=0) lineages is checked against the budget, in tuple
-    order.
-    """
-    support = sorted(lineage.support())
-    if support and probability is not None:
-        _check_probability(Fraction(probability))
-    for t in support:
-        for value in (1, 0):
-            games.check_budget(len(intervene(lineage, t, value).support()), budget)
-
-
-def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) -> list:
+def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict, charge) -> list:
     """Weighted model count of `node` over the tuples `names`.
 
     A count is a polynomial as a coefficient list.  `weight(t)` gives the
@@ -297,7 +282,8 @@ def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) ->
     `names` that satisfies the node adds the product of its tuples'
     weights.  `names` must hold the node's variables; each distinct
     sub-formula is Shannon-expanded once per memo, on the tuple occurring
-    most often in it (least id on ties).
+    most often in it (least id on ties).  The products, whose exact
+    multiply-adds dominate the count, are charged to `charge`.
     """
     got = memo.get(node)
     if got is None:
@@ -310,13 +296,13 @@ def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict) ->
             total = [0]
             for value, w in zip((True, False), weight(pivot)):
                 branch = formula.substitute(node, {pivot: value})
-                count = _weighted_count(branch, own - {pivot}, weight, memo)
-                total = _poly_add(total, _poly_mul(w, count))
+                count = _weighted_count(branch, own - {pivot}, weight, memo, charge)
+                total = _poly_add(total, _poly_mul(w, count, charge))
             got = own, total
         memo[node] = got
     own, count = got
     for t in names - own:  # a tuple the node ignores may take either value
-        count = _poly_mul(count, _poly_add(*weight(t)))
+        count = _poly_mul(count, _poly_add(*weight(t)), charge)
     return count
 
 
@@ -331,7 +317,8 @@ def _poly_add(a: list, b: list) -> list:
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def _poly_mul(a: list, b: list) -> list:
+def _poly_mul(a: list, b: list, charge) -> list:
+    charge(len(a) * len(b))
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -379,7 +366,9 @@ def require_boolean(query: ConjunctiveQuery) -> None:
 def summation_game(db: Database, query: ConjunctiveQuery, value_var: str | None = None) -> Game:
     """Aggregation game: the value of a coalition S is the sum, over the
     distinct answers of the query on sub-instance S, of the designated
-    numeric output variable (default: the last head variable)."""
+    numeric output variable (default: the last head variable).  Library
+    only, unused by the CLI: scored by `games.shapley_all`'s subset loop,
+    it restricts and re-joins the instance per coalition."""
     if query.is_boolean:
         raise ValueError("summation needs a query with output variables in the head")
     head_names = [v.name for v in query.head]
@@ -407,17 +396,18 @@ def _probability_table(
         return {t: HALF for t in support}
     if isinstance(probabilities, (Fraction, int)):
         shared = Fraction(probabilities)
-        _check_probability(shared)
+        check_probability(shared)
         return {t: shared for t in support}
     table = {}
     for t in support:
         p = Fraction(probabilities.get(t, HALF))
-        _check_probability(p)
+        check_probability(p)
         table[t] = p
     return table
 
 
-def _check_probability(p: Fraction) -> None:
+def check_probability(p: Fraction) -> None:
+    """Refuse a tuple probability outside [0, 1]."""
     if not 0 <= p <= 1:
         raise ValueError(f"tuple probability {p} outside [0, 1]")
 

@@ -11,14 +11,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from typing import Callable, Hashable, Mapping, Sequence
 
 Player = Hashable
 Coalition = frozenset
 
-#: Default cap on the 2^n cases of an exact enumeration and on the candidates
-#: a contingency search tests; past it they raise instead of truncating.
+#: Default cap on the units of work one run may charge to its `meter`; past
+#: it the run raises instead of truncating.
 DEFAULT_BUDGET = 2**25
 
 
@@ -31,7 +31,7 @@ class PlayerNotInGameError(GameError):
 
 
 class BudgetExceededError(GameError):
-    """Exact enumeration, or a contingency search, would exceed its budget."""
+    """A computation charged its `meter` past the budget."""
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,35 @@ def sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
 
-def shapley_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> Fraction:
+def shapley_exact(game: Game, player: Player, charge: Callable | None = None) -> Fraction:
     """Exact Shapley value of `player`: its marginal contributions
     G(S + player) - G(S) over the coalitions S of the other players,
     weighted by the `size_weights` of "shapley", in rational arithmetic."""
     _check_player(game, player)
-    return _marginal_sums(game, "shapley", budget, [player])[player]
+    return _marginal_sums(game, "shapley", charge, [player])[player]
 
 
-def banzhaf_exact(game: Game, player: Player, budget: int = DEFAULT_BUDGET) -> Fraction:
+def banzhaf_exact(game: Game, player: Player, charge: Callable | None = None) -> Fraction:
     """Exact Banzhaf index: the average marginal contribution of `player`
     over all 2^(n-1) coalitions of the other players."""
     _check_player(game, player)
-    return _marginal_sums(game, "banzhaf", budget, [player])[player]
+    return _marginal_sums(game, "banzhaf", charge, [player])[player]
 
 
-def shapley_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
+def shapley_all(game: Game, charge: Callable | None = None) -> dict:
     """Exact Shapley values for every player, sharing one coalition-value
-    memo so each subset is evaluated at most once."""
-    return _marginal_sums(game, "shapley", budget, game.players)
+    memo so each subset is evaluated at most once.
+
+    A library-only subset loop: the CLI scores query and lineage games
+    from `dbscores.swing_counts` instead, which is exponential only in
+    the lineage, not in the players.
+    """
+    return _marginal_sums(game, "shapley", charge, game.players)
 
 
-def banzhaf_all(game: Game, budget: int = DEFAULT_BUDGET) -> dict:
+def banzhaf_all(game: Game, charge: Callable | None = None) -> dict:
     """Exact Banzhaf indices for every player (shared memo, as above)."""
-    return _marginal_sums(game, "banzhaf", budget, game.players)
+    return _marginal_sums(game, "banzhaf", charge, game.players)
 
 
 def shapley_monte_carlo(
@@ -113,7 +118,7 @@ def shapley_monte_carlo(
 
 
 def shapley_monte_carlo_all(
-    game: Game, epsilon: float, delta: float, seed: int, budget: int = DEFAULT_BUDGET
+    game: Game, epsilon: float, delta: float, seed: int, charge: Callable | None = None
 ) -> dict:
     """Monte Carlo Shapley estimates for every player from shared orders.
 
@@ -126,16 +131,13 @@ def shapley_monte_carlo_all(
     Each sample's order is drawn from an RNG derived from (seed, sample
     index), so results are reproducible and independent of how the sample
     range might be partitioned across workers.  One walk over the order's
-    prefixes credits every player with its marginal contribution.  When
-    samples x players game evaluations exceed `budget`, it raises
-    `BudgetExceededError` before the first sample.
+    prefixes credits every player with its marginal contribution.  The
+    samples x players game evaluations are charged before the first
+    sample.
     """
     m = sample_count(epsilon, delta)
     players = list(game.players)
-    if m * len(players) > budget:
-        raise BudgetExceededError(
-            f"Monte Carlo needs {m} x {len(players)} game evaluations, budget is {budget}"
-        )
+    (charge or meter(DEFAULT_BUDGET))(m * len(players))
     value = _memoized(game)
     totals = dict.fromkeys(players, Fraction(0))
     for index in range(m):
@@ -167,14 +169,15 @@ def size_weights(kind: str, m: int, p: Fraction = Fraction(1, 2)) -> list[Fracti
     raise ValueError(f"no size weights of kind {kind!r}")
 
 
-def _marginal_sums(game: Game, kind: str, budget: int, players) -> dict:
+def _marginal_sums(game: Game, kind: str, charge: Callable | None, players) -> dict:
     """For each of `players`, the sum of w[|S|] (G(S + player) - G(S))
     over the coalitions S of the other players, w = `size_weights(kind, n)`.
 
     Coalitions go by size and in `combinations` order, through one memo
-    shared by all players, so each subset is evaluated at most once.
+    shared by all players, so each subset is evaluated at most once; the
+    2^n coalitions are charged up front.
     """
-    check_budget(len(game.players), budget)
+    (charge or meter(DEFAULT_BUDGET))(2 ** len(game.players))
     value = _memoized(game)
     weights = size_weights(kind, len(game.players))
     out = {}
@@ -218,24 +221,19 @@ def _check_player(game: Game, player: Player) -> None:
         raise PlayerNotInGameError(f"player {player!r} is not in the game")
 
 
-def check_budget(n: int, budget: int) -> None:
-    """Refuse an exact enumeration of 2^n cases past `budget`."""
-    if 2**n > budget:
-        raise BudgetExceededError(
-            f"exact enumeration needs 2^{n} = {2**n} cases, budget is {budget}"
-        )
+def meter(budget: int) -> Callable[..., None]:
+    """A charge for `units` (default 1) of work; the call that takes the
+    running sum past `budget` raises `BudgetExceededError`.  One meter
+    shared by several computations caps their sum.  Every `charge`
+    parameter defaults to a fresh `meter(DEFAULT_BUDGET)`."""
+    spent = 0
 
-
-def candidate_meter(budget: int) -> Callable[[], None]:
-    """A charge to call once per contingency candidate a search tests; the
-    call past `budget` raises `BudgetExceededError`.  One meter shared by
-    several searches caps their sum."""
-    tested = count(1)
-
-    def charge() -> None:
-        if next(tested) > budget:
+    def charge(units: int = 1) -> None:
+        nonlocal spent
+        spent += units
+        if spent > budget:
             raise BudgetExceededError(
-                f"contingency search needs more than {budget} candidate sets, budget is {budget}"
+                f"needs more than {budget} units of work, budget is {budget}"
             )
 
     return charge

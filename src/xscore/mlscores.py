@@ -107,36 +107,38 @@ class FeatureScore:
 
 
 def shap(
-    request: ExplanationRequest, feature: str, budget: int = games.DEFAULT_BUDGET
+    request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
     """SHAP score of one feature value, as an exact rational.
 
     The coalition game maps a feature set S to the expected label over
     entities agreeing with the request's entity on S; the score is that
-    game's Shapley value for the feature.  Refuses (`BudgetExceededError`)
-    when the 2^n coalitions exceed `budget`.
+    game's Shapley value for the feature.  Its 2^n coalitions are charged
+    up front.
     """
     request.distribution.space.index(feature)
-    _check_enumerable(request, budget)
+    _check_enumerable(request, charge or games.meter(games.DEFAULT_BUDGET))
     value = _shap_values(request, [feature])[feature]
     return FeatureScore(feature=feature, kind="shap", value=value)
 
 
-def counter(request: ExplanationRequest, feature: str) -> FeatureScore:
+def counter(
+    request: ExplanationRequest, feature: str, charge: Callable | None = None
+) -> FeatureScore:
     """Label of the entity minus the expected label with every feature
-    except `feature` pinned to the entity's values."""
-    space = request.distribution.space
-    space.index(feature)
-    others = [n for n in space.names if n != feature]
-    expected = conditional_expectation(
-        request.distribution, request.classifier, request.entity, others
-    )
-    label = request.classifier.label(request.entity)
+    except `feature` pinned to the entity's values; each entity the
+    expectation weighs is charged."""
+    dist, clf = request.distribution, request.classifier
+    dist.space.index(feature)
+    others = [n for n in dist.space.names if n != feature]
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    expected = conditional_expectation(dist, clf, request.entity, others, charge)
+    label = clf.label(request.entity)
     return FeatureScore(feature=feature, kind="counter", value=label - expected)
 
 
 def resp(
-    request: ExplanationRequest, feature: str, charge: Callable[[], None] | None = None
+    request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
     """Responsibility of one feature value for the explained label.
 
@@ -149,9 +151,8 @@ def resp(
 
     Each Y is tried once, with every feature of Y flipped: a replacement
     that keeps some original value is the entity of a smaller contingency,
-    which the search tested at its own size.  Each candidate tested calls
-    `charge`, which raises `BudgetExceededError` past its budget; the
-    default is a fresh `games.candidate_meter(games.DEFAULT_BUDGET)`.
+    which the search tested at its own size.  Each candidate tested is
+    charged.
     """
     space = request.distribution.space
     index = space.index(feature)
@@ -161,8 +162,7 @@ def resp(
         raise LabelMismatchError(
             f"entity has label {label}, request explains label {request.target_label}"
         )
-    if charge is None:
-        charge = games.candidate_meter(games.DEFAULT_BUDGET)
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
     bits = list(entity.bits)
     bits[index] = 1 - bits[index]
@@ -192,19 +192,20 @@ def resp(
 
 
 def score_all(
-    request: ExplanationRequest, kinds: Iterable[str], budget: int = games.DEFAULT_BUDGET
+    request: ExplanationRequest, kinds: Iterable[str], charge: Callable | None = None
 ) -> list[FeatureScore]:
     """Scores of every feature for the requested kinds, ranked within each
-    kind by descending value with feature-name tiebreak.  `budget` caps
-    the 2^n coalitions SHAP enumerates, and separately the RESP candidates
-    tested, summed over the features.  SHAP's refusals come before any
-    kind runs."""
+    kind by descending value with feature-name tiebreak.  Every kind
+    charges the one `charge`: SHAP its 2^n coalitions, COUNTER each entity
+    it weighs and RESP each candidate it tests.  SHAP's charge and width
+    refusal come before any kind runs."""
     wanted = sorted(set(kinds))
     for kind in wanted:
         if kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {kind!r}")
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
     if "shap" in wanted:
-        _check_enumerable(request, budget)
+        _check_enumerable(request, charge)
     names = request.distribution.space.names
     out: list[FeatureScore] = []
     for kind in wanted:
@@ -212,10 +213,9 @@ def score_all(
             values = _shap_values(request)
             batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
         elif kind == "resp":
-            charge = games.candidate_meter(budget)
             batch = [resp(request, n, charge) for n in names]
         else:
-            batch = [counter(request, n) for n in names]
+            batch = [counter(request, n, charge) for n in names]
         batch.sort(key=lambda s: (-s.value, s.feature))
         out.extend(batch)
     return out
@@ -276,11 +276,11 @@ def _raise_first_zero_mass(request, feature, expectations, bits) -> None:
     raise ZeroMassEventError.pinned(request.entity, (feature, *chosen))
 
 
-def _check_enumerable(request: ExplanationRequest, budget: int) -> None:
-    """SHAP's refusals: 2^n coalitions past `budget`, or a space without a
-    finite support too wide to enumerate."""
+def _check_enumerable(request: ExplanationRequest, charge: Callable) -> None:
+    """SHAP's up-front checks: charge its 2^n coalitions, and refuse a space
+    without a finite support too wide to enumerate."""
     n = request.entity.width
-    games.check_budget(n, budget)
+    charge(2**n)
     if request.distribution.finite_support is None:
         check_free_width(n)
 

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -199,14 +200,14 @@ def test_budget_env_override(capsys, data_dir, monkeypatch):
     monkeypatch.setenv("XSCORE_BUDGET", "16")
     code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley"))
     assert code == cli.EXIT_BUDGET
-    # explicit flag beats the environment
-    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "128"))
+    # explicit flag beats the environment; ex1's swing counts take 144 units
+    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "144"))
     assert code == 0
 
 
-def enumeration_error(n, budget):
-    """The one refusal of every exact kind: 2^n cases past the budget."""
-    return f"xscore: error: exact enumeration needs 2^{n} = {2**n} cases, budget is {budget}\n"
+def budget_error(budget):
+    """The one refusal of every kind: the run's meter passed the budget."""
+    return f"xscore: error: needs more than {budget} units of work, budget is {budget}\n"
 
 
 def _assert_budget_edge(capsys, argv, failing, message):
@@ -218,22 +219,18 @@ def _assert_budget_edge(capsys, argv, failing, message):
     assert code == 0, out.err
 
 
-def test_budget_edge_banzhaf_query_counts_every_tuple(capsys, data_dir):
-    # The query game has all six ex1 tuples as players: 2^6 coalitions.
-    _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "banzhaf"), 63, enumeration_error(6, 63)
-    )
+def test_budget_edge_banzhaf_query_counts_lineage_products(capsys, data_dir):
+    # The query game's null players cost nothing: the products of the
+    # ex1 lineage's swing counts take 144 units.
+    _assert_budget_edge(capsys, db_args(data_dir, "--kinds", "banzhaf"), 143, budget_error(143))
 
 
-def test_budget_edge_causal_effect_counts_intervened_support(capsys, data_dir):
-    # The largest intervened lineage, do(S(b)=1), keeps three tuples.
+def test_budget_edge_causal_effect_counts_lineage_products(capsys, data_dir):
+    # The causal effect is read off the same swing counts as Shapley.
     _assert_budget_edge(
-        capsys,
-        db_args(data_dir, "--kinds", "causal_effect"),
-        7,
-        enumeration_error(3, 7),
+        capsys, db_args(data_dir, "--kinds", "causal_effect"), 143, budget_error(143)
     )
-    # Here only the do(t=0) lineages keep three tuples.
+    # A CNF lineage of the path edges: 121 units.
     argv = (
         "db-scores",
         "--relation",
@@ -243,11 +240,11 @@ def test_budget_edge_causal_effect_counts_intervened_support(capsys, data_dir):
         "--kinds",
         "causal_effect",
     )
-    _assert_budget_edge(capsys, argv, 7, enumeration_error(3, 7))
+    _assert_budget_edge(capsys, argv, 120, budget_error(120))
 
 
-def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
-    # Four of the six path edges are in the lineage support: 2^4 coalitions.
+def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
+    # The swing counts of this four-tuple lineage take 153 units.
     argv = (
         "db-scores",
         "--relation",
@@ -257,22 +254,21 @@ def test_budget_edge_lineage_shapley_counts_support(capsys, data_dir):
         "--kinds",
         "shapley",
     )
-    _assert_budget_edge(capsys, argv, 15, enumeration_error(4, 15))
-
-
-RESPONSIBILITY_BUDGET_ERROR = (
-    "xscore: error: contingency search needs more than {0} candidate sets, budget is {0}\n"
-)
+    _assert_budget_edge(capsys, argv, 152, budget_error(152))
 
 
 def test_budget_edge_responsibility_counts_candidates(capsys, data_dir):
     # Summed over the batch, the ex1 contingency searches test 8 candidates.
     _assert_budget_edge(
-        capsys,
-        db_args(data_dir, "--kinds", "responsibility"),
-        7,
-        RESPONSIBILITY_BUDGET_ERROR.format(7),
+        capsys, db_args(data_dir, "--kinds", "responsibility"), 7, budget_error(7)
     )
+
+
+def test_budget_is_shared_by_every_db_kind(capsys, data_dir):
+    # 8 candidates plus one swing count of 144 units, shared by the
+    # three kinds that read it.
+    argv = db_args(data_dir, "--kinds", ",".join(cli.DB_KINDS))
+    _assert_budget_edge(capsys, argv, 151, budget_error(151))
 
 
 def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
@@ -293,8 +289,47 @@ def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
         "1000",
     )
     assert code == cli.EXIT_BUDGET
-    assert out.err == RESPONSIBILITY_BUDGET_ERROR.format(1000)
+    assert out.err == budget_error(1000)
     assert out.out == ""
+
+
+def _random_instance(tmp_path, size: int) -> list[str]:
+    """`--relation` arguments of |R| = `size` random distinct pairs over a
+    domain of size/4 values (seed 0), with S the first tenth of it."""
+    rng = random.Random(0)
+    domain = size // 4
+    pairs = set()
+    while len(pairs) < size:
+        pairs.add((rng.randrange(domain), rng.randrange(domain)))
+    (tmp_path / "R.csv").write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in sorted(pairs)))
+    (tmp_path / "S.csv").write_text("a\n" + "".join(f"{v}\n" for v in range(domain // 10)))
+    return ["--relation", f"R={tmp_path / 'R.csv'}", "--relation", f"S={tmp_path / 'S.csv'}"]
+
+
+def test_query_game_cost_follows_the_lineage_not_the_instance(capsys, tmp_path):
+    # 820 tuples, lineage support 14: the 806 null players cost nothing.
+    argv = ("db-scores", *_random_instance(tmp_path, 800), "--query", "Q() :- S(x), R(x,y), S(y)")
+    for kind in ("banzhaf", "shapley"):
+        records = run_json(capsys, *argv, "--kinds", kind)["records"]
+        assert len(records) == 820
+    assert sum(Fraction(r["value"]) for r in records) == 1
+
+
+def test_budget_stops_a_large_lineage_quickly(capsys, tmp_path):
+    # Path lineage of support 285: the count charges its products as it
+    # goes and stops at the budget, long before it would finish.
+    argv = ("db-scores", *_random_instance(tmp_path, 600), "--query", "Q() :- R(x,y), R(y,z), S(z)")
+    started = time.monotonic()
+    code, out = run(capsys, *argv, "--kinds", "shapley", "--budget", "100000")
+    assert time.monotonic() - started < 1.0
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(100000))
+
+
+def test_out_of_range_probability_exits_1_whatever_the_kinds(capsys, data_dir):
+    for kinds in cli.DB_KINDS:
+        code, out = run(capsys, *db_args(data_dir, "--kinds", kinds, "--probability", "2"))
+        assert code == cli.EXIT_PARSE
+        assert out.err == "xscore: error: tuple probability 2 outside [0, 1]\n"
 
 
 def test_exit_code_usage_error(capsys, data_dir):
@@ -417,30 +452,42 @@ def ml_args(data_dir, *extra):
 def test_budget_edge_ml_shap_counts_coalitions(capsys, data_dir, monkeypatch, skip):
     # Three features: 2^3 coalitions, with or without zero-mass skipping.
     argv = ml_args(data_dir, "--kinds", "shap", *skip)
-    _assert_budget_edge(capsys, argv, 7, enumeration_error(3, 7))
+    _assert_budget_edge(capsys, argv, 7, budget_error(7))
     monkeypatch.setenv("XSCORE_BUDGET", "7")
     code, out = run(capsys, *argv)
     assert code == cli.EXIT_BUDGET
-    assert out.err == enumeration_error(3, 7)
+    assert out.err == budget_error(7)
     monkeypatch.setenv("XSCORE_BUDGET", "8")
     assert run(capsys, *argv)[0] == 0
 
 
 def test_ml_shap_refusal_comes_before_other_kinds(capsys, data_dir):
-    # RESP would exit 3 on its second candidate; SHAP's 2^n check runs first.
+    # SHAP charges its 2^3 coalitions before COUNTER or RESP runs.
     code, out = run(capsys, *ml_args(data_dir, "--kinds", "shap,counter,resp", "--budget", "1"))
     assert code == cli.EXIT_BUDGET
-    assert out.err == enumeration_error(3, 1)
+    assert out.err == budget_error(1)
+
+
+def test_budget_edge_ml_counter_counts_entities(capsys, data_dir):
+    # Each feature's expectation weighs the two completions of its one
+    # free feature: 6 entities over the three features.
+    _assert_budget_edge(capsys, ml_args(data_dir, "--kinds", "counter"), 5, budget_error(5))
+
+
+def test_budget_is_shared_by_every_ml_kind(capsys, data_dir):
+    # 8 coalitions, 6 entities and 6 RESP candidates.
+    argv = ml_args(data_dir, "--kinds", "shap,counter,resp")
+    _assert_budget_edge(capsys, argv, 19, budget_error(19))
 
 
 def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
     # Summed over the features, the ex6 RESP searches test 6 candidates.
     argv = ml_args(data_dir, "--kinds", "resp")
-    _assert_budget_edge(capsys, argv, 5, RESPONSIBILITY_BUDGET_ERROR.format(5))
+    _assert_budget_edge(capsys, argv, 5, budget_error(5))
     monkeypatch.setenv("XSCORE_BUDGET", "5")
     code, out = run(capsys, *argv)
     assert code == cli.EXIT_BUDGET
-    assert out.err == RESPONSIBILITY_BUDGET_ERROR.format(5)
+    assert out.err == budget_error(5)
     monkeypatch.setenv("XSCORE_BUDGET", "6")
     assert run(capsys, *argv)[0] == 0
 

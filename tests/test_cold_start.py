@@ -143,5 +143,5 @@ def test_monte_carlo_shapley_honours_budget():
     )
     elapsed = time.monotonic() - started
     assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
-    assert "game evaluations, budget is 1000" in proc.stderr
+    assert "units of work, budget is 1000" in proc.stderr
     assert elapsed < 1.0

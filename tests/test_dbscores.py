@@ -79,8 +79,8 @@ def test_causes_golden(ex1_db, ex1_query):
         assert report.witness_contingency is None
 
 
-def _responsibility(db, query, tuple_id, budget=games.DEFAULT_BUDGET):
-    (report,) = lineage_causes(query_lineage(db, query), [tuple_id], budget)
+def _responsibility(db, query, tuple_id, charge=None):
+    (report,) = lineage_causes(query_lineage(db, query), [tuple_id], charge)
     return report.responsibility
 
 
@@ -119,12 +119,12 @@ def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
     # The ex1 batch tests 8 candidates in all; R(a,b) alone tests () and
     # then its witness (R(b,b),).
     lineage = compile_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 7 candidate sets"):
-        lineage_causes(lineage, ex1_db.tuple_ids(), budget=7)
-    assert lineage_causes(lineage, ex1_db.tuple_ids(), budget=8) == causes(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 1 candidate sets"):
-        _responsibility(ex1_db, ex1_query, "R(a,b)", budget=1)
-    assert _responsibility(ex1_db, ex1_query, "R(a,b)", budget=2) == Fraction(1, 2)
+    with pytest.raises(BudgetExceededError, match="more than 7 units of work"):
+        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(7))
+    assert lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(8)) == causes(ex1_db, ex1_query)
+    with pytest.raises(BudgetExceededError, match="more than 1 units of work"):
+        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(1))
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(2)) == Fraction(1, 2)
 
 
 def test_contingency_memo_stays_small_up_to_the_budget():
@@ -135,7 +135,7 @@ def test_contingency_memo_stays_small_up_to_the_budget():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            lineage_causes(lineage, budget=50_000)
+            lineage_causes(lineage, charge=games.meter(50_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -213,8 +213,23 @@ def test_lineage_probability_per_tuple_table(path_db):
 
 
 def test_lineage_probability_budget(path_lineage):
-    with pytest.raises(BudgetExceededError):
-        lineage_probability(path_lineage, budget=32)  # needs 2^6
+    # One unit per product of the Shannon expansion: 24 in all.
+    with pytest.raises(BudgetExceededError, match="more than 23 units of work"):
+        lineage_probability(path_lineage, charge=games.meter(23))
+    assert lineage_probability(path_lineage, charge=games.meter(24)) == Fraction(43, 64)
+    # Both intervened lineages of a causal effect charge the one meter.
+    with pytest.raises(BudgetExceededError, match="more than 33 units of work"):
+        causal_effect(path_lineage, "t2", charge=games.meter(33))
+    assert causal_effect(path_lineage, "t2", charge=games.meter(34)) == Fraction(7, 32)
+
+
+def test_swing_counts_work_is_deterministic(ex1_db, ex1_query):
+    # The products of ex1's swing counts take 144 units, so a change to
+    # the work the count does shows here without timing.
+    lineage = query_lineage(ex1_db, ex1_query)
+    with pytest.raises(BudgetExceededError, match="more than 143 units of work"):
+        swing_counts(lineage, games.meter(143))
+    assert swing_counts(lineage, games.meter(144)) == swing_counts(lineage)
 
 
 def test_lineage_probability_rejects_bad_probability(path_db):

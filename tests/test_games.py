@@ -19,6 +19,7 @@ from xscore.games import (
     banzhaf_all,
     banzhaf_exact,
     least_contingency,
+    meter,
     sample_count,
     shapley_all,
     shapley_exact,
@@ -110,9 +111,9 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         shapley_exact(big, 0)  # 2^26 > default budget 2^25
     small = Game(players=tuple(range(3)), value=len)
-    with pytest.raises(BudgetExceededError):
-        banzhaf_exact(small, 0, budget=4)
-    assert shapley_exact(small, 0, budget=8) == 1
+    with pytest.raises(BudgetExceededError, match="needs more than 7 units of work, budget is 7"):
+        banzhaf_exact(small, 0, meter(7))
+    assert shapley_exact(small, 0, meter(8)) == 1
 
 
 BY_SIZE = [(), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")]
@@ -210,10 +211,22 @@ def test_invalid_epsilon_delta():
 def test_monte_carlo_charges_samples_times_players_up_front():
     game = and_game()  # 185 samples at (0.1, 0.05)
     needed = sample_count(0.1, 0.05) * len(game.players)
-    assert shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, budget=needed)
-    message = f"185 x 2 game evaluations, budget is {needed - 1}"
+    assert shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, charge=meter(needed))
+    message = f"needs more than {needed - 1} units of work, budget is {needed - 1}"
     with pytest.raises(BudgetExceededError, match=message):
-        shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, budget=needed - 1)
+        shapley_monte_carlo_all(game, 0.1, 0.05, seed=1, charge=meter(needed - 1))
+
+
+def test_meter_raises_when_the_running_sum_first_passes_the_budget():
+    charge = meter(10)
+    charge(4)
+    charge()
+    charge(5)
+    message = "^needs more than 10 units of work, budget is 10$"
+    with pytest.raises(BudgetExceededError, match=message):
+        charge()
+    with pytest.raises(BudgetExceededError):
+        meter(0)()
 
 
 def test_monte_carlo_constant_game_is_exactly_zero():

@@ -251,14 +251,17 @@ def test_shap_labels_each_entity_once(
     assert clf.calls == calls
 
 
+BUDGET_ERROR = "needs more than {0} units of work, budget is {0}"
+
+
 def test_shap_budget_counts_coalitions(ex6_request):
-    message = r"exact enumeration needs 2\^3 = 8 cases, budget is 7"
+    message = BUDGET_ERROR.format(7)
     for request in (ex6_request, replace(ex6_request, skip_zero_mass=True)):
         with pytest.raises(games.BudgetExceededError, match=message):
-            score_all(request, ["shap"], budget=7)
+            score_all(request, ["shap"], games.meter(7))
         with pytest.raises(games.BudgetExceededError, match=message):
-            shap(request, "F1", budget=7)
-        assert len(score_all(request, ["shap"], budget=8)) == 3
+            shap(request, "F1", games.meter(7))
+        assert len(score_all(request, ["shap"], games.meter(8))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +483,25 @@ def test_resp_tests_one_candidate_per_contingency(width, calls, distinct):
     assert (clf.calls, clf.distinct) == (calls, distinct)
 
 
-RESP_BUDGET_ERROR = "contingency search needs more than {0} candidate sets, budget is {0}"
-
-
 def test_resp_budget_counts_candidates_over_features(ex6_request):
     # F1 tests two candidates, F2 one and F3 three.
-    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(5)):
-        score_all(ex6_request, ["resp"], budget=5)
-    assert len(score_all(ex6_request, ["resp"], budget=6)) == 3
-    # SHAP's 2^3 coalitions are checked on their own, not added in.
-    assert len(score_all(ex6_request, ["shap", "resp"], budget=8)) == 6
+    with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(5)):
+        score_all(ex6_request, ["resp"], games.meter(5))
+    assert len(score_all(ex6_request, ["resp"], games.meter(6))) == 3
+    # SHAP's 2^3 coalitions and the 6 candidates draw on one sum.
+    with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(13)):
+        score_all(ex6_request, ["shap", "resp"], games.meter(13))
+    assert len(score_all(ex6_request, ["shap", "resp"], games.meter(14))) == 6
 
 
 def test_resp_budget_meter_is_shared(ex6_request):
-    charge = games.candidate_meter(4)
+    charge = games.meter(4)
     assert resp(ex6_request, "F1", charge).value == Fraction(1, 2)
     assert resp(ex6_request, "F2", charge).value == 1
-    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(4)):
+    with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(4)):
         resp(ex6_request, "F3", charge)
-    with pytest.raises(games.BudgetExceededError, match=RESP_BUDGET_ERROR.format(0)):
-        resp(ex6_request, "F2", games.candidate_meter(0))
+    with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(0)):
+        resp(ex6_request, "F2", games.meter(0))
 
 
 # ---------------------------------------------------------------------------
