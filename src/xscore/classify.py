@@ -10,7 +10,6 @@ constraints.
 """
 from __future__ import annotations
 
-import csv
 import os
 import time
 from dataclasses import dataclass
@@ -19,14 +18,17 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import formula
-from ._lex import ParseError
+from .clfserver import (
+    PROTOCOL_HANDSHAKE,
+    check_feature_names,
+    check_total,
+    read_bit_csv,
+    read_truth_table,
+)
 
 #: Widths above this refuse full entity-space enumeration; larger spaces
 #: need a finite-support (empirical) distribution.
 WIDTH_LIMIT = 20
-
-PROTOCOL_HANDSHAKE = "xscore-clf v1"
 
 #: Seconds an external classifier may take to send its handshake or one
 #: response line before it is killed as hung.
@@ -73,10 +75,7 @@ class FeatureSpace:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.names:
-            raise ValueError("a feature space needs at least one feature")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
+        check_feature_names(self.names)
 
     @property
     def width(self) -> int:
@@ -170,10 +169,8 @@ class TableClassifier(Classifier):
     def __init__(self, width: int, table: Mapping[tuple[int, ...], int], total: bool = True):
         super().__init__(width)
         self._table = dict(table)
-        if total and len(self._table) != 2**width:
-            raise ValueError(
-                f"truth table has {len(self._table)} rows, needs all {2 ** width}"
-            )
+        if total:
+            check_total(len(self._table), width)
 
     def _label(self, entity: Entity) -> int:
         try:
@@ -310,11 +307,18 @@ class Constraint:
     space: FeatureSpace
     root: formula.Node
 
+    def __post_init__(self):
+        # `formula` loads on the constraint path only.  It is bound once per
+        # constraint, so no per-entity test runs an import.
+        from . import formula
+        object.__setattr__(self, "_formula", formula)
+
     @classmethod
     def denial(
         cls, space: FeatureSpace, positive: Iterable[str], negative: Iterable[str]
     ) -> "Constraint":
         """Forbid "all of `positive` are 1 and all of `negative` are 0"."""
+        from . import formula
         pos = tuple(sorted(set(positive)))
         neg = tuple(sorted(set(negative)))
         if set(pos) & set(neg):
@@ -331,17 +335,18 @@ class Constraint:
     def satisfied_by(self, entity: Entity) -> bool:
         if entity.width != self.space.width:
             raise ValueError("entity width does not match the constraint's feature space")
-        return formula.evaluate(self.root, self.space.true_names(entity))
+        return self._formula.evaluate(self.root, self.space.true_names(entity))
 
     def is_satisfiable(self) -> bool:
         return any(self.satisfied_by(e) for e in all_entities(self.space.width))
 
     def __str__(self) -> str:
-        return formula.to_text(self.root)
+        return self._formula.to_text(self.root)
 
 
 def conjoin(constraints: Sequence[Constraint]) -> Constraint:
     """Conjunction of a non-empty set of constraints over one space."""
+    from . import formula
     if not constraints:
         raise ValueError("cannot conjoin zero constraints")
     space = constraints[0].space
@@ -359,6 +364,8 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
     group, and `true` / `false` are constants.  The denial form is written
     `!(F1 & ~F2)`.
     """
+    from . import formula
+    from ._lex import ParseError
 
     def resolve(tok) -> formula.Node:
         if tok.text == "true":
@@ -585,14 +592,10 @@ class Sample:
 def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifier]:
     """Load a total classifier: feature columns plus a `label` column, one
     row per entity, all 2^n entities present."""
-    rows, names = _read_bit_csv(path, required="label")
+    names, table = read_truth_table(path)
     space = FeatureSpace(tuple(names))
-    table: dict[tuple[int, ...], int] = {}
-    for line_no, bits, extra in rows:
-        if bits in table:
-            raise ValueError(f"{path}: duplicate entity row at line {line_no}")
-        table[bits] = extra
-    return space, TableClassifier(space.width, table, total=True)
+    bit_table = {_bit_tuple(bits): label for bits, label in table.items()}
+    return space, TableClassifier(space.width, bit_table)
 
 
 def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
@@ -601,14 +604,14 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     Duplicate entities are an error unless `dedupe` is set (repetitions
     carry no extra mass under the empirical distribution anyway).
     """
-    rows, names = _read_bit_csv(path, required=None, optional="_label")
+    rows, names = read_bit_csv(path, required=None, optional="_label")
     space = FeatureSpace(tuple(names))
     entities: list[Entity] = []
     seen: set[Entity] = set()
     labels: dict[Entity, int] = {}
     has_labels = False
     for line_no, bits, extra in rows:
-        e = Entity(bits)
+        e = Entity(_bit_tuple(bits))
         if e in seen:
             if dedupe:
                 continue
@@ -627,36 +630,9 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     )
 
 
-def _read_bit_csv(
-    path: str | Path, required: str | None, optional: str | None = None
-) -> tuple[list[tuple[int, tuple[int, ...], int | None]], list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        special = required or optional
-        special_col = header.index(special) if special and special in header else None
-        if required is not None and special_col is None:
-            raise ValueError(f"{path}: missing required column {required!r}")
-        names = [h for i, h in enumerate(header) if i != special_col]
-        out = []
-        for row_index, row in enumerate(reader):
-            line_no = row_index + 2
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row at line {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            extra: int | None = None
-            bits: list[int] = []
-            for i, cell in enumerate(row):
-                value = cell.strip()
-                if value not in ("0", "1"):
-                    raise ValueError(f"{path}: non-bit value {cell!r} at line {line_no}")
-                if i == special_col:
-                    extra = int(value)
-                else:
-                    bits.append(int(value))
-            out.append((line_no, tuple(bits), extra))
-    return out, names
+_BIT_VALUES = {"0": 0, "1": 1}
+
+
+def _bit_tuple(bits: str) -> tuple[int, ...]:
+    """The bits of a '0'/'1' string, as `read_bit_csv` gives them."""
+    return tuple(map(_BIT_VALUES.__getitem__, bits))

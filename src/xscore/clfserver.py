@@ -1,34 +1,97 @@
-"""Reference external classifier: serves a truth-table CSV over the line
-protocol.
+"""Reference external classifier, and the bit-CSV formats it shares with
+`classify`.
 
 Usage: ``python -m xscore.clfserver TABLE.csv``.  Emits the handshake
 ``xscore-clf v1 n=<width>``, then answers each request line of <width>
-'0'/'1' characters with a single '0' or '1' line.  Exits non-zero on a
-malformed request.
-"""
-from __future__ import annotations
+'0'/'1' characters with a single '0' or '1' line.  Blank lines are
+skipped; any other request ends the server with exit 1.
 
+A server start pays for this module, `csv` and `sys` only: the table is
+held as {bit string: label line}, so a request is one dict lookup.
+"""
+import csv
 import sys
 
-from .classify import PROTOCOL_HANDSHAKE, Entity, load_truth_table_csv
+PROTOCOL_HANDSHAKE = "xscore-clf v1"
+
+_BITS = frozenset(("0", "1"))
 
 
-def serve(table_path: str, stdin=None, stdout=None) -> int:
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    space, classifier = load_truth_table_csv(table_path)
-    stdout.write(f"{PROTOCOL_HANDSHAKE} n={space.width}\n")
+def serve(table_path, stdin, stdout) -> int:
+    names, table = read_truth_table(table_path)
+    answers = {bits: f"{label}\n" for bits, label in table.items()}
+    stdout.write(f"{PROTOCOL_HANDSHAKE} n={len(names)}\n")
     stdout.flush()
     for line in stdin:
         request = line.strip()
         if not request:
             continue
-        if len(request) != space.width or any(c not in "01" for c in request):
+        # The table is total, so a miss is a wrong width or a non-bit.
+        answer = answers.get(request)
+        if answer is None:
             print(f"malformed request {request!r}", file=sys.stderr)
             return 1
-        stdout.write(f"{classifier.label(Entity.from_bits(request))}\n")
+        stdout.write(answer)
         stdout.flush()
     return 0
+
+
+def read_truth_table(path) -> tuple[list[str], dict[str, int]]:
+    """Feature names and {bit string: label} of a truth-table CSV: feature
+    columns plus a `label` column, one row per entity, all 2^n entities
+    present."""
+    rows, names = read_bit_csv(path, required="label")
+    check_feature_names(names)
+    table: dict[str, int] = {}
+    for line_no, bits, label in rows:
+        if bits in table:
+            raise ValueError(f"{path}: duplicate entity row at line {line_no}")
+        table[bits] = label
+    check_total(len(table), len(names))
+    return names, table
+
+
+def check_feature_names(names) -> None:
+    if not names:
+        raise ValueError("a feature space needs at least one feature")
+    if len(set(names)) != len(names):
+        raise ValueError("feature names must be unique")
+
+
+def check_total(rows: int, width: int) -> None:
+    if rows != 2**width:
+        raise ValueError(f"truth table has {rows} rows, needs all {2 ** width}")
+
+
+def read_bit_csv(
+    path, required: str | None, optional: str | None = None
+) -> tuple[list[tuple[int, str, int | None]], list[str]]:
+    """(line number, feature bits as a '0'/'1' string, bit of the `required`
+    or `optional` column) per row, and the feature column names."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        special = required or optional
+        special_col = header.index(special) if special and special in header else None
+        if required is not None and special_col is None:
+            raise ValueError(f"{path}: missing required column {required!r}")
+        names = [h for i, h in enumerate(header) if i != special_col]
+        out = []
+        for line_no, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row at line {line_no} has {len(row)} fields, expected {len(header)}"
+                )
+            cells = [cell.strip() for cell in row]
+            if not _BITS.issuperset(cells):
+                bad = next(cell for cell in row if cell.strip() not in _BITS)
+                raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
+            extra = None if special_col is None else int(cells.pop(special_col))
+            out.append((line_no, "".join(cells), extra))
+    return out, names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1:
         print("usage: python -m xscore.clfserver TABLE.csv", file=sys.stderr)
         return 2
-    return serve(argv[0])
+    return serve(argv[0], sys.stdin, sys.stdout)
 
 
 if __name__ == "__main__":

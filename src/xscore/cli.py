@@ -427,17 +427,20 @@ def _resolve_classifier(args):
     if args.classifier_cmd is not None:
         import shlex
         clf = classify.ExternalClassifier(shlex.split(args.classifier_cmd))
-        names = (
-            tuple(n.strip() for n in args.features.split(","))
-            if args.features
-            else tuple(f"F{i + 1}" for i in range(clf.width))
-        )
-        space = classify.FeatureSpace(names)
-        if space.width != clf.width:
-            clf.close()
-            raise ValueError(
-                f"--features names {space.width} features, classifier serves {clf.width}"
+        try:
+            names = (
+                tuple(n.strip() for n in args.features.split(","))
+                if args.features
+                else tuple(f"F{i + 1}" for i in range(clf.width))
             )
+            space = classify.FeatureSpace(names)
+            if space.width != clf.width:
+                raise ValueError(
+                    f"--features names {space.width} features, classifier serves {clf.width}"
+                )
+        except BaseException:
+            clf.close()
+            raise
         return space, clf, sample
     # No classifier: labels must come from the sample itself.
     if sample is None or sample.labels is None:

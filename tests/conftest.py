@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,13 @@ import pytest
 from xscore import classify, reldb
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Child processes the tests start (`python -m xscore.clfserver`) import the
+# package too, also when pytest put `src` on the path only for itself.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture

@@ -684,6 +684,32 @@ def test_ml_scores_external_matches_local(capsys, data_dir):
     assert json.dumps(local["records"]) == json.dumps(external["records"])
 
 
+def test_ml_scores_reaps_classifier_on_bad_features(capsys, data_dir, monkeypatch):
+    # The classifier starts before --features is checked; the error must
+    # still close it, so no child outlives the run.
+    started = []
+    start = classify.ExternalClassifier.__init__
+
+    def spy(self, *args, **kwargs):
+        started.append(self)
+        start(self, *args, **kwargs)
+
+    monkeypatch.setattr(classify.ExternalClassifier, "__init__", spy)
+    command = f"{sys.executable} -m xscore.clfserver {data_dir / 'ex6_table.csv'}"
+    try:
+        code, out = run(
+            capsys, "ml-scores", "--classifier-cmd", command, "--features", "F1,F1,F2",
+            "--entity", "011",
+        )
+        assert code == cli.EXIT_PARSE
+        assert out.err == "xscore: error: feature names must be unique\n"
+        assert [clf._proc.returncode for clf in started] == [0]
+    finally:
+        for clf in started:
+            if clf._proc.returncode is None:
+                clf.close()
+
+
 def test_ml_scores_entity_width_mismatch(capsys, data_dir):
     code, out = run(capsys, *ml_args(data_dir)[:-1], "01")
     assert code == cli.EXIT_PARSE

@@ -2,9 +2,8 @@
 
 Every case starts a fresh interpreter with `PYTHONPATH=src`, so nothing the
 test process has imported leaks in.  The loaded `xscore.*` modules (and
-the heavy stdlib ones the package imports at their point of use) are a
-deterministic count of what a start pays for, so an import regression
-shows here without timing.
+a few heavy stdlib ones) are a deterministic count of what a start pays
+for, so an import regression shows here without timing.
 """
 import json
 import os
@@ -31,8 +30,9 @@ APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 LEX = {"xscore._lex", "xscore.formula"}
 REL = {"xscore.cli", "xscore.reldb"} | LEX
 DB = REL | {"xscore.dbscores", "xscore.games"}
-ML = {"xscore.cli", "xscore.classify", "xscore.mlscores", "xscore.games"} | LEX
-WATCHED = ("hashlib", "subprocess", "select")
+ML = {"xscore.cli", "xscore.classify", "xscore.clfserver", "xscore.mlscores", "xscore.games"}
+WATCHED = ("hashlib", "subprocess", "select", "dataclasses", "fractions")
+DATA = {"dataclasses", "fractions"}
 
 # A fresh process runs `xscore.clfserver` (first argument "clfserver") or
 # `xscore.cli.main` on its arguments, then prints its exit code and the
@@ -62,16 +62,19 @@ def cold(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "command, modules, stdlib",
     [
-        ("--version", {"xscore.cli"}, set()),
-        (f"analyze {Q}", REL, set()),
-        (f"lineage {EX1} {Q}", REL, set()),
-        (f"db-scores {EX1} {Q} {ALL}", DB, set()),
-        (f"db-scores {EX1} {Q} {APPROX}", DB, {"hashlib"}),
-        (EX6, ML, set()),
-        ("clfserver tests/data/ex6_table.csv",
-         {"xscore.classify", "xscore.clfserver"} | LEX, set()),
+        ("--version", {"xscore.cli"}, {"fractions"}),
+        (f"analyze {Q}", REL, DATA),
+        (f"lineage {EX1} {Q}", REL, DATA),
+        (f"db-scores {EX1} {Q} {ALL}", DB, DATA),
+        (f"db-scores {EX1} {Q} {APPROX}", DB, DATA | {"hashlib"}),
+        (EX6, ML, DATA),
+        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | LEX, DATA),
+        ("clfserver tests/data/ex6_table.csv", {"xscore.clfserver"}, set()),
     ],
-    ids=["version", "analyze", "lineage", "db-exact", "db-approx", "ml-scores", "clfserver"],
+    ids=[
+        "version", "analyze", "lineage", "db-exact", "db-approx", "ml-scores",
+        "ml-scores-constraint", "clfserver",
+    ],
 )
 def test_entry_point_loads_only_its_modules(command, modules, stdlib):
     proc = cold("-c", CHILD, *shlex.split(command))
