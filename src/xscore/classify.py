@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -203,7 +204,7 @@ class ExternalClassifier(Classifier):
     `RESPONSE_DEADLINE_S`; a child that stays silent longer is killed.
     """
 
-    def __init__(self, command: Sequence[str], expected_width: int | None = None):
+    def __init__(self, command: Sequence[str]):
         import subprocess
         try:
             self._proc = subprocess.Popen(
@@ -212,10 +213,9 @@ class ExternalClassifier(Classifier):
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
         self._pending = b""
-        width = self._read_handshake(expected_width)
-        super().__init__(width)
+        super().__init__(self._read_handshake())
 
-    def _read_handshake(self, expected_width: int | None) -> int:
+    def _read_handshake(self) -> int:
         line = self._read_line()
         prefix = PROTOCOL_HANDSHAKE + " n="
         if not line.startswith(prefix):
@@ -229,11 +229,6 @@ class ExternalClassifier(Classifier):
         if width < 1:
             self.close()
             raise ClassifierProtocolError(f"bad handshake width {width}")
-        if expected_width is not None and width != expected_width:
-            self.close()
-            raise ClassifierProtocolError(
-                f"classifier serves width {width}, expected {expected_width}"
-            )
         return width
 
     def _label(self, entity: Entity) -> int:
@@ -384,13 +379,24 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
 
 
 class Distribution:
-    """Probability measure over the entity space of a feature space."""
+    """Probability measure over the entity space of a feature space.
 
-    def __init__(self, space: FeatureSpace):
+    Each variant gives every entity an integer `weight`; its probability
+    is that weight over the integer `total`, the sum of all weights.
+    """
+
+    def __init__(self, space: FeatureSpace, total: int):
         self.space = space
+        self.total = total
+
+    def weight(self, entity: Entity) -> int:
+        """Unnormalized mass of an entity of the space's width (`prob`
+        checks the width)."""
+        raise NotImplementedError
 
     def prob(self, entity: Entity) -> Fraction:
-        raise NotImplementedError
+        self._check(entity)
+        return Fraction(self.weight(entity), self.total)
 
     @property
     def finite_support(self) -> tuple[Entity, ...] | None:
@@ -406,19 +412,21 @@ class Distribution:
 
 
 class UniformDistribution(Distribution):
-    """Equal mass 1 / 2^n on every entity."""
+    """Weight 1 on each of the 2^n entities."""
 
-    def prob(self, entity: Entity) -> Fraction:
-        self._check(entity)
-        return Fraction(1, 2**self.space.width)
+    def __init__(self, space: FeatureSpace):
+        super().__init__(space, 2**space.width)
+
+    def weight(self, entity: Entity) -> int:
+        return 1
 
 
 class EmpiricalDistribution(Distribution):
-    """Uniform mass on a duplicate-free sample, 0 elsewhere."""
+    """Weight 1 on each entity of a duplicate-free sample, 0 elsewhere."""
 
     def __init__(self, space: FeatureSpace, sample: Iterable[Entity]):
-        super().__init__(space)
         entities = tuple(sample)
+        super().__init__(space, len(entities))
         if not entities:
             raise ValueError("an empirical distribution needs a non-empty sample")
         if len(set(entities)) != len(entities):
@@ -428,9 +436,8 @@ class EmpiricalDistribution(Distribution):
         self.sample = entities
         self._members = frozenset(entities)
 
-    def prob(self, entity: Entity) -> Fraction:
-        self._check(entity)
-        return Fraction(1, len(self.sample)) if entity in self._members else Fraction(0)
+    def weight(self, entity: Entity) -> int:
+        return int(entity in self._members)
 
     @property
     def finite_support(self) -> tuple[Entity, ...] | None:
@@ -438,17 +445,20 @@ class EmpiricalDistribution(Distribution):
 
 
 class ProductDistribution(Distribution):
-    """Independent per-feature marginals."""
+    """Independent per-feature marginals p/q: a feature weighs p where the
+    entity's bit is 1 and q - p where it is 0, over a total of the
+    product of the q."""
 
     def __init__(self, space: FeatureSpace, marginals: Sequence[Fraction]):
-        super().__init__(space)
         self.marginals = tuple(Fraction(m) for m in marginals)
+        super().__init__(space, prod(m.denominator for m in self.marginals))
         if len(self.marginals) != space.width:
             raise ValueError(
                 f"{len(self.marginals)} marginals for a width-{space.width} space"
             )
         if any(not 0 <= m <= 1 for m in self.marginals):
             raise ValueError("marginals must lie in [0, 1]")
+        self._factors = tuple((m.denominator - m.numerator, m.numerator) for m in self.marginals)
 
     @classmethod
     def from_sample(cls, space: FeatureSpace, sample: Sequence[Entity]) -> "ProductDistribution":
@@ -461,46 +471,38 @@ class ProductDistribution(Distribution):
                 counts[i] += b
         return cls(space, [Fraction(c, len(sample)) for c in counts])
 
-    def prob(self, entity: Entity) -> Fraction:
-        self._check(entity)
-        out = Fraction(1)
-        for bit, m in zip(entity.bits, self.marginals):
-            out *= m if bit else 1 - m
-        return out
+    def weight(self, entity: Entity) -> int:
+        return prod(f[b] for f, b in zip(self._factors, entity.bits))
 
 
 class ConditionedDistribution(Distribution):
     """A base distribution restricted to a constraint's satisfying set.
 
-    Violating entities get probability exactly 0; survivors keep mass
-    proportional to the base.  Construction fails when the satisfying set
-    has zero base mass (the conditional is undefined).  A base with a
-    finite support is filtered once, here.
+    Violating entities weigh 0; survivors keep their base weight, over the
+    survivors' total.  Construction fails when that total is 0 (the
+    conditional is undefined).  A base with a finite support is filtered
+    once, here.
     """
 
     def __init__(self, base: Distribution, constraint: Constraint):
         if constraint.space != base.space:
             raise ValueError("constraint and distribution range over different spaces")
-        super().__init__(base.space)
-        self.base = base
-        self.constraint = constraint
         support = base.finite_support
         if support is None:
-            survivors = (e for e in all_entities(self.space.width) if constraint.satisfied_by(e))
+            survivors = (e for e in all_entities(base.space.width) if constraint.satisfied_by(e))
         else:
             survivors = support = tuple(e for e in support if constraint.satisfied_by(e))
-        self._support = support
-        self._mass = sum((base.prob(e) for e in survivors), Fraction(0))
-        if self._mass == 0:
+        super().__init__(base.space, sum(map(base.weight, survivors)))
+        if self.total == 0:
             raise InconsistentConstraintError(
                 f"constraint {constraint} has zero mass under the base distribution"
             )
+        self.base = base
+        self.constraint = constraint
+        self._support = support
 
-    def prob(self, entity: Entity) -> Fraction:
-        self._check(entity)
-        if not self.constraint.satisfied_by(entity):
-            return Fraction(0)
-        return self.base.prob(entity) / self._mass
+    def weight(self, entity: Entity) -> int:
+        return self.base.weight(entity) if self.constraint.satisfied_by(entity) else 0
 
     @property
     def finite_support(self) -> tuple[Entity, ...] | None:
@@ -539,20 +541,19 @@ def conditional_expectation(
         raise ValueError("classifier and distribution widths differ")
     dist._check(entity)
     fixed_indices = sorted({space.index(name) for name in fixed})
-    numerator = Fraction(0)
-    mass = Fraction(0)
+    numerator = mass = 0
     for candidate in _agreeing_entities(dist, entity, fixed_indices):
         if charge is not None:
             charge()
-        p = dist.prob(candidate)
-        if p == 0:
+        w = dist.weight(candidate)
+        if w == 0:
             continue
-        mass += p
+        mass += w
         if classifier.label(candidate) == 1:
-            numerator += p
+            numerator += w
     if mass == 0:
         raise ZeroMassEventError.pinned(entity, fixed)
-    return numerator / mass
+    return Fraction(numerator, mass)
 
 
 def check_free_width(free: int) -> None:

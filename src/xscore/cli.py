@@ -152,23 +152,22 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = args.handler(args)
-        warning_texts = [str(w.message) for w in caught]
+        report = {
+            "schema": SCHEMA,
+            "version": __version__,
+            "command": args.command,
+            "config": _config_echo(args),
+            "records": records,
+            "warnings": [str(w.message) for w in caught],
+            "timing": {"seconds": round(time.monotonic() - started, 6)},
+        }
+        _emit(report, args)
     except Exception as exc:  # noqa: BLE001 - mapped to the exit-code taxonomy
         code = _exit_code(exc)
         if code is None:
             raise
         print(f"xscore: error: {exc}", file=sys.stderr)
         return code
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": args.command,
-        "config": _config_echo(args),
-        "records": records,
-        "warnings": warning_texts,
-        "timing": {"seconds": round(time.monotonic() - started, 6)},
-    }
-    _emit(report, args)
     return EXIT_OK
 
 
@@ -215,7 +214,7 @@ def _cmd_db_scores(args) -> list[dict]:
     from . import dbscores, games
     charge = games.meter(_budget(args))
     db = _load_relations(args.relation)
-    lineage, query = _resolve_query_or_lineage(args, db)
+    lineage, players = _resolve_query_or_lineage(args, db)
     kinds = _split_kinds(args.kinds, DB_KINDS)
     if args.mode == "exact" and (args.epsilon is not None or args.delta is not None):
         raise ValueError("--epsilon/--delta are only valid with --mode approx")
@@ -233,10 +232,8 @@ def _cmd_db_scores(args) -> list[dict]:
                 records.append(_cause_record(report))
             continue
         if kind == "shapley" and args.mode == "approx":
-            records.extend(_monte_carlo_records(args, all_ids, lineage, query, charge))
+            records.extend(_monte_carlo_records(args, all_ids, lineage, players, charge))
             continue
-        if kind != "causal_effect":
-            _require_boolean(query)
         if swings is None:
             swings = dbscores.swing_counts(lineage, charge)
         values = dbscores.swing_scores(swings, kind, probability)
@@ -254,21 +251,10 @@ def _cmd_db_scores(args) -> list[dict]:
     return records
 
 
-def _require_boolean(query) -> None:
-    from . import dbscores
-    # Only a query game needs a Boolean query; a lineage game has none.
-    if query is not None:
-        dbscores.require_boolean(query)
-
-
-def _monte_carlo_records(args, all_ids, lineage, query, charge) -> list[dict]:
+def _monte_carlo_records(args, all_ids, lineage, players, charge) -> list[dict]:
     from . import dbscores, games
     if args.epsilon is None or args.delta is None:
         raise ValueError("--mode approx needs --epsilon and --delta")
-    _require_boolean(query)
-    # The query game plays every tuple of the instance, the lineage game
-    # only the support; tuples outside the support are null players.
-    players = all_ids if query is not None else sorted(lineage.support())
     game = dbscores.lineage_game(lineage, players)
     estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, charge)
     samples = games.sample_count(args.epsilon, args.delta)
@@ -386,6 +372,10 @@ def _load_relations(specs: list[str]):
 
 
 def _resolve_query_or_lineage(args, db):
+    """The lineage to score and the players of its game: every tuple of the
+    instance for a Boolean query (others are refused before the join),
+    only the support for lineage text; tuples outside the support are
+    null players."""
     from . import dbscores, reldb
     sources = [
         s for s in (args.query, args.query_file, args.lineage, args.lineage_file) if s is not None
@@ -397,9 +387,11 @@ def _resolve_query_or_lineage(args, db):
     if args.query is not None or args.query_file is not None:
         query_text = args.query if args.query is not None else args.query_file.read_text()
         query = reldb.parse_query(query_text.strip())
-        return dbscores.query_lineage(db, query), query
+        dbscores.require_boolean(query)
+        return dbscores.query_lineage(db, query), db.tuple_ids()
     lineage_text = args.lineage if args.lineage is not None else args.lineage_file.read_text()
-    return reldb.parse_lineage(lineage_text.strip(), db), None
+    lineage = reldb.parse_lineage(lineage_text.strip(), db)
+    return lineage, sorted(lineage.support())
 
 
 def _split_kinds(text: str, allowed) -> list[str]:

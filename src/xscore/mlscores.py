@@ -19,7 +19,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable
 
 from . import games
@@ -289,14 +288,14 @@ def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None
     """E[L | e on S] for every feature set S, indexed by the sum of the
     features' `_feature_bits`; None where the event has no mass.
 
-    Each positive-mass entity x is labelled once and filed under its
+    Each positive-weight entity x is labelled once and filed under its
     agreement mask with the request's entity e (the features where x and
     e agree).  Distinct entities have distinct masks, so before the sum
-    each slot holds at most one entity's mass, scaled to an integer by the
-    lcm of the mass denominators.  Adding slot S | {j} into slot S for each
-    feature j (O(n 2^n) integer additions) turns the slots into the
-    label-1 mass and the total mass of the entities agreeing with e on S.
-    The caller has passed `_check_enumerable`.
+    each slot holds at most one entity's integer weight.  Adding slot
+    S | {j} into slot S for each feature j (O(n 2^n) integer additions)
+    turns the slots into the label-1 weight and the total weight of the
+    entities agreeing with e on S.  The caller has passed
+    `_check_enumerable`.
     """
     dist, entity = request.distribution, request.entity
     n = entity.width
@@ -305,19 +304,16 @@ def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None
         candidates = all_entities(n)
     full = (1 << n) - 1
     target = int(str(entity), 2)
-    num: list = [0] * (full + 1)
-    den: list = [0] * (full + 1)
+    num = [0] * (full + 1)
+    den = [0] * (full + 1)
     for x in candidates:
-        p = dist.prob(x)
-        if p == 0:
+        w = dist.weight(x)
+        if w == 0:
             continue
         agree = full & ~(int(str(x), 2) ^ target)
-        den[agree] = p
+        den[agree] = w
         if request.classifier.label(x) == 1:
-            num[agree] = p
-    scale = lcm(*(p.denominator for p in den))
-    num = [p.numerator * (scale // p.denominator) for p in num]
-    den = [p.numerator * (scale // p.denominator) for p in den]
+            num[agree] = w
     for j in range(n):
         bit = 1 << j
         for s in range(full + 1):

@@ -516,16 +516,12 @@ def dichotomy_verdict(analysis: QueryAnalysis) -> str:
 # CSV ingestion
 
 
-def load_csv(
-    paths: Mapping[str, str | Path],
-    schema: Mapping[str, Sequence[str]] | None = None,
-) -> Database:
+def load_csv(paths: Mapping[str, str | Path]) -> Database:
     """Load one CSV file per relation into a database.
 
     The header row names the columns; an optional leading or trailing
     `_id` column supplies explicit tuple ids, otherwise ids are assigned
-    as `<relation>:<row-index>`.  When `schema` lists expected column
-    names for a relation, the header (minus `_id`) must match it.
+    as `<relation>:<row-index>`.
     """
     db = Database()
     for relation in sorted(paths):
@@ -539,12 +535,6 @@ def load_csv(
             header = [h.strip() for h in header]
             id_col = header.index("_id") if "_id" in header else None
             columns = [h for h in header if h != "_id"]
-            if schema is not None and relation in schema:
-                expected = list(schema[relation])
-                if columns != expected:
-                    raise DatabaseError(
-                        f"{path}: header {columns} does not match schema {expected}"
-                    )
             db.add_relation(relation, len(columns))
             for row_number, row in enumerate(reader):
                 if len(row) != len(header):

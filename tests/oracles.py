@@ -13,7 +13,10 @@ oracle plays the coalition game with one conditional expectation per
 coalition instead of one table; the RESP oracle tries every replacement
 vector of each contingency instead of the one that flips all of it; the
 substitution oracle rebuilds the tree and constant-propagates each rebuilt
-node in a second walk instead of in the same pass.
+node in a second walk instead of in the same pass; the mass oracle gives
+each entity its probability from the variant's rational formula instead of
+an integer weight over a total, and takes conditional expectations as
+ratios of those rationals over the whole space.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from itertools import combinations, permutations, product
 
 from xscore import formula, reldb
 from xscore.classify import (
+    ConditionedDistribution,
     Constraint,
     EmpiricalDistribution,
     Entity,
@@ -228,6 +232,44 @@ def resp_by_replacement_search(request, feature: str) -> FeatureScore:
                         witness=RespWitness(names, values, replacement, candidate),
                     )
     return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
+
+
+def masses_by_formula(dist) -> dict[Entity, Fraction]:
+    """Every entity's probability from its variant's rational formula:
+    1 / 2^n uniform; 1 / |sample| on the sample and 0 off it; the product
+    of m (bit 1) or 1 - m (bit 0) over the marginals m; under a constraint,
+    0 for a violator and the base probability over the survivors' base
+    mass otherwise."""
+    entities = list(all_entities(dist.space.width))
+    if isinstance(dist, ConditionedDistribution):
+        base = masses_by_formula(dist.base)
+        kept = {e: base[e] if dist.constraint.satisfied_by(e) else Fraction(0) for e in entities}
+        mass = sum(kept.values())
+        return {e: p / mass for e, p in kept.items()}
+    if isinstance(dist, UniformDistribution):
+        return {e: Fraction(1, 2**dist.space.width) for e in entities}
+    if isinstance(dist, EmpiricalDistribution):
+        return {e: Fraction(1, len(dist.sample)) if e in dist.sample else Fraction(0) for e in entities}
+    masses = {}
+    for e in entities:
+        p = Fraction(1)
+        for bit, m in zip(e.bits, dist.marginals):
+            p *= m if bit else 1 - m
+        masses[e] = p
+    return masses
+
+
+def expectation_by_formula(dist, classifier, entity: Entity, fixed) -> Fraction:
+    """E[label | agree with `entity` on `fixed`]: the label-1 probability
+    over the probability of the event, summed from `masses_by_formula`
+    over the whole space; `ZeroMassEventError` when the event has none."""
+    masses = masses_by_formula(dist)
+    indices = [dist.space.index(name) for name in fixed]
+    agreeing = [e for e in masses if all(e.bits[i] == entity.bits[i] for i in indices)]
+    mass = sum(masses[e] for e in agreeing)
+    if mass == 0:
+        raise ZeroMassEventError.pinned(entity, fixed)
+    return sum(masses[e] for e in agreeing if classifier.label(e) == 1) / mass
 
 
 def shap_game_by_expectation(request) -> Game:

@@ -3,13 +3,20 @@ import re
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_truth_table
+from oracles import (
+    DISTRIBUTIONS,
+    expectation_by_formula,
+    masses_by_formula,
+    random_distribution,
+    random_formula,
+    random_truth_table,
+)
 from xscore import classify
 from xscore.classify import (
     Constraint,
@@ -190,6 +197,39 @@ def test_total_mass_is_one(seed, width):
         except InconsistentConstraintError:
             return  # the sample or marginals put no mass on the survivors
     assert sum(dist.prob(e) for e in all_entities(width)) == 1
+
+
+@given(st.integers(0, 10**9), st.integers(1, 4), st.sampled_from(DISTRIBUTIONS), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_prob_and_expectation_match_rational_formulas(seed, width, kind, nested):
+    # Product marginals include 0 and 1; up to two more constraints are
+    # conditioned on top of any kind, conditioned ones included.
+    rng = random.Random(seed)
+    space, clf = random_truth_table(rng, width)
+    try:
+        dist = random_distribution(rng, space, kind)
+    except InconsistentConstraintError:
+        return
+    for _ in range(nested):
+        constraint = Constraint(space=space, root=random_formula(rng, space.names))
+        base = masses_by_formula(dist)
+        if sum(p for e, p in base.items() if constraint.satisfied_by(e)) == 0:
+            with pytest.raises(InconsistentConstraintError):
+                condition(dist, constraint)
+            break
+        dist = condition(dist, constraint)
+    masses = masses_by_formula(dist)
+    assert {e: dist.prob(e) for e in masses} == masses
+    entity = rng.choice(list(masses))
+    for size in range(width + 1):
+        for fixed in combinations(space.names, size):
+            try:
+                expected = expectation_by_formula(dist, clf, entity, fixed)
+            except ZeroMassEventError:
+                with pytest.raises(ZeroMassEventError):
+                    conditional_expectation(dist, clf, entity, fixed)
+                continue
+            assert conditional_expectation(dist, clf, entity, fixed) == expected
 
 
 def test_condition_on_true_is_identity_masses(ex6_space):
@@ -402,14 +442,6 @@ def test_external_matches_in_process(tmp_path):
         assert remote.width == width
         for e in all_entities(width):
             assert remote.label(e) == local.label(e)
-
-
-def test_external_width_mismatch(data_dir):
-    with pytest.raises(ClassifierProtocolError, match="width"):
-        ExternalClassifier(
-            [sys.executable, "-m", "xscore.clfserver", str(data_dir / "ex6_table.csv")],
-            expected_width=5,
-        )
 
 
 def test_external_bad_handshake():

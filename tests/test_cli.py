@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xscore import classify, cli
+from xscore import classify, cli, dbscores
 
 
 def run(capsys, *argv):
@@ -337,6 +337,28 @@ def test_exit_code_usage_error(capsys, data_dir):
     assert code == cli.EXIT_PARSE  # missing --entity
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--kinds", "responsibility"),
+        ("--kinds", "causal_effect"),
+        ("--kinds", "shapley"),
+        ("--kinds", "banzhaf"),
+        ("--kinds", "shapley", "--mode", "approx", "--epsilon", "0.2", "--delta", "0.2"),
+    ],
+)
+def test_db_scores_refuses_a_head_query_before_the_join(capsys, data_dir, monkeypatch, extra):
+    def no_join(*args):
+        raise AssertionError("the query was joined")
+
+    monkeypatch.setattr(dbscores, "query_lineage", no_join)
+    argv = list(db_args(data_dir, *extra))
+    argv[argv.index("--query") + 1] = "Q(x) :- S(x), R(x,y), S(y)"
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out.err == "xscore: error: query games need a Boolean query (empty head)\n"
+
+
 def test_epsilon_requires_approx_mode(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--epsilon", "0.1"))
     assert code == cli.EXIT_PARSE
@@ -414,6 +436,18 @@ def test_output_file_atomic(capsys, data_dir, tmp_path):
     report = json.loads(target.read_text())
     assert report["schema"] == "xscore/1"
     assert list(target.parent.glob("*.tmp")) == []
+
+
+def test_output_write_failure_exits_1(capsys, data_dir, tmp_path):
+    target = tmp_path / "report"
+    target.mkdir()
+    code, out = run(capsys, *db_args(data_dir, "--output", str(target)))
+    assert code == cli.EXIT_PARSE
+    assert out.err.startswith("xscore: error: ")
+    assert str(target) in out.err
+    assert out.out == ""
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(target.iterdir()) == []
 
 
 def test_config_echo_reproduces_run(capsys, data_dir):
@@ -684,30 +718,100 @@ def test_ml_scores_external_matches_local(capsys, data_dir):
     assert json.dumps(local["records"]) == json.dumps(external["records"])
 
 
-def test_ml_scores_reaps_classifier_on_bad_features(capsys, data_dir, monkeypatch):
-    # The classifier starts before --features is checked; the error must
-    # still close it, so no child outlives the run.
-    started = []
+@pytest.fixture
+def started(monkeypatch):
+    """The external classifiers a test starts; any left running is closed
+    at the end."""
+    classifiers = []
     start = classify.ExternalClassifier.__init__
 
     def spy(self, *args, **kwargs):
-        started.append(self)
+        classifiers.append(self)
         start(self, *args, **kwargs)
 
     monkeypatch.setattr(classify.ExternalClassifier, "__init__", spy)
+    yield classifiers
+    for clf in classifiers:
+        if clf._proc.returncode is None:
+            clf.close()
+
+
+def test_ml_scores_reaps_classifier_on_bad_features(capsys, data_dir, started):
+    # The classifier starts before --features is checked; the error must
+    # still close it, so no child outlives the run.
     command = f"{sys.executable} -m xscore.clfserver {data_dir / 'ex6_table.csv'}"
-    try:
-        code, out = run(
-            capsys, "ml-scores", "--classifier-cmd", command, "--features", "F1,F1,F2",
-            "--entity", "011",
-        )
-        assert code == cli.EXIT_PARSE
-        assert out.err == "xscore: error: feature names must be unique\n"
-        assert [clf._proc.returncode for clf in started] == [0]
-    finally:
-        for clf in started:
-            if clf._proc.returncode is None:
-                clf.close()
+    code, out = run(
+        capsys, "ml-scores", "--classifier-cmd", command, "--features", "F1,F1,F2",
+        "--entity", "011",
+    )
+    assert code == cli.EXIT_PARSE
+    assert out.err == "xscore: error: feature names must be unique\n"
+    assert [clf._proc.returncode for clf in started] == [0]
+
+
+ML_INPUT_ERRORS = {
+    "classifier-and-cmd": (
+        ("--classifier", "{table}", "--classifier-cmd", "{server}"),
+        "--classifier and --classifier-cmd are mutually exclusive",
+    ),
+    "features-with-table": (
+        ("--classifier", "{table}", "--features", "F1,F2,F3"),
+        "--features conflicts with --classifier (header names win)",
+    ),
+    "empirical-without-sample": (
+        ("--classifier", "{table}", "--distribution", "empirical"),
+        "--distribution empirical needs --sample",
+    ),
+    "product-without-source": (
+        ("--classifier", "{table}", "--distribution", "product"),
+        "--distribution product needs --marginals or --sample",
+    ),
+    "sample-names-differ": (
+        ("--classifier", "{table}", "--distribution", "empirical", "--sample", "{renamed}"),
+        "sample features ('A', 'B', 'C') do not match classifier features ('F1', 'F2', 'F3')",
+    ),
+    "labelled-sample-not-empirical": (
+        ("--sample", "{labelled}", "--distribution", "product"),
+        "sample-labeled scoring needs --distribution empirical",
+    ),
+    "features-width-differs": (
+        ("--classifier-cmd", "{server}", "--features", "F1,F2"),
+        "--features names 2 features, classifier serves 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ML_INPUT_ERRORS))
+def test_ml_scores_input_checks_exit_1(capsys, data_dir, tmp_path, started, case):
+    flags, message = ML_INPUT_ERRORS[case]
+    renamed, labelled = tmp_path / "renamed.csv", tmp_path / "labelled.csv"
+    renamed.write_text("A,B,C\n0,1,1\n")
+    labelled.write_text("F1,F2,F3,_label\n0,1,1,1\n")
+    paths = {
+        "table": data_dir / "ex6_table.csv",
+        "server": f"{sys.executable} -m xscore.clfserver {data_dir / 'ex6_table.csv'}",
+        "renamed": renamed,
+        "labelled": labelled,
+    }
+    argv = [flag.format(**paths) for flag in flags]
+    code, out = run(capsys, "ml-scores", *argv, "--entity", "011")
+    assert code == cli.EXIT_PARSE
+    assert out.err == f"xscore: error: {message}\n"
+    reaped = [0] if case == "features-width-differs" else []
+    assert [clf._proc.returncode for clf in started] == reaped
+
+
+def test_ml_scores_product_sample_equals_its_frequencies(capsys, data_dir, tmp_path):
+    sample = tmp_path / "s.csv"
+    sample.write_text("F1,F2,F3\n0,1,1\n0,0,1\n1,1,1\n")
+    estimated = run_json(
+        capsys, *ml_args(data_dir, "--distribution", "product", "--sample", str(sample))
+    )
+    given = run_json(
+        capsys, *ml_args(data_dir, "--distribution", "product", "--marginals", "1/3,2/3,1")
+    )
+    assert estimated["records"] == given["records"]
+    assert {r["kind"] for r in given["records"]} == {"shap", "counter", "resp"}
 
 
 def test_ml_scores_entity_width_mismatch(capsys, data_dir):

@@ -433,11 +433,3 @@ def test_load_csv_duplicate_explicit_id(tmp_path):
     f.write_text("_id,A\nt1,x\nt1,y\n")
     with pytest.raises(DuplicateTupleError):
         load_csv({"T": f})
-
-
-def test_load_csv_schema_check(tmp_path):
-    f = tmp_path / "T.csv"
-    f.write_text("A,B\n1,2\n")
-    load_csv({"T": f}, schema={"T": ["A", "B"]})
-    with pytest.raises(reldb.DatabaseError, match="schema"):
-        load_csv({"T": f}, schema={"T": ["A", "C"]})
