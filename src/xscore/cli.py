@@ -214,10 +214,14 @@ def _cmd_db_scores(args) -> list[dict]:
     from . import dbscores, games
     charge = games.meter(_budget(args))
     db = _load_relations(args.relation)
+    for tid in args.tuple:
+        db.values_of(tid)
     lineage, players = _resolve_query_or_lineage(args, db)
     kinds = _split_kinds(args.kinds, DB_KINDS)
     if args.mode == "exact" and (args.epsilon is not None or args.delta is not None):
         raise ValueError("--epsilon/--delta are only valid with --mode approx")
+    if args.mode == "approx" and (args.epsilon is None or args.delta is None):
+        raise ValueError("--mode approx needs --epsilon and --delta")
     probability = None
     if args.probability:
         probability = _rational_arg("--probability", args.probability)
@@ -241,8 +245,6 @@ def _cmd_db_scores(args) -> list[dict]:
             value = values.get(tid, Fraction(0))
             records.append(_score_record(tid, kind, value))
     if args.tuple:
-        for tid in args.tuple:
-            db.values_of(tid)
         wanted = set(args.tuple)
         records = [r for r in records if r["tuple"] in wanted]
     if args.nonzero:
@@ -253,8 +255,6 @@ def _cmd_db_scores(args) -> list[dict]:
 
 def _monte_carlo_records(args, all_ids, lineage, players, charge) -> list[dict]:
     from . import dbscores, games
-    if args.epsilon is None or args.delta is None:
-        raise ValueError("--mode approx needs --epsilon and --delta")
     game = dbscores.lineage_game(lineage, players)
     estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, charge)
     samples = games.sample_count(args.epsilon, args.delta)

@@ -16,9 +16,11 @@ expectations.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable
 
 from . import games
@@ -223,54 +225,59 @@ def score_all(
 def _shap_values(
     request: ExplanationRequest, features: Iterable[str] | None = None
 ) -> dict[str, Fraction]:
-    """SHAP scores of `features` (default: all, in space order) as one
-    subset-weighted sum over the coalition table.
+    """SHAP scores of `features` (default: all, in space order), summed in
+    integers with one `Fraction` per feature.
 
-    Feature j's score sums w[k] (E[S + j] - E[S]) over the sets S of k
-    other features, w = `games.size_weights("shapley", n)`.  A zero-mass
-    coalition raises the `ZeroMassEventError` of the first term that
-    reaches it, taking the least feature and then the first S of
-    `games.least_contingency`; with `skip_zero_mass` its terms are dropped
-    instead, and each feature's count of dropped terms is reported
-    through `ZeroMassSkipWarning`.
+    Feature j's score sums c[|S|] (E[S + j] - E[S]) / n! over the S without
+    j, c[k] = k!(n-1-k)!.  Written over L, the lcm of the nonzero den, each
+    E[S] = num[S] / den[S] is Z[S] / L, so the score is (sum over T with j
+    of c[|T|-1] Z[T] - sum over S without j of c[|S|] Z[S]) / (n! L).  The
+    slots with bit j set come in blocks of 2^j at stride 2^(j+1), each just
+    after the block of the same sets without j, so `compress` picks either
+    side, in aligned order, by a byte pattern and `sum` adds it in C.
+
+    A zero-mass coalition (den 0) raises the `ZeroMassEventError` of the
+    first term reaching it: the least feature, then the first S of
+    `games.least_contingency`.  With `skip_zero_mass`, S's term is dropped
+    exactly when den[S + j] is 0 (zero mass is upward closed, so this covers
+    den[S] = 0, and Z is 0 there); each feature's count of dropped terms is
+    reported through `ZeroMassSkipWarning`.
     """
     space = request.distribution.space
     names = space.names if features is None else list(features)
-    expectations = _coalition_expectations(request)
-    bits = _feature_bits(space)
-    if not request.skip_zero_mass and None in expectations:
-        _raise_first_zero_mass(request, min(names), expectations, bits)
-    n = space.width
-    weights = games.size_weights("shapley", n)
+    bits = {name: 1 << j for j, name in enumerate(space.names)}
+    num, den = _coalition_counts(request)
+    if not request.skip_zero_mass and 0 in den:
+        _raise_first_zero_mass(request, min(names), den, bits)
+    n, slots = space.width, len(den)
+    common = math.lcm(*{d for d in den if d})
+    scaled = [a * (common // b) if b else 0 for a, b in zip(num, den)]
+    c = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    # c[|S|-1] where S is some S' + j (never empty), c[|S|] where S lacks j.
+    into, out = [0, *c], [*c, 0]
+    sizes = [s.bit_count() for s in range(slots)]
+    joined = [into[k] * z for k, z in zip(sizes, scaled)]
+    left = [out[k] * z for k, z in zip(sizes, scaled)]
     values = {}
     for name in names:
         bit = bits[name]
-        by_size = [Fraction(0)] * n
-        skipped = 0
-        for without in range(1 << n):
-            if without & bit:
-                continue
-            with_value, without_value = expectations[without | bit], expectations[without]
-            if with_value is None or without_value is None:
-                skipped += 1
-                continue
-            by_size[without.bit_count()] += with_value - without_value
-        if skipped:
-            warnings.warn(
-                f"shap({name}): skipped {skipped} zero-mass coalitions",
-                ZeroMassSkipWarning,
-                stacklevel=3,
-            )
-        values[name] = sum((w * d for w, d in zip(weights, by_size)), Fraction(0))
+        has = (bytes(bit) + b"\x01" * bit) * (slots // (2 * bit))
+        lacks = has[bit:] + has[:bit]
+        with_mass = list(compress(den, has))  # den[S + j], aligned with S
+        total = sum(compress(joined, has)) - sum(compress(compress(left, lacks), with_mass))
+        if skipped := with_mass.count(0):
+            message = f"shap({name}): skipped {skipped} zero-mass coalitions"
+            warnings.warn(message, ZeroMassSkipWarning, stacklevel=3)
+        values[name] = Fraction(total, math.factorial(n) * common)
     return values
 
 
-def _raise_first_zero_mass(request, feature, expectations, bits) -> None:
+def _raise_first_zero_mass(request, feature, den, bits) -> None:
     # Zero mass is upward closed, so the first term to reach a zero-mass
     # coalition does so through S + feature.
     chosen = games.least_contingency(
         sorted(n for n in request.distribution.space.names if n != feature),
-        lambda s: expectations[bits[feature] + sum(bits[n] for n in s)] is None,
+        lambda s: den[bits[feature] + sum(bits[n] for n in s)] == 0,
     )
     raise ZeroMassEventError.pinned(request.entity, (feature, *chosen))
 
@@ -284,16 +291,16 @@ def _check_enumerable(request: ExplanationRequest, charge: Callable) -> None:
         check_free_width(n)
 
 
-def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None]:
-    """E[L | e on S] for every feature set S, indexed by the sum of the
-    features' `_feature_bits`; None where the event has no mass.
+def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]]:
+    """The label-1 weight num[S] and the total weight den[S] of the entities
+    agreeing with the request's entity e on S, for every feature set S
+    (feature j is bit j of the slot index): E[L | e on S] = num[S] / den[S],
+    and den[S] is 0 where the event has no mass.
 
-    Each positive-weight entity x is labelled once and filed under its
-    agreement mask with the request's entity e (the features where x and
-    e agree).  Distinct entities have distinct masks, so before the sum
-    each slot holds at most one entity's integer weight.  Adding slot
-    S | {j} into slot S for each feature j (O(n 2^n) integer additions)
-    turns the slots into the label-1 weight and the total weight of the
+    Each entity x is labelled at most once and filed under its agreement
+    mask with e (the features where x and e agree); distinct entities have
+    distinct masks.  Adding slot S | {j} into slot S for each feature j
+    (O(n 2^n) integer additions) turns the slots into the sums over the
     entities agreeing with e on S.  The caller has passed
     `_check_enumerable`.
     """
@@ -302,27 +309,20 @@ def _coalition_expectations(request: ExplanationRequest) -> list[Fraction | None
     candidates = dist.finite_support
     if candidates is None:
         candidates = all_entities(n)
+    place = [1 << j for j in range(n)]
     full = (1 << n) - 1
-    target = int(str(entity), 2)
+    target = sum(compress(place, entity.bits))
     num = [0] * (full + 1)
     den = [0] * (full + 1)
     for x in candidates:
         w = dist.weight(x)
-        if w == 0:
-            continue
-        agree = full & ~(int(str(x), 2) ^ target)
+        agree = full & ~(sum(compress(place, x.bits)) ^ target)
         den[agree] = w
-        if request.classifier.label(x) == 1:
+        if w and request.classifier.label(x) == 1:
             num[agree] = w
-    for j in range(n):
-        bit = 1 << j
+    for bit in place:
         for s in range(full + 1):
             if not s & bit:
                 num[s] += num[s | bit]
                 den[s] += den[s | bit]
-    return [Fraction(a, b) if b else None for a, b in zip(num, den)]
-
-
-def _feature_bits(space) -> dict[str, int]:
-    # Feature j is bit n-1-j, so an entity's bit string reads as its mask.
-    return {name: 1 << (space.width - 1 - j) for j, name in enumerate(space.names)}
+    return num, den

@@ -418,7 +418,9 @@ def _matches(
     variables bound by earlier atoms.  Rows that break a repeated fresh
     variable, as in `R(x,x)`, are dropped then.  A partial binding visits
     only the rows under its own key and binds the fresh variables from
-    them.
+    them.  Every call plans and indexes every atom afresh: that suits the
+    CLI's one join, but a library caller joining many small sub-instances
+    (`summation_game`) pays it per join.
     """
     steps = []
     bound: set[Var] = set()

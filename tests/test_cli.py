@@ -178,6 +178,14 @@ def test_db_scores_unknown_tuple_filter(capsys, data_dir):
     assert "unknown tuple" in out.err
 
 
+def test_db_scores_checks_tuple_ids_before_any_kind_runs(capsys, data_dir):
+    # At budget 1 responsibility would exit 3 if it ran.
+    argv = ("--kinds", "responsibility", "--budget", "1", "--tuple", "S(a)", "--tuple", "nope")
+    code, out = run(capsys, *db_args(data_dir, *argv))
+    assert code == cli.EXIT_PARSE
+    assert out.err == "xscore: error: unknown tuple id 'nope'\n"
+
+
 def test_exit_code_query_false(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir)[:-1], 'Q() :- S(x), R(x,y), S("w")')
     assert code == cli.EXIT_QUERY_FALSE
@@ -363,6 +371,15 @@ def test_epsilon_requires_approx_mode(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--epsilon", "0.1"))
     assert code == cli.EXIT_PARSE
     assert "approx" in out.err
+
+
+def test_approx_mode_requires_epsilon_and_delta_before_any_kind_runs(capsys, data_dir):
+    # Responsibility sorts first; at budget 1 it would exit 3 if it ran.
+    for extra in ((), ("--epsilon", "0.1"), ("--delta", "0.1")):
+        argv = ("--kinds", "responsibility,shapley", "--mode", "approx", "--budget", "1", *extra)
+        code, out = run(capsys, *db_args(data_dir, *argv))
+        assert code == cli.EXIT_PARSE
+        assert out.err == "xscore: error: --mode approx needs --epsilon and --delta\n"
 
 
 def test_monte_carlo_mode_is_seeded(capsys, data_dir):

@@ -17,13 +17,14 @@ from oracles import (
     shap_skipping_by_expectation,
     shapley_by_permutations,
 )
-from xscore import games
+from xscore import games, mlscores
 from xscore.classify import (
     EmpiricalDistribution,
     Entity,
     FeatureSpace,
     FunctionClassifier,
     InconsistentConstraintError,
+    ProductDistribution,
     UniformDistribution,
     WidthLimitError,
     ZeroMassEventError,
@@ -193,6 +194,67 @@ def test_shap_matches_per_coalition_oracle(seed, kind, skip_zero_mass):
     batch = _shap_outcome(lambda: {s.feature: s.value for s in score_all(request, ["shap"])})
     assert batch == oracle
     assert _shap_outcome(lambda: shap(request, feature).value) == oracle_one
+
+
+def _wide_request(width, kind, skip_zero_mass):
+    """A fixed-seed request of the given width.  The empirical sample leaves
+    out the entity and the constraint denies it, so both have zero-mass
+    coalitions; the uniform and product requests have none."""
+    rng = random.Random(width * len(DISTRIBUTIONS) + DISTRIBUTIONS.index(kind))
+    space, clf = random_truth_table(rng, width)
+    entity = Entity((1, 0) + tuple(rng.randint(0, 1) for _ in range(width - 2)))
+    marginals = [Fraction(rng.randint(1, 6), 7) for _ in range(width)]
+    if kind == "uniform":
+        dist = UniformDistribution(space)
+    elif kind == "product":
+        dist = ProductDistribution(space, marginals)
+    elif kind == "empirical":
+        population = [e for e in all_entities(width) if e != entity]
+        dist = EmpiricalDistribution(space, rng.sample(population, 2 ** (width - 2)))
+    else:  # F1 = 1 and F2 = 0 is denied, as the entity has it
+        denial = parse_constraint("!(F1 & ~F2)", space)
+        dist = condition(ProductDistribution(space, marginals), denial)
+    return ExplanationRequest(
+        entity=entity, classifier=clf, distribution=dist, skip_zero_mass=skip_zero_mass
+    )
+
+
+@pytest.mark.parametrize("skip_zero_mass", [False, True])
+@pytest.mark.parametrize("kind", DISTRIBUTIONS)
+@pytest.mark.parametrize("width", [8, 9])
+def test_shap_matches_per_coalition_oracle_at_widths_8_and_9(width, kind, skip_zero_mass):
+    # Fixed seeds at widths past the 1-7 that the hypothesis test draws.
+    request = _wide_request(width, kind, skip_zero_mass)
+    names = request.distribution.space.names
+    if skip_zero_mass:
+        oracle = _shap_outcome(lambda: _oracle_skipping(request, names))
+    else:
+        oracle = _shap_outcome(lambda: games.shapley_all(shap_game_by_expectation(request)))
+    batch = _shap_outcome(lambda: {s.feature: s.value for s in score_all(request, ["shap"])})
+    assert batch == oracle
+    zero_mass = kind in ("empirical", "conditioned")
+    assert (oracle[0] == "zero mass") == (zero_mass and not skip_zero_mass)
+    assert bool(oracle[1]) == zero_mass  # the error text, or the skip warnings
+
+
+def test_shap_builds_one_fraction_per_feature(monkeypatch):
+    # A deterministic guard against per-coalition or per-term rationals:
+    # the sums run in integers, and only each feature's score is a Fraction.
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(mlscores, "Fraction", counting_fraction)
+    width = 10
+    for kind, skip_zero_mass in (("uniform", False), ("product", False), ("empirical", True)):
+        made.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroMassSkipWarning)
+            scores = score_all(_wide_request(width, kind, skip_zero_mass), ["shap"])
+        assert len(scores) == width
+        assert len(made) == width
 
 
 @pytest.mark.parametrize("width", [21, 22, 23])
