@@ -220,8 +220,10 @@ def _cmd_db_scores(args) -> list[dict]:
     kinds = _split_kinds(args.kinds, DB_KINDS)
     if args.mode == "exact" and (args.epsilon is not None or args.delta is not None):
         raise ValueError("--epsilon/--delta are only valid with --mode approx")
-    if args.mode == "approx" and (args.epsilon is None or args.delta is None):
-        raise ValueError("--mode approx needs --epsilon and --delta")
+    if args.mode == "approx":
+        if args.epsilon is None or args.delta is None:
+            raise ValueError("--mode approx needs --epsilon and --delta")
+        games.check_epsilon_delta(args.epsilon, args.delta)
     probability = None
     if args.probability:
         probability = _rational_arg("--probability", args.probability)
@@ -231,15 +233,15 @@ def _cmd_db_scores(args) -> list[dict]:
     swings = None  # counted once, shared by the exact kinds
     records: list[dict] = []
     for kind in kinds:
-        if kind == "responsibility":
-            for report in dbscores.lineage_causes(lineage, all_ids, charge):
-                records.append(_cause_record(report))
-            continue
         if kind == "shapley" and args.mode == "approx":
             records.extend(_monte_carlo_records(args, all_ids, lineage, players, charge))
             continue
         if swings is None:
             swings = dbscores.swing_counts(lineage, charge)
+        if kind == "responsibility":
+            for report in dbscores.lineage_causes(lineage, all_ids, charge, swings):
+                records.append(_cause_record(report))
+            continue
         values = dbscores.swing_scores(swings, kind, probability)
         for tid in all_ids:
             value = values.get(tid, Fraction(0))

@@ -5,11 +5,11 @@ Four scores are computed over the same instance: causal responsibility
 query lineage under an independent tuple-probability model, and the
 Shapley / Banzhaf values of the query coalition game.
 
-All but responsibility depend only on the lineage.  One memoized Shannon
-expansion counts, for each support tuple and each size, the sets of other
-tuples on which adding it makes the lineage true; Shapley, Banzhaf and
-the causal effect at a shared tuple probability are weighted sums of
-those counts.
+Every score depends only on the lineage.  One memoized Shannon expansion
+counts, for each support tuple and each size, the sets of other tuples on
+which adding it makes the lineage true.  Shapley, Banzhaf and the causal
+effect at a shared tuple probability are weighted sums of those counts;
+a least contingency is what the largest such set leaves out.
 The same expansion with per-tuple probabilities gives lineage
 probabilities.
 """
@@ -103,20 +103,24 @@ def lineage_causes(
     lineage: Lineage,
     tuple_ids: Iterable[str] | None = None,
     charge: Callable | None = None,
+    swings: Mapping[str, list[int]] | None = None,
 ) -> list[CauseReport]:
     """Causal reports computed directly from a lineage formula.
 
     `tuple_ids` defaults to the lineage support; pass the full instance's
-    ids to also report the (zero) scores of unmentioned tuples.  Each
-    contingency candidate tested is charged.
+    ids to also report the (zero) scores of unmentioned tuples.  Contingency
+    sizes are read off `swing_counts` (counted, and charged, here when
+    `swings` is None); only each witness is searched, at its one size, and
+    each candidate tested is charged.
     """
     support = lineage.support()
     if not lineage.evaluate(support):
         raise NothingToExplainError("lineage is false even with every tuple present")
     players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
-    truth = _memoized_truth(lineage)
     charge = charge or games.meter(games.DEFAULT_BUDGET)
-    return [_cause_of(support, tid, truth, charge) for tid in players]
+    if swings is None:
+        swings = swing_counts(lineage, charge)
+    return [_cause_of(lineage, support, t, swings.get(t, ()), charge) for t in players]
 
 
 def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
@@ -127,36 +131,24 @@ def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
     return lineage
 
 
-def _cause_of(support: frozenset, tuple_id: str, truth, charge) -> CauseReport:
+def _cause_of(lineage: Lineage, support: frozenset, tuple_id: str, counts, charge) -> CauseReport:
     # A contingency gamma works when the lineage holds without gamma and
-    # fails without gamma and the tuple; over the sorted support the least
-    # one is of minimum size, and the lexicographic least of it.
-    gamma = None
-    if tuple_id in support:
-        gamma = games.least_contingency(
-            sorted(support - {tuple_id}),
-            lambda g: truth(g) and not truth(tuple(sorted(g + (tuple_id,)))),
-            charge=charge,
-        )
-    if gamma is None:
+    # fails without gamma and the tuple: the tuple swings it on the other
+    # m - 1 - |gamma| tuples.  The largest k with d[k] > 0 gives the least
+    # size, and the first gamma of it over the sorted support is the witness.
+    swung = [k for k, d in enumerate(counts) if d]
+    if not swung:
         return CauseReport(tuple_id, False, False, None, None, Fraction(0))
-    return CauseReport(tuple_id, True, not gamma, len(gamma), gamma, Fraction(1, len(gamma) + 1))
-
-
-def _memoized_truth(lineage: Lineage):
-    # Truth with the sorted tuple `removed` taken out of the support, shared
-    # by the searches of one batch and keyed on `removed`, which stays small
-    # as the searches go by size.
-    support = lineage.support()
-    cache: dict[tuple, bool] = {}
-
-    def truth(removed: tuple) -> bool:
-        got = cache.get(removed)
-        if got is None:
-            got = cache[removed] = lineage.evaluate(support.difference(removed))
-        return got
-
-    return truth
+    rest = support - {tuple_id}
+    size = len(rest) - swung[-1]
+    holds = lineage.evaluate
+    gamma = games.least_contingency(
+        sorted(rest),
+        lambda g: holds(support.difference(g)) and not holds(rest.difference(g)),
+        (size,),
+        charge,
+    )
+    return CauseReport(tuple_id, True, not gamma, size, gamma, Fraction(1, size + 1))
 
 
 # ---------------------------------------------------------------------------

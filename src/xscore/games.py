@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Player = Hashable
 Coalition = frozenset
@@ -69,7 +69,7 @@ class Game:
 def sample_count(epsilon: float, delta: float) -> int:
     """Hoeffding sample size for an additive (epsilon, delta) guarantee on
     [0, 1]-bounded marginal contributions: ceil(ln(2/delta) / (2 eps^2))."""
-    _check_epsilon_delta(epsilon, delta)
+    check_epsilon_delta(epsilon, delta)
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
 
@@ -240,14 +240,14 @@ def meter(budget: int) -> Callable[..., None]:
 
 
 def least_contingency(
-    others: Sequence, hits: Callable, cap: int | None = None, charge: Callable | None = None
+    others: Sequence, hits: Callable, sizes: Iterable | None = None, charge: Callable | None = None
 ) -> tuple | None:
-    """The first tuple `chosen` of `others`, by size up to `cap` (default:
-    all) and then in `combinations` order, for which `hits(chosen)` holds,
-    or None; over sorted `others` it is the lexicographic least of least
-    size.  `charge()`, when given, is called before each test."""
-    top = len(others) if cap is None else min(cap, len(others))
-    for size in range(top + 1):
+    """The first tuple `chosen` of `others`, by size through `sizes`
+    (default: 0 to all) and then in `combinations` order, for which
+    `hits(chosen)` holds, or None; over sorted `others` and rising sizes it
+    is the lexicographic least of least size.  `charge()`, when given, is
+    called before each test."""
+    for size in range(len(others) + 1) if sizes is None else sizes:
         for chosen in combinations(others, size):
             if charge is not None:
                 charge()
@@ -256,7 +256,8 @@ def least_contingency(
     return None
 
 
-def _check_epsilon_delta(epsilon: float, delta: float) -> None:
+def check_epsilon_delta(epsilon: float, delta: float) -> None:
+    """Refuse an epsilon that is not positive or a delta outside (0, 1)."""
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (0.0 < delta < 1.0):

@@ -174,10 +174,11 @@ def resp(
             flipped[i] = 1 - flipped[i]
         return Entity(tuple(flipped))
 
+    cap = request.max_contingency
     chosen = games.least_contingency(
         sorted((n, space.index(n)) for n in space.names if n != feature),
         lambda y: request.classifier.label(flip(y)) == flipped_label,
-        request.max_contingency,
+        None if cap is None else range(cap + 1),
         charge,
     )
     if chosen is None:

@@ -3,7 +3,8 @@
 Everything here recomputes scores from first principles, on purpose not
 sharing code paths with the package: the engine sums subset-weighted
 marginals, so the Shapley oracle averages over explicit permutations; the
-causes oracle searches raw sub-databases instead of the lineage; the
+causes oracles search raw sub-databases, or every subset of the lineage
+support, instead of reading contingency sizes off swing counts; the
 hierarchy oracle re-derives Atoms(x) from scratch; the join oracle re-scans
 each relation for every partial binding instead of probing one hash index
 per atom; lineage probabilities and causal effects enumerate every
@@ -41,6 +42,7 @@ from xscore.classify import (
     condition,
     conditional_expectation,
 )
+from xscore.dbscores import CauseReport
 from xscore.games import Game
 from xscore.mlscores import FeatureScore, LabelMismatchError, RespWitness
 
@@ -173,6 +175,33 @@ def min_contingency_unrestricted(
             ):
                 return size
     return None
+
+
+def causes_by_exhaustion(lineage: reldb.Lineage, tuple_ids) -> list[CauseReport]:
+    """Every tuple's `CauseReport` from all subsets of the support.
+
+    A contingency of t is a set G of other support tuples such that the
+    lineage holds without G and fails without G and t.  Each subset is
+    tried as a bit vector, every contingency is kept, and the witness is
+    the least by (size, sorted ids); a tuple with none is a non-cause.
+    """
+    support = sorted(lineage.support())
+    reports = []
+    for t in sorted(set(tuple_ids)):
+        others = [s for s in support if s != t]
+        found = []
+        for bits in product((False, True), repeat=len(others)):
+            gamma = tuple(s for s, bit in zip(others, bits) if bit)
+            kept = set(support) - set(gamma)
+            if lineage.evaluate(kept) and not lineage.evaluate(kept - {t}):
+                found.append(gamma)
+        if not found:
+            reports.append(CauseReport(t, False, False, None, None, Fraction(0)))
+            continue
+        best = min(found, key=lambda g: (len(g), g))
+        size = len(best)
+        reports.append(CauseReport(t, True, size == 0, size, best, Fraction(1, size + 1)))
+    return reports
 
 
 def resp_by_exhaustion(classifier, space: FeatureSpace, entity: Entity, feature: str) -> Fraction:
@@ -401,6 +430,21 @@ def random_nested_lineage(rng: random.Random, ids, depth: int = 3) -> formula.No
         return formula.Var(rng.choice(ids))
     kind = rng.choice((formula.And, formula.Or))
     return kind(tuple(random_nested_lineage(rng, ids, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def random_dnf_lineage(rng: random.Random, ids) -> formula.Node:
+    """Random negation-free DNF over some of `ids`, some of whose
+    disjuncts extend another one, as in `a | (a & b)`: such a b is in the
+    support but can never swing the lineage."""
+    terms = [rng.sample(ids, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        terms.append(rng.choice(terms) + rng.sample(ids, rng.randint(1, 2)))
+    disjuncts = []
+    for term in terms:
+        names = list(dict.fromkeys(term))
+        literals = tuple(formula.Var(n) for n in names)
+        disjuncts.append(literals[0] if len(literals) == 1 else formula.And(literals))
+    return disjuncts[0] if len(disjuncts) == 1 else formula.Or(tuple(disjuncts))
 
 
 QUERY_RELATIONS = ("R", "S", "T")

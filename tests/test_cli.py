@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xscore import classify, cli, dbscores
+from xscore import classify, cli, dbscores, reldb
 
 
 def run(capsys, *argv):
@@ -266,38 +266,33 @@ def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
 
 
 def test_budget_edge_responsibility_counts_candidates(capsys, data_dir):
-    # Summed over the batch, the ex1 contingency searches test 8 candidates.
+    # Responsibility reads its sizes off the ex1 swing counts (144 units),
+    # and the batch's witness searches test 5 candidates.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "responsibility"), 7, budget_error(7)
+        capsys, db_args(data_dir, "--kinds", "responsibility"), 148, budget_error(148)
     )
 
 
 def test_budget_is_shared_by_every_db_kind(capsys, data_dir):
-    # 8 candidates plus one swing count of 144 units, shared by the
-    # three kinds that read it.
+    # One swing count of 144 units, shared by the four kinds that read
+    # it, plus responsibility's 5 witness candidates.
     argv = db_args(data_dir, "--kinds", ",".join(cli.DB_KINDS))
-    _assert_budget_edge(capsys, argv, 151, budget_error(151))
+    _assert_budget_edge(capsys, argv, 148, budget_error(148))
 
 
 def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
-    # T:1 is never pivotal, so its search would test all 2^15 candidates.
+    # T:00's witness takes one tuple of each pair, and combinations order
+    # reaches it after 1,079 candidates; the batch would test 9,027.  The
+    # count (15,288 units) fits the budget, so the witness search hits it.
+    ids = [f"T:{i:02d}" for i in range(15)]
     csv = tmp_path / "T.csv"
-    csv.write_text("_id,a\n" + "".join(f"T:{i},{i}\n" for i in range(16)))
-    lineage = "T:0 | (" + " & ".join(f"T:{i}" for i in range(16)) + ")"
-    code, out = run(
-        capsys,
-        "db-scores",
-        "--relation",
-        f"T={csv}",
-        "--lineage",
-        lineage,
-        "--kinds",
-        "responsibility",
-        "--budget",
-        "1000",
-    )
+    csv.write_text("_id,a\n" + "".join(f"{t},{i}\n" for i, t in enumerate(ids)))
+    lineage = " | ".join([ids[0], *(f"({a} & {b})" for a, b in zip(ids[1::2], ids[2::2]))])
+    argv = ("db-scores", "--relation", f"T={csv}", "--lineage", lineage, "--budget", "20000")
+    run_json(capsys, *argv, "--kinds", "shapley")
+    code, out = run(capsys, *argv, "--kinds", "responsibility")
     assert code == cli.EXIT_BUDGET
-    assert out.err == budget_error(1000)
+    assert out.err == budget_error(20000)
     assert out.out == ""
 
 
@@ -321,6 +316,31 @@ def test_query_game_cost_follows_the_lineage_not_the_instance(capsys, tmp_path):
         records = run_json(capsys, *argv, "--kinds", kind)["records"]
         assert len(records) == 820
     assert sum(Fraction(r["value"]) for r in records) == 1
+
+
+class _Tally:
+    """A charge that only adds up what it is charged, call by call."""
+
+    def __init__(self):
+        self.units = self.calls = 0
+
+    def __call__(self, units: int = 1) -> None:
+        self.units += units
+        self.calls += 1
+
+
+def test_chain_responsibility_work_is_pinned(tmp_path):
+    # Chain |R| = 800, support 14: the count's products take 20,259 units
+    # and the witness searches test 1,589 candidates, one unit each.
+    db = cli._load_relations(_random_instance(tmp_path, 800)[1::2])
+    lineage = dbscores.query_lineage(db, reldb.parse_query("Q() :- S(x), R(x,y), S(y)"))
+    count, search = _Tally(), _Tally()
+    swings = dbscores.swing_counts(lineage, count)
+    reports = dbscores.lineage_causes(lineage, db.tuple_ids(), search, swings)
+    assert (count.units, search.units, search.calls) == (20_259, 1_589, 1_589)
+    # Every support tuple is a cause: 11 need 3 tuples removed, 3 need 4.
+    sizes = [r.min_contingency_size for r in reports if r.is_actual_cause]
+    assert (sizes.count(3), sizes.count(4), len(sizes)) == (11, 3, 14)
 
 
 def test_budget_stops_a_large_lineage_quickly(capsys, tmp_path):
@@ -380,6 +400,25 @@ def test_approx_mode_requires_epsilon_and_delta_before_any_kind_runs(capsys, dat
         code, out = run(capsys, *db_args(data_dir, *argv))
         assert code == cli.EXIT_PARSE
         assert out.err == "xscore: error: --mode approx needs --epsilon and --delta\n"
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, message",
+    [
+        ("-1", "0.1", "epsilon must be positive, got -1.0"),
+        ("0", "0.1", "epsilon must be positive, got 0.0"),
+        ("0.1", "1.5", "delta must be in (0, 1), got 1.5"),
+        ("0.1", "0", "delta must be in (0, 1), got 0.0"),
+    ],
+)
+def test_epsilon_and_delta_are_range_checked_before_any_kind_runs(
+    capsys, data_dir, epsilon, delta, message
+):
+    # Responsibility sorts first; at budget 1 it would exit 3 if it ran.
+    argv = ("--kinds", "responsibility,shapley", "--mode", "approx", "--budget", "1")
+    code, out = run(capsys, *db_args(data_dir, *argv, "--epsilon", epsilon, "--delta", delta))
+    assert code == cli.EXIT_PARSE
+    assert out.err == f"xscore: error: {message}\n"
 
 
 def test_monte_carlo_mode_is_seeded(capsys, data_dir):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     causal_effect_by_enumeration,
+    causes_by_exhaustion,
     lineage_probability_by_enumeration,
     min_contingency_unrestricted,
     random_database_for,
+    random_dnf_lineage,
     random_nested_lineage,
     random_sjf_query,
     shapley_by_permutations,
@@ -116,26 +118,64 @@ def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
 
 
 def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
-    # The ex1 batch tests 8 candidates in all; R(a,b) alone tests () and
-    # then its witness (R(b,b),).
+    # The ex1 swing counts take 144 units and the batch's witness searches
+    # test 5 candidates; R(a,b) alone pays the same count and tests only
+    # its witness (R(b,b),), at the size the count gives.
     lineage = compile_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 7 units of work"):
-        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(7))
-    assert lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(8)) == causes(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 1 units of work"):
-        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(1))
-    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(2)) == Fraction(1, 2)
+    with pytest.raises(BudgetExceededError, match="more than 148 units of work"):
+        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(148))
+    reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(149))
+    assert reports == causes(ex1_db, ex1_query)
+    with pytest.raises(BudgetExceededError, match="more than 144 units of work"):
+        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(144))
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(145)) == Fraction(1, 2)
+    # Counts handed in are not charged again.
+    swings = swing_counts(lineage)
+    assert lineage_causes(lineage, charge=games.meter(5), swings=swings) == lineage_causes(lineage)
 
 
-def test_contingency_memo_stays_small_up_to_the_budget():
-    # T:1 .. T:23 are never pivotal, so the batch tests candidates up to
-    # the budget; the truth memo keys on the small removed sets.
+@given(st.integers(0, 10**9), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_cause_reports_match_exhaustive_oracle(seed, nested):
+    # Every field of every report, null player t6 included.
+    rng = random.Random(seed)
+    ids = NESTED_IDS[:5]
+    root = random_nested_lineage(rng, ids) if nested else random_dnf_lineage(rng, ids)
+    lineage = reldb.Lineage(root, source="user")
+    assert lineage_causes(lineage, NESTED_IDS) == causes_by_exhaustion(lineage, NESTED_IDS)
+
+
+def test_absorbed_tuples_test_no_candidates():
+    # T:1 .. T:23 are never pivotal: their swing counts are all zero, so
+    # they are non-causes without a search, and T:0 tests its one witness.
     db = Database.from_dict({"T": [(str(i),) for i in range(24)]})
     lineage = parse_lineage("T:0 | (" + " & ".join(f"T:{i}" for i in range(24)) + ")", db)
+    swings = swing_counts(lineage)
+    reports = lineage_causes(lineage, charge=games.meter(1), swings=swings)
+    assert [r.responsibility for r in reports] == [1] + [0] * 23
+    assert reports[0].witness_contingency == ()
+    assert lineage_causes(lineage, charge=games.meter(50_000)) == reports
+
+
+def _pairs_lineage(pairs: int) -> reldb.Lineage:
+    # T:00 | (T:01 & T:02) | (T:03 & T:04) | ...: T:00's witness takes one
+    # tuple of each pair, and combinations order reaches it late.
+    ids = [f"T:{i:02d}" for i in range(2 * pairs + 1)]
+    var = formula.Var
+    terms = (formula.And((var(a), var(b))) for a, b in zip(ids[1::2], ids[2::2]))
+    return reldb.Lineage(formula.Or((var(ids[0]), *terms)), source="user")
+
+
+def test_long_witness_search_stays_small_up_to_the_budget():
+    # The count takes 15,288 units and the witness searches 9,027
+    # candidates, so the budget stops a search; nothing is kept per
+    # candidate.
+    lineage = _pairs_lineage(7)
+    swing_counts(lineage, games.meter(20_000))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            lineage_causes(lineage, charge=games.meter(50_000))
+            lineage_causes(lineage, charge=games.meter(20_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

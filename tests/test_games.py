@@ -137,10 +137,19 @@ def test_least_contingency(cap, target, found, tested):
         log.append(chosen)
         return chosen == target
 
-    got = least_contingency(("a", "b", "c"), hits, cap, charge=lambda: log.append("charge"))
+    sizes = None if cap is None else range(cap + 1)
+    got = least_contingency(("a", "b", "c"), hits, sizes, charge=lambda: log.append("charge"))
     assert got == found
     # By size, then in combinations order, with one charge before each test.
     assert log == [step for chosen in BY_SIZE[:tested] for step in ("charge", chosen)]
+
+
+def test_least_contingency_tries_only_the_given_sizes():
+    # Responsibility knows its size: no smaller set is tested.
+    log = []
+    got = least_contingency(("a", "b", "c"), lambda c: log.append(c) or "c" in c, (2,))
+    assert got == ("a", "c")
+    assert log == [("a", "b"), ("a", "c")]
 
 
 @given(st.integers(0, 10**9), st.integers(1, 6))
