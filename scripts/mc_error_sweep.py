@@ -7,17 +7,24 @@ the +/-epsilon band, and the Hoeffding sample count used.  The observed
 coverage should beat 1 - delta by a wide margin since the bound is loose.
 """
 import argparse
+from fractions import Fraction
+
 from xscore import dbscores, games, reldb
 
 
-def build_game() -> games.Game:
+def build_game() -> tuple[games.Game, dict]:
+    """The query game of the six-tuple instance and its exact Shapley
+    values, read off the lineage's swing counts (0 outside the lineage)."""
     db = reldb.Database()
     for values in [("a", "b"), ("c", "d"), ("b", "b")]:
         db.add("R", values, tuple_id=f"R({values[0]},{values[1]})")
     for value in ["a", "c", "b"]:
         db.add("S", (value,), tuple_id=f"S({value})")
     query = reldb.parse_query("Q() :- S(x), R(x,y), S(y)")
-    return dbscores.query_game(db, query)
+    lineage = dbscores.query_lineage(db, query)
+    values = dbscores.swing_scores(dbscores.swing_counts(lineage), "shapley")
+    exact = {t: values.get(t, Fraction(0)) for t in db.tuple_ids()}
+    return dbscores.lineage_game(lineage, db.tuple_ids()), exact
 
 
 def main() -> None:
@@ -29,8 +36,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    game = build_game()
-    exact = games.shapley_all(game)
+    game, exact = build_game()
     epsilons = [float(e) for e in args.epsilons.split(",")]
 
     print(f"{'epsilon':>8} {'samples':>8} {'worst err':>10} {'coverage':>9} (target {1 - args.delta:.2f})")

@@ -8,7 +8,7 @@ classifier, including a constraint-conditioned variant.
 """
 from fractions import Fraction
 
-from xscore import dbscores, games, mlscores, reldb
+from xscore import dbscores, mlscores, reldb
 from xscore.classify import (
     Entity,
     FeatureSpace,
@@ -33,6 +33,12 @@ def show(label: str, value) -> None:
         print(f"  {label:<14} {value}")
 
 
+def tuple_scores(db: reldb.Database, swings, kind: str) -> dict:
+    """Every tuple's score of `kind`; tuples outside the lineage score 0."""
+    values = dbscores.swing_scores(swings, kind)
+    return {t: values.get(t, Fraction(0)) for t in db.tuple_ids()}
+
+
 def triangle_example() -> None:
     header("six-tuple instance, Q() :- S(x), R(x,y), S(y)")
     db = reldb.Database()
@@ -41,11 +47,13 @@ def triangle_example() -> None:
     for value in ["a", "c", "b"]:
         db.add("S", (value,), tuple_id=f"S({value})")
     query = reldb.parse_query("Q() :- S(x), R(x,y), S(y)")
-    print(f"  lineage: {reldb.compile_lineage(db, query)}")
+    lineage = dbscores.query_lineage(db, query)
+    print(f"  lineage: {lineage}")
     print("  responsibility / shapley / banzhaf:")
-    shapley = games.shapley_all(dbscores.query_game(db, query))
-    banzhaf = games.banzhaf_all(dbscores.query_game(db, query))
-    for report in dbscores.causes(db, query):
+    swings = dbscores.swing_counts(lineage)
+    shapley = tuple_scores(db, swings, "shapley")
+    banzhaf = tuple_scores(db, swings, "banzhaf")
+    for report in dbscores.lineage_causes(lineage, db.tuple_ids(), swings=swings):
         tid = report.tuple_id
         print(
             f"    {tid:<7} rho={str(report.responsibility):>4} "
@@ -62,7 +70,7 @@ def causal_effect_example() -> None:
     for value in ["b", "c"]:
         db.add("S", (value,), tuple_id=f"S({value})")
     query = reldb.parse_query("Q() :- R(x,y), S(y)")
-    lineage = reldb.compile_lineage(db, query)
+    lineage = dbscores.query_lineage(db, query)
     print(f"  lineage: {lineage}")
     off = dbscores.intervene(lineage, "S(b)", 0)
     on = dbscores.intervene(lineage, "S(b)", 1)
@@ -71,7 +79,7 @@ def causal_effect_example() -> None:
     show("P | do(.=0)", dbscores.lineage_probability(off))
     show("P | do(.=1)", dbscores.lineage_probability(on))
     show("CE(S(b))", dbscores.causal_effect(lineage, "S(b)"))
-    show("Banzhaf(S(b))", games.banzhaf_exact(dbscores.query_game(db, query), "S(b)"))
+    show("Banzhaf(S(b))", dbscores.swing_scores(dbscores.swing_counts(lineage), "banzhaf")["S(b)"])
 
 
 def path_example() -> None:

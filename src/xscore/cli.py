@@ -239,7 +239,9 @@ def _cmd_db_scores(args) -> list[dict]:
         if swings is None:
             swings = dbscores.swing_counts(lineage, charge)
         if kind == "responsibility":
-            for report in dbscores.lineage_causes(lineage, all_ids, charge, swings):
+            # A --tuple filter spares the other tuples' witness searches.
+            ids = args.tuple or all_ids
+            for report in dbscores.lineage_causes(lineage, ids, charge, swings):
                 records.append(_cause_record(report))
             continue
         values = dbscores.swing_scores(swings, kind, probability)
@@ -389,7 +391,6 @@ def _resolve_query_or_lineage(args, db):
     if args.query is not None or args.query_file is not None:
         query_text = args.query if args.query is not None else args.query_file.read_text()
         query = reldb.parse_query(query_text.strip())
-        dbscores.require_boolean(query)
         return dbscores.query_lineage(db, query), db.tuple_ids()
     lineage_text = args.lineage if args.lineage is not None else args.lineage_file.read_text()
     lineage = reldb.parse_lineage(lineage_text.strip(), db)

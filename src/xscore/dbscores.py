@@ -23,21 +23,12 @@ from typing import Callable, Iterable, Mapping
 
 from . import formula, games
 from .games import Game
-from .reldb import (
-    ConjunctiveQuery,
-    Database,
-    Lineage,
-    answers,
-    compile_lineage,
-    evaluate,
-)
+from .reldb import ConjunctiveQuery, Database, Lineage, compile_lineage
 
 __all__ = [
     "CauseReport",
     "NothingToExplainError",
-    "NonNumericValueError",
     "VacuousInterventionWarning",
-    "causes",
     "query_lineage",
     "lineage_causes",
     "intervene",
@@ -46,10 +37,7 @@ __all__ = [
     "swing_counts",
     "swing_scores",
     "check_probability",
-    "require_boolean",
-    "query_game",
     "lineage_game",
-    "summation_game",
 ]
 
 HALF = Fraction(1, 2)
@@ -57,10 +45,6 @@ HALF = Fraction(1, 2)
 
 class NothingToExplainError(ValueError):
     """The query is false in the database, so no tuple explains an answer."""
-
-
-class NonNumericValueError(ValueError):
-    pass
 
 
 class VacuousInterventionWarning(UserWarning):
@@ -89,16 +73,6 @@ class CauseReport:
 # Actual causes and responsibility
 
 
-def causes(db: Database, query: ConjunctiveQuery) -> list[CauseReport]:
-    """Causal report for every tuple of `db` (zero scores included).
-
-    Requires the query to be true in `db`.  The contingency search runs
-    over the lineage support only; tuples outside every disjunct cannot
-    affect the query and are reported as non-causes directly.
-    """
-    return lineage_causes(query_lineage(db, query), db.tuple_ids())
-
-
 def lineage_causes(
     lineage: Lineage,
     tuple_ids: Iterable[str] | None = None,
@@ -124,7 +98,10 @@ def lineage_causes(
 
 
 def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
-    """The query's compiled lineage; `NothingToExplainError` when the query is false."""
+    """The Boolean query's compiled lineage; a head variable is refused
+    before the join, and a false query raises `NothingToExplainError`."""
+    if not query.is_boolean:
+        raise ValueError("query games need a Boolean query (empty head)")
     lineage = compile_lineage(db, query)
     if lineage.root is formula.FALSE:
         raise NothingToExplainError("query is false in the database")
@@ -197,24 +174,16 @@ def lineage_probability(
 
 
 def causal_effect(
-    source: Lineage | Database,
+    lineage: Lineage,
     tuple_id: str,
-    query: ConjunctiveQuery | None = None,
     probabilities: Mapping[str, Fraction] | Fraction | None = None,
     charge: Callable | None = None,
 ) -> Fraction:
-    """Expected query value under do(X=1) minus under do(X=0).
+    """Expected lineage value under do(X=1) minus under do(X=0).
 
-    Accepts a lineage directly, or a database together with `query`.
     Tuples the lineage never mentions have identical intervened formulas,
     hence effect 0.  Both `lineage_probability` calls charge one meter.
     """
-    if isinstance(source, Database):
-        if query is None:
-            raise ValueError("a query is required when scoring a database")
-        lineage = compile_lineage(source, query)
-    else:
-        lineage = source
     if not lineage.mentions(tuple_id):
         return Fraction(0)
     charge = charge or games.meter(games.DEFAULT_BUDGET)
@@ -323,18 +292,6 @@ def _poly_mul(a: list, b: list, charge) -> list:
 # Coalition games over database tuples
 
 
-def query_game(db: Database, query: ConjunctiveQuery) -> Game:
-    """The 0/1 game whose players are all tuples of `db` and whose value on
-    a coalition S is whether the query holds in the sub-instance S.
-
-    That is the game of the query's lineage, with the tuples outside it as
-    null players (Livshits et al., ICDT 2020), so it is played on the
-    lineage compiled once instead of on a sub-instance per coalition.
-    """
-    require_boolean(query)
-    return lineage_game(compile_lineage(db, query), players=db.tuple_ids())
-
-
 def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game:
     """The 0/1 game over the lineage support; a coalition wins when the
     formula is true with exactly that coalition present.
@@ -348,36 +305,6 @@ def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game
         return 1 if lineage.evaluate(coalition) else 0
 
     return Game(players=tuple(lineage.support() if players is None else players), value=value)
-
-
-def require_boolean(query: ConjunctiveQuery) -> None:
-    if not query.is_boolean:
-        raise ValueError("query games need a Boolean query (empty head)")
-
-
-def summation_game(db: Database, query: ConjunctiveQuery, value_var: str | None = None) -> Game:
-    """Aggregation game: the value of a coalition S is the sum, over the
-    distinct answers of the query on sub-instance S, of the designated
-    numeric output variable (default: the last head variable).  Library
-    only, unused by the CLI: scored by `games.shapley_all`'s subset loop,
-    it restricts and re-joins the instance per coalition."""
-    if query.is_boolean:
-        raise ValueError("summation needs a query with output variables in the head")
-    head_names = [v.name for v in query.head]
-    if value_var is None:
-        value_var = head_names[-1]
-    if value_var not in head_names:
-        raise ValueError(f"value variable {value_var!r} is not in the query head")
-    position = head_names.index(value_var)
-    evaluate(db, query)
-
-    def value(coalition):
-        total = Fraction(0)
-        for answer in answers(db.restrict(coalition), query):
-            total += _numeric(answer[position])
-        return total
-
-    return Game(players=db.tuple_ids(), value=value)
 
 
 def _probability_table(
@@ -402,10 +329,3 @@ def check_probability(p: Fraction) -> None:
     """Refuse a tuple probability outside [0, 1]."""
     if not 0 <= p <= 1:
         raise ValueError(f"tuple probability {p} outside [0, 1]")
-
-
-def _numeric(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise NonNumericValueError(f"attribute value {text!r} is not numeric") from exc

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 Player = Hashable
 Coalition = frozenset
@@ -52,40 +52,12 @@ class Game:
             raise ValueError("player ids must be unique")
         object.__setattr__(self, "players", ordered)
 
-    @classmethod
-    def from_table(cls, table: Mapping[Coalition, Fraction | int | float]) -> "Game":
-        """Build a game from an explicit coalition -> value table."""
-        players: set = set()
-        for coalition in table:
-            players.update(coalition)
-        values = {frozenset(k): v for k, v in table.items()}
-
-        def value(s: Coalition):
-            return values[frozenset(s)]
-
-        return cls(players=tuple(players), value=value)
-
 
 def sample_count(epsilon: float, delta: float) -> int:
     """Hoeffding sample size for an additive (epsilon, delta) guarantee on
     [0, 1]-bounded marginal contributions: ceil(ln(2/delta) / (2 eps^2))."""
     check_epsilon_delta(epsilon, delta)
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
-
-
-def shapley_exact(game: Game, player: Player, charge: Callable | None = None) -> Fraction:
-    """Exact Shapley value of `player`: its marginal contributions
-    G(S + player) - G(S) over the coalitions S of the other players,
-    weighted by the `size_weights` of "shapley", in rational arithmetic."""
-    _check_player(game, player)
-    return _marginal_sums(game, "shapley", charge, [player])[player]
-
-
-def banzhaf_exact(game: Game, player: Player, charge: Callable | None = None) -> Fraction:
-    """Exact Banzhaf index: the average marginal contribution of `player`
-    over all 2^(n-1) coalitions of the other players."""
-    _check_player(game, player)
-    return _marginal_sums(game, "banzhaf", charge, [player])[player]
 
 
 def shapley_all(game: Game, charge: Callable | None = None) -> dict:
@@ -96,12 +68,12 @@ def shapley_all(game: Game, charge: Callable | None = None) -> dict:
     from `dbscores.swing_counts` instead, which is exponential only in
     the lineage, not in the players.
     """
-    return _marginal_sums(game, "shapley", charge, game.players)
+    return _marginal_sums(game, "shapley", charge)
 
 
 def banzhaf_all(game: Game, charge: Callable | None = None) -> dict:
     """Exact Banzhaf indices for every player (shared memo, as above)."""
-    return _marginal_sums(game, "banzhaf", charge, game.players)
+    return _marginal_sums(game, "banzhaf", charge)
 
 
 def shapley_monte_carlo(
@@ -169,9 +141,9 @@ def size_weights(kind: str, m: int, p: Fraction = Fraction(1, 2)) -> list[Fracti
     raise ValueError(f"no size weights of kind {kind!r}")
 
 
-def _marginal_sums(game: Game, kind: str, charge: Callable | None, players) -> dict:
-    """For each of `players`, the sum of w[|S|] (G(S + player) - G(S))
-    over the coalitions S of the other players, w = `size_weights(kind, n)`.
+def _marginal_sums(game: Game, kind: str, charge: Callable | None) -> dict:
+    """For each player, the sum of w[|S|] (G(S + player) - G(S)) over the
+    coalitions S of the other players, w = `size_weights(kind, n)`.
 
     Coalitions go by size and in `combinations` order, through one memo
     shared by all players, so each subset is evaluated at most once; the
@@ -181,7 +153,7 @@ def _marginal_sums(game: Game, kind: str, charge: Callable | None, players) -> d
     value = _memoized(game)
     weights = size_weights(kind, len(game.players))
     out = {}
-    for player in players:
+    for player in game.players:
         others = [p for p in game.players if p != player]
         total = Fraction(0)
         for size, weight in enumerate(weights):

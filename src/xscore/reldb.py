@@ -2,9 +2,8 @@
 
 Queries use a Datalog-ish concrete syntax, `Q() :- S(x), R(x,y), S(y)`:
 lowercase identifiers are variables, quoted / capitalized / numeric tokens
-are constants.  A non-empty head, `Q(x, y) :- ...`, marks output variables
-and is only meaningful to aggregation consumers; everywhere else queries
-are Boolean.
+are constants.  A non-empty head, `Q(x, y) :- ...`, parses, but the tuple
+scores take Boolean queries only (`dbscores.query_lineage` refuses others).
 
 Lineage is a monotone propositional formula over tuple ids, either
 compiled from a query instantiation (a DNF with one disjunct per matching
@@ -100,8 +99,7 @@ class Atom:
 class ConjunctiveQuery:
     """A conjunction of relational atoms, existentially closed.
 
-    `head` is empty for Boolean queries; summation games use queries with
-    output variables in the head.
+    `head` is empty for Boolean queries, the only ones the tuple scores take.
     """
 
     atoms: tuple[Atom, ...]
@@ -323,15 +321,6 @@ def evaluate(db: Database, query: ConjunctiveQuery) -> bool:
     return False
 
 
-def answers(db: Database, query: ConjunctiveQuery) -> frozenset[tuple[str, ...]]:
-    """Distinct head-variable value tuples over all satisfying valuations."""
-    _check_query_against(db, query)
-    out = set()
-    for binding, _ in _matches(db, query):
-        out.add(tuple(binding[v] for v in query.head))
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Lineage:
     """Monotone formula over tuple ids capturing where the query holds.
@@ -419,8 +408,8 @@ def _matches(
     variable, as in `R(x,x)`, are dropped then.  A partial binding visits
     only the rows under its own key and binds the fresh variables from
     them.  Every call plans and indexes every atom afresh: that suits the
-    CLI's one join, but a library caller joining many small sub-instances
-    (`summation_game`) pays it per join.
+    CLI's one join; the one caller that re-joins many sub-instances is
+    the test oracle `min_contingency_unrestricted`.
     """
     steps = []
     bound: set[Var] = set()

@@ -314,10 +314,12 @@ def shap_game_by_expectation(request) -> Game:
     return Game(players=request.distribution.space.names, value=value)
 
 
-def shap_skipping_by_expectation(request, feature) -> tuple[Fraction, int]:
+def shap_by_expectation(request, feature) -> tuple[Fraction, int]:
     """Subset-weighted SHAP sum of `feature` over the per-coalition game,
-    dropping every term with a zero-mass coalition; returns the sum and
-    the number of dropped terms."""
+    coalitions by size and in `combinations` order, each S + feature
+    before S.  With `request.skip_zero_mass` every term with a zero-mass
+    coalition is dropped, otherwise the first zero-mass coalition raises;
+    returns the sum and the number of dropped terms."""
     names = request.distribution.space.names
     n = len(names)
     others = [m for m in names if m != feature]
@@ -330,6 +332,8 @@ def shap_skipping_by_expectation(request, feature) -> tuple[Fraction, int]:
                     request.distribution, request.classifier, request.entity, coalition
                 )
             except ZeroMassEventError:
+                if not request.skip_zero_mass:
+                    raise
                 cache[coalition] = None
         return cache[coalition]
 

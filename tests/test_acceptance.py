@@ -55,7 +55,11 @@ def criterion(number: int, label: str, limit_seconds: float):
 
 def test_criterion_01_responsibility_golden(ex1_db, ex1_query):
     with criterion(1, "responsibility golden values", 1.0):
-        reports = {r.tuple_id: r.responsibility for r in dbscores.causes(ex1_db, ex1_query)}
+        lineage = dbscores.query_lineage(ex1_db, ex1_query)
+        reports = {
+            r.tuple_id: r.responsibility
+            for r in dbscores.lineage_causes(lineage, ex1_db.tuple_ids())
+        }
         assert reports["S(b)"] == Fraction(1)
         assert reports["R(a,b)"] == Fraction(1, 2)
         assert reports["R(b,b)"] == Fraction(1, 2)
@@ -95,7 +99,7 @@ def test_criterion_04_banzhaf_equals_causal_effect():
             query = random_sjf_query(rng, max_atoms=3)
             db = random_database_for(rng, query, max_tuples=8)
             lineage = reldb.compile_lineage(db, query)
-            indices = games.banzhaf_all(dbscores.query_game(db, query))
+            indices = games.banzhaf_all(dbscores.lineage_game(lineage, db.tuple_ids()))
             for tid in db.tuple_ids():
                 assert indices[tid] == dbscores.causal_effect(lineage, tid)
 
@@ -135,7 +139,8 @@ def test_criterion_06_dichotomy_classifier():
 
 def test_criterion_07_monte_carlo_shapley(ex1_db, ex1_query):
     with criterion(7, "Monte Carlo Shapley coverage (100 seeded runs)", 60.0):
-        game = dbscores.query_game(ex1_db, ex1_query)
+        lineage = reldb.compile_lineage(ex1_db, ex1_query)
+        game = dbscores.lineage_game(lineage, ex1_db.tuple_ids())
         exact = games.shapley_all(game)
         epsilon = delta = 0.05
         runs = [games.shapley_monte_carlo_all(game, epsilon, delta, seed) for seed in range(100)]

@@ -280,20 +280,42 @@ def test_budget_is_shared_by_every_db_kind(capsys, data_dir):
     _assert_budget_edge(capsys, argv, 148, budget_error(148))
 
 
+def _pairs_args(tmp_path, pairs: int) -> tuple:
+    """`db-scores` over `T:00 | (T:01 & T:02) | (T:03 & T:04) | ...`."""
+    ids = [f"T:{i:02d}" for i in range(2 * pairs + 1)]
+    csv = tmp_path / "T.csv"
+    csv.write_text("_id,a\n" + "".join(f"{t},{i}\n" for i, t in enumerate(ids)))
+    lineage = " | ".join([ids[0], *(f"({a} & {b})" for a, b in zip(ids[1::2], ids[2::2]))])
+    return ("db-scores", "--relation", f"T={csv}", "--lineage", lineage)
+
+
 def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
     # T:00's witness takes one tuple of each pair, and combinations order
     # reaches it after 1,079 candidates; the batch would test 9,027.  The
     # count (15,288 units) fits the budget, so the witness search hits it.
-    ids = [f"T:{i:02d}" for i in range(15)]
-    csv = tmp_path / "T.csv"
-    csv.write_text("_id,a\n" + "".join(f"{t},{i}\n" for i, t in enumerate(ids)))
-    lineage = " | ".join([ids[0], *(f"({a} & {b})" for a, b in zip(ids[1::2], ids[2::2]))])
-    argv = ("db-scores", "--relation", f"T={csv}", "--lineage", lineage, "--budget", "20000")
+    argv = (*_pairs_args(tmp_path, 7), "--budget", "20000")
     run_json(capsys, *argv, "--kinds", "shapley")
     code, out = run(capsys, *argv, "--kinds", "responsibility")
     assert code == cli.EXIT_BUDGET
     assert out.err == budget_error(20000)
     assert out.out == ""
+
+
+def test_tuple_filter_searches_only_its_own_witnesses(capsys, tmp_path):
+    # Nine pairs: the count takes 36,483 units and T:00's witness search
+    # 15,522 candidates, 52,005 in all; the batch would test 160,776.
+    argv = (*_pairs_args(tmp_path, 9), "--kinds", "responsibility")
+    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 52_004, budget_error(52_004))
+    code, out = run(capsys, *argv, "--budget", "52005")
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(52_005))
+
+
+def test_tuple_filter_keeps_the_records(capsys, data_dir):
+    argv = db_args(data_dir, "--kinds", ",".join(cli.DB_KINDS))
+    every = run_json(capsys, *argv)["records"]
+    # Out of order, repeated, and one tuple outside the lineage.
+    filtered = run_json(capsys, *argv, *("--tuple", "S(c)", "--tuple", "R(a,b)") * 2)["records"]
+    assert filtered == [r for r in every if r["tuple"] in ("R(a,b)", "S(c)")]
 
 
 def _random_instance(tmp_path, size: int) -> list[str]:
@@ -379,7 +401,7 @@ def test_db_scores_refuses_a_head_query_before_the_join(capsys, data_dir, monkey
     def no_join(*args):
         raise AssertionError("the query was joined")
 
-    monkeypatch.setattr(dbscores, "query_lineage", no_join)
+    monkeypatch.setattr(reldb, "_matches", no_join)
     argv = list(db_args(data_dir, *extra))
     argv[argv.index("--query") + 1] = "Q(x) :- S(x), R(x,y), S(y)"
     code, out = run(capsys, *argv)

@@ -12,6 +12,7 @@ from oracles import (
     causal_effect_by_enumeration,
     causes_by_exhaustion,
     lineage_probability_by_enumeration,
+    matches_by_nested_loop,
     min_contingency_unrestricted,
     random_database_for,
     random_dnf_lineage,
@@ -20,20 +21,16 @@ from oracles import (
     shapley_by_permutations,
     substitute_then_simplify,
 )
-from xscore import dbscores, formula, games, reldb
+from xscore import formula, games, reldb
 from xscore.dbscores import (
-    NonNumericValueError,
     NothingToExplainError,
     VacuousInterventionWarning,
     causal_effect,
-    causes,
     intervene,
     lineage_causes,
     lineage_game,
     lineage_probability,
-    query_game,
     query_lineage,
-    summation_game,
     swing_counts,
     swing_scores,
 )
@@ -43,6 +40,16 @@ from xscore.reldb import Database, compile_lineage, parse_lineage, parse_query
 
 # ---------------------------------------------------------------------------
 # Actual causes and responsibility
+
+
+def _causes(db, query):
+    """Every tuple's cause report for a Boolean query over `db`."""
+    return lineage_causes(query_lineage(db, query), db.tuple_ids())
+
+
+def _query_game(db, query):
+    """The query game: its lineage's game with every tuple of `db` a player."""
+    return lineage_game(compile_lineage(db, query), db.tuple_ids())
 
 
 EX1_RESPONSIBILITY = {
@@ -56,7 +63,7 @@ EX1_RESPONSIBILITY = {
 
 
 def test_causes_golden(ex1_db, ex1_query):
-    reports = {r.tuple_id: r for r in causes(ex1_db, ex1_query)}
+    reports = {r.tuple_id: r for r in _causes(ex1_db, ex1_query)}
     assert set(reports) == set(ex1_db.tuple_ids())
 
     pivot = reports["S(b)"]
@@ -95,7 +102,7 @@ def test_responsibility_projection(ex1_db, ex1_query):
 
 def test_causes_requires_true_query(ex1_db):
     with pytest.raises(NothingToExplainError):
-        causes(ex1_db, parse_query('Q() :- R(x, "nope")'))
+        _causes(ex1_db, parse_query('Q() :- R(x, "nope")'))
 
 
 def test_lineage_causes_defaults_to_support(path_lineage):
@@ -112,7 +119,7 @@ def test_lineage_causes_defaults_to_support(path_lineage):
 
 
 def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
-    for report in causes(ex1_db, ex1_query):
+    for report in _causes(ex1_db, ex1_query):
         direct = min_contingency_unrestricted(ex1_db, ex1_query, report.tuple_id)
         assert report.min_contingency_size == direct
 
@@ -125,7 +132,7 @@ def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
     with pytest.raises(BudgetExceededError, match="more than 148 units of work"):
         lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(148))
     reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(149))
-    assert reports == causes(ex1_db, ex1_query)
+    assert reports == causes_by_exhaustion(lineage, ex1_db.tuple_ids())
     with pytest.raises(BudgetExceededError, match="more than 144 units of work"):
         _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(144))
     assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(145)) == Fraction(1, 2)
@@ -279,7 +286,7 @@ def test_lineage_probability_rejects_bad_probability(path_db):
 
 
 def test_causal_effect_worked_example(ce_db, ce_query):
-    assert causal_effect(ce_db, "S(b)", query=ce_query) == Fraction(9, 16)
+    assert causal_effect(compile_lineage(ce_db, ce_query), "S(b)") == Fraction(9, 16)
 
 
 def test_causal_effect_path_lineage(path_lineage):
@@ -301,12 +308,7 @@ def test_causal_effect_path_lineage(path_lineage):
 def test_causal_effect_absent_tuple_is_zero(ex1_db, ex1_query):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # must not warn either
-        assert causal_effect(ex1_db, "R(c,d)", query=ex1_query) == 0
-
-
-def test_causal_effect_requires_query_with_database(ex1_db):
-    with pytest.raises(ValueError, match="query"):
-        causal_effect(ex1_db, "S(b)")
+        assert causal_effect(compile_lineage(ex1_db, ex1_query), "R(c,d)") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def test_causal_effect_requires_query_with_database(ex1_db):
 
 
 def test_query_game_values(ex1_db, ex1_query):
-    game = query_game(ex1_db, ex1_query)
+    game = _query_game(ex1_db, ex1_query)
     assert game.players == tuple(sorted(ex1_db.tuple_ids()))
     assert game.value(frozenset()) == 0
     assert game.value(frozenset(ex1_db.tuple_ids())) == 1
@@ -323,8 +325,8 @@ def test_query_game_values(ex1_db, ex1_query):
 
 
 def test_query_game_rejects_head_variables(ex1_db):
-    with pytest.raises(ValueError):
-        query_game(ex1_db, parse_query("Q(x) :- R(x, y)"))
+    with pytest.raises(ValueError, match="Boolean query"):
+        query_lineage(ex1_db, parse_query("Q(x) :- R(x, y)"))
 
 
 @given(st.integers(0, 10**9))
@@ -335,7 +337,7 @@ def test_query_game_is_the_sub_instance_game(seed):
     rng = random.Random(seed)
     query = random_sjf_query(rng)
     db = random_database_for(rng, query)
-    game = query_game(db, query)
+    game = _query_game(db, query)
     ids = db.tuple_ids()
     assert game.players == tuple(sorted(ids))
     for bits in product((False, True), repeat=len(ids)):
@@ -345,7 +347,7 @@ def test_query_game_is_the_sub_instance_game(seed):
 
 def test_lineage_game_matches_query_game(ce_db, ce_query):
     lineage = compile_lineage(ce_db, ce_query)
-    qg = query_game(ce_db, ce_query)
+    qg = _query_game(ce_db, ce_query)
     lg = lineage_game(lineage)
     assert games.shapley_all(qg) == games.shapley_all(lg)
 
@@ -416,7 +418,7 @@ EX1_SHAPLEY = {
 
 
 def test_shapley_tuple_golden(ex1_db, ex1_query):
-    game = query_game(ex1_db, ex1_query)
+    game = _query_game(ex1_db, ex1_query)
     values = games.shapley_all(game)
     for tid, expected in EX1_SHAPLEY.items():
         assert values[tid] == expected
@@ -435,9 +437,8 @@ def test_query_game_plays_without_restrict_or_evaluate(ex1_db, ex1_query, monkey
         return wrapper
 
     monkeypatch.setattr(reldb.Database, "restrict", spy("restrict", reldb.Database.restrict))
-    for module in (reldb, dbscores):
-        monkeypatch.setattr(module, "evaluate", spy("evaluate", reldb.evaluate))
-    assert games.shapley_all(query_game(ex1_db, ex1_query)) == EX1_SHAPLEY
+    monkeypatch.setattr(reldb, "evaluate", spy("evaluate", reldb.evaluate))
+    assert games.shapley_all(_query_game(ex1_db, ex1_query)) == EX1_SHAPLEY
     assert calls == []
 
 
@@ -447,7 +448,7 @@ def test_swing_scores_unknown_kind(path_lineage):
 
 
 def test_shapley_tuple_monte_carlo(ex1_db, ex1_query):
-    game = query_game(ex1_db, ex1_query)
+    game = _query_game(ex1_db, ex1_query)
     score = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
     assert abs(score - float(EX1_SHAPLEY["S(b)"])) <= 0.1
     again = games.shapley_monte_carlo(game, "S(b)", epsilon=0.1, delta=0.1, seed=3)
@@ -457,9 +458,9 @@ def test_shapley_tuple_monte_carlo(ex1_db, ex1_query):
 
 
 def test_banzhaf_equals_causal_effect_worked_example(ce_db, ce_query):
-    value = games.banzhaf_exact(query_game(ce_db, ce_query), "S(b)")
+    value = games.banzhaf_all(_query_game(ce_db, ce_query))["S(b)"]
     assert value == Fraction(9, 16)
-    assert value == causal_effect(ce_db, "S(b)", query=ce_query)
+    assert value == causal_effect(compile_lineage(ce_db, ce_query), "S(b)")
 
 
 @given(st.integers(0, 10**9))
@@ -469,7 +470,7 @@ def test_banzhaf_equals_causal_effect_random(seed):
     query = random_sjf_query(rng)
     db = random_database_for(rng, query)
     lineage = compile_lineage(db, query)
-    indices = games.banzhaf_all(query_game(db, query))
+    indices = games.banzhaf_all(lineage_game(lineage, db.tuple_ids()))
     for tid in db.tuple_ids():
         assert indices[tid] == causal_effect(lineage, tid)
 
@@ -482,8 +483,9 @@ def test_responsibility_shapley_nonzero_agreement(seed):
     db = random_database_for(rng, query)
     if not reldb.evaluate(db, query):
         return
-    values = games.shapley_all(query_game(db, query))
-    for report in causes(db, query):
+    lineage = compile_lineage(db, query)
+    values = games.shapley_all(lineage_game(lineage, db.tuple_ids()))
+    for report in lineage_causes(lineage, db.tuple_ids()):
         assert (report.responsibility > 0) == (values[report.tuple_id] > 0)
 
 
@@ -496,7 +498,7 @@ def test_counterfactual_implies_positive_effect(seed):
     if not reldb.evaluate(db, query):
         return
     lineage = compile_lineage(db, query)
-    for report in causes(db, query):
+    for report in lineage_causes(lineage, db.tuple_ids()):
         if report.is_counterfactual_cause:
             assert report.responsibility == 1
             assert causal_effect(lineage, report.tuple_id) > 0
@@ -515,60 +517,38 @@ def test_scores_invariant_under_insertion_order(ex1_query):
         backward.add("S", values, tuple_id=f"S({values[0]})")
     for values in reversed(rows_r):
         backward.add("R", values, tuple_id=f"R({values[0]},{values[1]})")
-    assert games.shapley_all(query_game(forward, ex1_query)) == games.shapley_all(
-        query_game(backward, ex1_query)
+    assert games.shapley_all(_query_game(forward, ex1_query)) == games.shapley_all(
+        _query_game(backward, ex1_query)
     )
-    assert {r.tuple_id: r for r in causes(forward, ex1_query)} == {
-        r.tuple_id: r for r in causes(backward, ex1_query)
+    assert {r.tuple_id: r for r in _causes(forward, ex1_query)} == {
+        r.tuple_id: r for r in _causes(backward, ex1_query)
     }
 
 
 # ---------------------------------------------------------------------------
-# Summation games
-
-
-def test_summation_game_basics():
-    db = Database.from_dict({"R": [("a", "5")]})
-    game = summation_game(db, parse_query("Q(x, v) :- R(x, v)"))
-    assert game.value(frozenset()) == 0
-    assert game.value(frozenset({"R:0"})) == 5
-
-
-def test_summation_game_explicit_value_var():
-    db = Database.from_dict({"R": [("7", "5")]})
-    query = parse_query("Q(x, v) :- R(x, v)")
-    assert summation_game(db, query, value_var="x").value(frozenset({"R:0"})) == 7
-    with pytest.raises(ValueError):
-        summation_game(db, query, value_var="w")
-
-
-def test_summation_game_rejects_boolean_query():
-    db = Database.from_dict({"R": [("a", "5")]})
-    with pytest.raises(ValueError):
-        summation_game(db, parse_query("Q() :- R(x, v)"))
-
-
-def test_summation_game_non_numeric():
-    db = Database.from_dict({"R": [("a", "x5")]})
-    game = summation_game(db, parse_query("Q(x, v) :- R(x, v)"))
-    with pytest.raises(NonNumericValueError):
-        game.value(frozenset({"R:0"}))
+# Aggregates by linearity
 
 
 def test_summation_shapley_is_linear_in_answers():
-    # Join of 4 tuples; the aggregate game's Shapley value must equal the
-    # value-weighted sum of the per-answer Boolean games' Shapley values.
+    # The game of a sum over answers, played on sub-instances through the
+    # nested-loop oracle, has the value-weighted sum of each answer's
+    # lineage Shapley values as its own.
     db = Database.from_dict(
         {"R": [("a", "b"), ("a", "c"), ("b", "b")], "W": [("b", "10"), ("c", "3")]}
     )
     query = parse_query("Q(x, y, v) :- R(x, y), W(y, v)")
-    aggregate = games.shapley_all(summation_game(db, query))
+
+    def answers(sub):
+        return {tuple(b[v] for v in query.head) for b, _ in matches_by_nested_loop(sub, query)}
+
+    def total(coalition):
+        return sum(Fraction(v) for _, _, v in answers(db.restrict(coalition)))
+
+    aggregate = games.shapley_all(games.Game(players=db.tuple_ids(), value=total))
 
     weighted: dict[str, Fraction] = {tid: Fraction(0) for tid in db.tuple_ids()}
-    for answer in reldb.answers(db, query):
-        x, y, v = answer
+    for x, y, v in answers(db):
         single = parse_query(f'Q() :- R("{x}", "{y}"), W("{y}", "{v}")')
-        boolean = games.shapley_all(query_game(db, single))
-        for tid, value in boolean.items():
+        for tid, value in swing_scores(swing_counts(query_lineage(db, single)), "shapley").items():
             weighted[tid] += Fraction(v) * value
     assert aggregate == weighted

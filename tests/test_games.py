@@ -17,12 +17,10 @@ from xscore.games import (
     Game,
     PlayerNotInGameError,
     banzhaf_all,
-    banzhaf_exact,
     least_contingency,
     meter,
     sample_count,
     shapley_all,
-    shapley_exact,
     shapley_monte_carlo,
     shapley_monte_carlo_all,
     size_weights,
@@ -35,23 +33,16 @@ def and_game() -> Game:
 
 def test_single_player_takes_full_surplus():
     game = Game(players=("p",), value=lambda s: 1 if s else 0)
-    assert shapley_exact(game, "p") == 1
-    assert banzhaf_exact(game, "p") == 1
+    assert shapley_all(game) == banzhaf_all(game) == {"p": 1}
 
 
 def test_constant_game_scores_zero():
     game = Game(players=(1, 2, 3), value=lambda s: Fraction(7, 3))
-    for player in game.players:
-        assert shapley_exact(game, player) == 0
-        assert banzhaf_exact(game, player) == 0
+    assert shapley_all(game) == banzhaf_all(game) == {1: 0, 2: 0, 3: 0}
 
 
 def test_two_player_and_game():
     game = and_game()
-    assert shapley_exact(game, "p1") == Fraction(1, 2)
-    assert shapley_exact(game, "p2") == Fraction(1, 2)
-    assert banzhaf_exact(game, "p1") == Fraction(1, 2)
-    assert banzhaf_exact(game, "p2") == Fraction(1, 2)
     assert shapley_all(game) == {"p1": Fraction(1, 2), "p2": Fraction(1, 2)}
     assert banzhaf_all(game) == {"p1": Fraction(1, 2), "p2": Fraction(1, 2)}
 
@@ -68,12 +59,6 @@ def test_players_sorted_and_unique():
         Game(players=(1, 1), value=len)
 
 
-def test_from_table():
-    game = Game.from_table({frozenset(): 0, frozenset({"p"}): 1})
-    assert game.players == ("p",)
-    assert shapley_exact(game, "p") == 1
-
-
 def test_empty_coalition_is_evaluated_not_assumed():
     calls = []
 
@@ -82,7 +67,7 @@ def test_empty_coalition_is_evaluated_not_assumed():
         return len(s) + 5  # nonzero at the empty coalition
 
     game = Game(players=("a", "b"), value=value)
-    assert shapley_exact(game, "a") == 1
+    assert shapley_all(game)["a"] == 1
     assert frozenset() in calls
 
 
@@ -101,19 +86,17 @@ def test_batch_evaluates_each_coalition_once():
 
 def test_player_not_in_game():
     with pytest.raises(PlayerNotInGameError):
-        shapley_exact(and_game(), "nobody")
-    with pytest.raises(PlayerNotInGameError):
         shapley_monte_carlo(and_game(), "nobody", 0.1, 0.1, seed=0)
 
 
 def test_budget_exceeded():
     big = Game(players=tuple(range(26)), value=len)
     with pytest.raises(BudgetExceededError):
-        shapley_exact(big, 0)  # 2^26 > default budget 2^25
+        shapley_all(big)  # 2^26 > default budget 2^25
     small = Game(players=tuple(range(3)), value=len)
     with pytest.raises(BudgetExceededError, match="needs more than 7 units of work, budget is 7"):
-        banzhaf_exact(small, 0, meter(7))
-    assert shapley_exact(small, 0, meter(8)) == 1
+        banzhaf_all(small, meter(7))
+    assert shapley_all(small, meter(8))[0] == 1
 
 
 BY_SIZE = [(), ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c")]
@@ -166,18 +149,20 @@ def test_efficiency_on_arbitrary_rational_games(seed, n):
 def test_null_player_and_twin_symmetry(seed):
     game = random_monotone_game(random.Random(seed))
     twin, null = game.players[-2], game.players[-1]
-    assert shapley_exact(game, null) == 0
-    assert banzhaf_exact(game, null) == 0
-    assert shapley_exact(game, 0) == shapley_exact(game, twin)
-    assert banzhaf_exact(game, 0) == banzhaf_exact(game, twin)
+    shapley, banzhaf = shapley_all(game), banzhaf_all(game)
+    assert shapley[null] == 0
+    assert banzhaf[null] == 0
+    assert shapley[0] == shapley[twin]
+    assert banzhaf[0] == banzhaf[twin]
 
 
 @given(st.integers(0, 10**9), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_subset_form_equals_permutation_average(seed, n):
     game = random_rational_game(random.Random(seed), n)
+    values = shapley_all(game)
     for player in game.players:
-        assert shapley_exact(game, player) == shapley_by_permutations(game, player)
+        assert values[player] == shapley_by_permutations(game, player)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +240,7 @@ def test_monte_carlo_deterministic_under_seed():
 
 def test_monte_carlo_tracks_exact_value():
     game = and_game()
-    exact = shapley_exact(game, "p1")
+    exact = shapley_all(game)["p1"]
     result = shapley_monte_carlo(game, "p1", epsilon=0.05, delta=0.05, seed=7)
     assert abs(result - float(exact)) <= 0.05
 

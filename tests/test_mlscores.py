@@ -14,7 +14,7 @@ from oracles import (
     resp_by_exhaustion,
     resp_by_replacement_search,
     shap_game_by_expectation,
-    shap_skipping_by_expectation,
+    shap_by_expectation,
     shapley_by_permutations,
 )
 from xscore import games, mlscores
@@ -159,7 +159,7 @@ def _shap_outcome(compute):
 def _oracle_skipping(request, names):
     values = {}
     for name in names:
-        values[name], skipped = shap_skipping_by_expectation(request, name)
+        values[name], skipped = shap_by_expectation(request, name)
         if skipped:
             warnings.warn(f"shap({name}): skipped {skipped} zero-mass coalitions")
     return values
@@ -190,7 +190,7 @@ def test_shap_matches_per_coalition_oracle(seed, kind, skip_zero_mass):
     else:
         game = shap_game_by_expectation(request)
         oracle = _shap_outcome(lambda: games.shapley_all(game))
-        oracle_one = _shap_outcome(lambda: games.shapley_exact(game, feature))
+        oracle_one = _shap_outcome(lambda: shap_by_expectation(request, feature)[0])
     batch = _shap_outcome(lambda: {s.feature: s.value for s in score_all(request, ["shap"])})
     assert batch == oracle
     assert _shap_outcome(lambda: shap(request, feature).value) == oracle_one

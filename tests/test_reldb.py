@@ -236,8 +236,7 @@ def test_monotone_growth(seed):
 
 def _join_outputs(db, query):
     """Everything the join shows above `_matches`: lineage text and support,
-    truth, answers on the first two variables, and the valuations."""
-    headed = reldb.ConjunctiveQuery(atoms=query.atoms, head=query.variables()[:2])
+    truth, and the valuations."""
     lineage = compile_lineage(db, query)
     matches = list(reldb._matches(db, query))  # each binding must stay as yielded
     valuations = sorted(
@@ -248,7 +247,6 @@ def _join_outputs(db, query):
         str(lineage),
         lineage.support(),
         evaluate(db, query),
-        reldb.answers(db, headed),
         valuations,
     )
 
