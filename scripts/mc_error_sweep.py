@@ -12,9 +12,10 @@ from fractions import Fraction
 from xscore import dbscores, games, reldb
 
 
-def build_game() -> tuple[games.Game, dict]:
-    """The query game of the six-tuple instance and its exact Shapley
-    values, read off the lineage's swing counts (0 outside the lineage)."""
+def build_lineage() -> tuple[reldb.Lineage, list, dict]:
+    """The six-tuple instance's query lineage, its tuples (the players of
+    the query game) and their exact Shapley values, read off the lineage's
+    swing counts (0 outside the lineage)."""
     db = reldb.Database()
     for values in [("a", "b"), ("c", "d"), ("b", "b")]:
         db.add("R", values, tuple_id=f"R({values[0]},{values[1]})")
@@ -24,7 +25,7 @@ def build_game() -> tuple[games.Game, dict]:
     lineage = dbscores.query_lineage(db, query)
     values = dbscores.swing_scores(dbscores.swing_counts(lineage), "shapley")
     exact = {t: values.get(t, Fraction(0)) for t in db.tuple_ids()}
-    return dbscores.lineage_game(lineage, db.tuple_ids()), exact
+    return lineage, db.tuple_ids(), exact
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    game, exact = build_game()
+    lineage, players, exact = build_lineage()
     epsilons = [float(e) for e in args.epsilons.split(",")]
 
     print(f"{'epsilon':>8} {'samples':>8} {'worst err':>10} {'coverage':>9} (target {1 - args.delta:.2f})")
@@ -46,7 +47,7 @@ def main() -> None:
         inside = 0
         total = 0
         for seed in range(args.runs):
-            estimates = games.shapley_monte_carlo_all(game, epsilon, args.delta, seed)
+            estimates = dbscores.monte_carlo_shapley(lineage, epsilon, args.delta, seed, players)
             for tid, estimate in estimates.items():
                 err = abs(estimate - float(exact[tid]))
                 worst = max(worst, err)

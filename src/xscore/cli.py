@@ -237,7 +237,8 @@ def _cmd_db_scores(args) -> list[dict]:
             records.extend(_monte_carlo_records(args, all_ids, lineage, players, charge))
             continue
         if swings is None:
-            swings = dbscores.swing_counts(lineage, charge)
+            # A --tuple filter spares the other tuples' counts.
+            swings = dbscores.swing_counts(lineage, charge, args.tuple or None)
         if kind == "responsibility":
             # A --tuple filter spares the other tuples' witness searches.
             ids = args.tuple or all_ids
@@ -259,13 +260,14 @@ def _cmd_db_scores(args) -> list[dict]:
 
 def _monte_carlo_records(args, all_ids, lineage, players, charge) -> list[dict]:
     from . import dbscores, games
-    game = dbscores.lineage_game(lineage, players)
-    estimates = games.shapley_monte_carlo_all(game, args.epsilon, args.delta, args.seed, charge)
+    estimates = dbscores.monte_carlo_shapley(
+        lineage, args.epsilon, args.delta, args.seed, players, charge
+    )
     samples = games.sample_count(args.epsilon, args.delta)
     settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
     for tid in all_ids:
-        # A tuple outside the game is never sampled.
+        # A tuple outside the players is never sampled.
         value, used = (estimates[tid], samples) if tid in estimates else (0.0, 0)
         out.append(_score_record(tid, "shapley", value, **settings, samples=used))
     return out

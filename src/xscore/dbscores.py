@@ -12,6 +12,9 @@ effect at a shared tuple probability are weighted sums of those counts;
 a least contingency is what the largest such set leaves out.
 The same expansion with per-tuple probabilities gives lineage
 probabilities.
+
+Monte Carlo Shapley plays no game: each sampled order credits the one
+tuple that first makes the lineage true, found by a min/max walk.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ __all__ = [
     "causal_effect",
     "swing_counts",
     "swing_scores",
+    "monte_carlo_shapley",
     "check_probability",
     "lineage_game",
 ]
@@ -192,8 +196,11 @@ def causal_effect(
     return p_on - p_off
 
 
-def swing_counts(lineage: Lineage, charge: Callable | None = None) -> dict[str, list[int]]:
-    """Swing counts d[k] of every support tuple t, for k = 0 .. m-1.
+def swing_counts(
+    lineage: Lineage, charge: Callable | None = None, tuple_ids: Iterable[str] | None = None
+) -> dict[str, list[int]]:
+    """Swing counts d[k] of the support tuples among `tuple_ids` (default:
+    all of them), for k = 0 .. m-1, m the support size.
 
     d[k] is the number of k-sets S of the other m-1 support tuples on
     which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  The
@@ -201,10 +208,11 @@ def swing_counts(lineage: Lineage, charge: Callable | None = None) -> dict[str, 
     product of polynomials a and b charges len(a) len(b) units.
     """
     support = lineage.support()
+    wanted = support if tuple_ids is None else support.intersection(tuple_ids)
     memo: dict = {}
     counts = {}
     charge = charge or games.meter(games.DEFAULT_BUDGET)
-    for t in sorted(support):
+    for t in sorted(wanted):
         rest = support - {t}
         on, off = (
             _weighted_count(formula.substitute(lineage.root, {t: v}), rest, _by_size, memo, charge)
@@ -231,8 +239,52 @@ def swing_scores(
     if kind == "causal_effect" and probability is not None:
         p = Fraction(probability)
         check_probability(p)
-    weights = games.size_weights(kind, len(swings), p)
+    # Every count list runs over k = 0 .. m-1, whichever tuples were counted.
+    m = max(map(len, swings.values()), default=0)
+    weights = games.size_weights(kind, m, p)
     return {t: sum(w * d for w, d in zip(weights, counts)) for t, counts in swings.items()}
+
+
+def monte_carlo_shapley(
+    lineage: Lineage,
+    epsilon: float,
+    delta: float,
+    seed: int,
+    players: Iterable[str] | None = None,
+    charge: Callable | None = None,
+) -> dict[str, float]:
+    """Monte Carlo Shapley estimates of the players of `lineage_game(lineage,
+    players)`, equal to `games.shapley_monte_carlo_all` of that game.
+
+    In each of the `games.sample_orders`, only the player that first makes
+    the monotone lineage true has a nonzero marginal, 1.  Its place is the
+    lineage's value with each tuple at its place, an And the max of its
+    parts and an Or the min; a constant lineage credits nobody.  A
+    player's estimate is its wins over the samples.
+    """
+    players = sorted(lineage.support() if players is None else players)
+    samples = games.sample_count(epsilon, delta)
+    wins = dict.fromkeys(players, 0)
+    never = len(players)
+    for order in games.sample_orders(players, epsilon, delta, seed, charge):
+        first = _first_place(lineage.root, dict(zip(order, range(never))), never)
+        if 0 <= first < never:
+            wins[order[first]] += 1
+    return {p: wins[p] / samples for p in players}
+
+
+def _first_place(node: formula.Node, place: Mapping[str, int], never: int) -> int:
+    # The place in the order whose player first makes the monotone node
+    # true: -1 when it holds on the empty prefix, `never` when on none.
+    if isinstance(node, formula.Var):
+        return place.get(node.name, never)
+    if isinstance(node, formula.And):
+        return max(_first_place(p, place, never) for p in node.parts)
+    if isinstance(node, formula.Or):
+        return min(_first_place(p, place, never) for p in node.parts)
+    if isinstance(node, formula.Const):
+        return -1 if node.value else never
+    raise ValueError("a Monte Carlo lineage must be monotone")
 
 
 def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict, charge) -> list:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Player = Hashable
 Coalition = frozenset
@@ -94,28 +94,18 @@ def shapley_monte_carlo_all(
 ) -> dict:
     """Monte Carlo Shapley estimates for every player from shared orders.
 
-    Averages each player's marginal contribution over `sample_count(
-    epsilon, delta)` uniformly random player orders.  For games whose
-    marginals lie in [0, 1] (monotone 0/1 games in particular) each
-    estimate is within epsilon of the exact value with probability at
-    least 1 - delta.
-
-    Each sample's order is drawn from an RNG derived from (seed, sample
-    index), so results are reproducible and independent of how the sample
-    range might be partitioned across workers.  One walk over the order's
-    prefixes credits every player with its marginal contribution.  The
-    samples x players game evaluations are charged before the first
-    sample.
+    Averages each player's marginal contribution over the `sample_orders`
+    of the game's players.  For games whose marginals lie in [0, 1]
+    (monotone 0/1 games in particular) each estimate is within epsilon of
+    the exact value with probability at least 1 - delta.  One walk over
+    each order's prefixes credits every player with its marginal
+    contribution.
     """
     m = sample_count(epsilon, delta)
     players = list(game.players)
-    (charge or meter(DEFAULT_BUDGET))(m * len(players))
     value = _memoized(game)
     totals = dict.fromkeys(players, Fraction(0))
-    for index in range(m):
-        rng = random.Random(_derived_seed(seed, index))
-        order = players[:]
-        rng.shuffle(order)
+    for order in sample_orders(players, epsilon, delta, seed, charge):
         before = frozenset()
         previous = value(before)
         for player in order:
@@ -124,6 +114,25 @@ def shapley_monte_carlo_all(
             totals[player] += current - previous
             previous = current
     return {p: float(totals[p] / m) for p in players}
+
+
+def sample_orders(
+    players: Sequence, epsilon: float, delta: float, seed: int, charge: Callable | None = None
+) -> Iterator[list]:
+    """The `sample_count(epsilon, delta)` player orders of a Monte Carlo
+    Shapley estimate.
+
+    Sample i shuffles `players` with an RNG derived from (seed, i), so the
+    orders are reproducible and independent of how the sample range might
+    be partitioned across workers.  The samples x players units of work
+    are charged before the first order is drawn.
+    """
+    m = sample_count(epsilon, delta)
+    (charge or meter(DEFAULT_BUDGET))(m * len(players))
+    for index in range(m):
+        order = list(players)
+        random.Random(_derived_seed(seed, index)).shuffle(order)
+        yield order
 
 
 def size_weights(kind: str, m: int, p: Fraction = Fraction(1, 2)) -> list[Fraction]:

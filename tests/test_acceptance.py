@@ -140,11 +140,14 @@ def test_criterion_06_dichotomy_classifier():
 def test_criterion_07_monte_carlo_shapley(ex1_db, ex1_query):
     with criterion(7, "Monte Carlo Shapley coverage (100 seeded runs)", 60.0):
         lineage = reldb.compile_lineage(ex1_db, ex1_query)
-        game = dbscores.lineage_game(lineage, ex1_db.tuple_ids())
-        exact = games.shapley_all(game)
+        players = ex1_db.tuple_ids()
+        exact = games.shapley_all(dbscores.lineage_game(lineage, players))
         epsilon = delta = 0.05
-        runs = [games.shapley_monte_carlo_all(game, epsilon, delta, seed) for seed in range(100)]
-        for tid in game.players:
+        runs = [
+            dbscores.monte_carlo_shapley(lineage, epsilon, delta, seed, players)
+            for seed in range(100)
+        ]
+        for tid in players:
             hits = sum(abs(run[tid] - float(exact[tid])) <= epsilon for run in runs)
             assert hits >= 95, f"{tid}: only {hits}/100 runs within ±{epsilon}"
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xscore import classify, cli, dbscores, reldb
+from xscore import classify, cli, dbscores, formula, games, reldb
 
 
 def run(capsys, *argv):
@@ -302,12 +302,13 @@ def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
 
 
 def test_tuple_filter_searches_only_its_own_witnesses(capsys, tmp_path):
-    # Nine pairs: the count takes 36,483 units and T:00's witness search
-    # 15,522 candidates, 52,005 in all; the batch would test 160,776.
+    # Nine pairs: T:00's own count takes 1,905 units and its witness search
+    # 15,522 candidates, 17,427 in all; counting every tuple would take
+    # 36,483 units, and the batch would test 160,776 candidates.
     argv = (*_pairs_args(tmp_path, 9), "--kinds", "responsibility")
-    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 52_004, budget_error(52_004))
-    code, out = run(capsys, *argv, "--budget", "52005")
-    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(52_005))
+    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 17_426, budget_error(17_426))
+    code, out = run(capsys, *argv, "--budget", "17427")
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(17_427))
 
 
 def test_tuple_filter_keeps_the_records(capsys, data_dir):
@@ -464,6 +465,28 @@ def test_monte_carlo_mode_is_seeded(capsys, data_dir):
     assert sb["mode"] == "monte_carlo"
     assert sb["seed"] == 5
     assert abs(sb["value_float"] - 7 / 12) <= 0.2
+
+
+def test_monte_carlo_evaluates_no_coalition_and_builds_no_game(capsys, data_dir, monkeypatch):
+    # Each order's winner is read off the lineage's first winning place, so
+    # the CLI neither tests a prefix nor plays a game.
+    calls = []
+    evaluate = formula.evaluate
+
+    def counted(*args):
+        calls.append("evaluate")
+        return evaluate(*args)
+
+    monkeypatch.setattr(formula, "evaluate", counted)
+    monkeypatch.setattr(games.Game, "__post_init__", lambda game: calls.append("Game"))
+    approx = ("--kinds", "shapley", "--mode", "approx", "--epsilon", "0.1", "--delta", "0.05")
+    path = ("--relation", f"E={data_dir / 'path_E.csv'}")
+    path += ("--lineage-file", str(data_dir / "path_lineage.txt"))
+    for argv in (db_args(data_dir, *approx), ("db-scores", *path, *approx)):
+        records = run_json(capsys, *argv)["records"]
+        # Every sample credits exactly one tuple.
+        assert abs(sum(r["value_float"] for r in records) - 1) < 1e-12
+    assert calls == []
 
 
 def test_query_and_its_compiled_lineage_give_equal_exact_records(capsys, tmp_path):

@@ -14,6 +14,7 @@ from oracles import (
     lineage_probability_by_enumeration,
     matches_by_nested_loop,
     min_contingency_unrestricted,
+    monte_carlo_by_player,
     random_database_for,
     random_dnf_lineage,
     random_nested_lineage,
@@ -30,6 +31,7 @@ from xscore.dbscores import (
     lineage_causes,
     lineage_game,
     lineage_probability,
+    monte_carlo_shapley,
     query_lineage,
     swing_counts,
     swing_scores,
@@ -455,6 +457,46 @@ def test_shapley_tuple_monte_carlo(ex1_db, ex1_query):
     assert score == again
     with pytest.raises(ValueError):
         games.shapley_monte_carlo(game, "S(b)", epsilon=0.0, delta=0.1, seed=3)
+
+
+@given(st.integers(0, 10**9), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_shapley_equals_the_sampled_game(seed, sample_seed):
+    # Nested And/Or trees with repeated tuples, DNFs and single tuples over
+    # some of t1..t5; t6 and the tuples a lineage misses are null players,
+    # and support tuples left out of the players are never present.
+    rng = random.Random(seed)
+    ids = NESTED_IDS[:5]
+    shapes = (random_nested_lineage, random_dnf_lineage, lambda r, i: formula.Var(r.choice(i)))
+    lineage = reldb.Lineage(rng.choice(shapes)(rng, ids), source="user")
+    players = rng.choice((None, NESTED_IDS, NESTED_IDS[2:]))
+    epsilon, delta = rng.choice(((0.3, 0.2), (0.5, 0.4), (0.25, 0.05), (0.1, 0.1)))
+    estimates = monte_carlo_shapley(lineage, epsilon, delta, sample_seed, players)
+    game = lineage_game(lineage, players)
+    assert estimates == games.shapley_monte_carlo_all(game, epsilon, delta, sample_seed)
+    assert list(estimates) == list(game.players)
+    for player in game.players:
+        assert (estimates[player], games.sample_count(epsilon, delta)) == monte_carlo_by_player(
+            game, player, epsilon, delta, sample_seed
+        )
+
+
+def test_monte_carlo_shapley_constant_lineage_credits_nobody():
+    for root in (formula.TRUE, formula.FALSE):
+        lineage = reldb.Lineage(root, source="user")
+        estimates = monte_carlo_shapley(lineage, 0.2, 0.1, 5, NESTED_IDS)
+        assert estimates == dict.fromkeys(NESTED_IDS, 0.0)
+        game = lineage_game(lineage, NESTED_IDS)
+        assert estimates == games.shapley_monte_carlo_all(game, 0.2, 0.1, 5)
+
+
+def test_monte_carlo_shapley_charges_samples_times_players_up_front(ex1_db, ex1_query):
+    lineage = compile_lineage(ex1_db, ex1_query)
+    needed = games.sample_count(0.1, 0.05) * len(ex1_db.tuple_ids())
+    estimates = monte_carlo_shapley(lineage, 0.1, 0.05, 1, ex1_db.tuple_ids(), games.meter(needed))
+    assert abs(sum(estimates.values()) - 1) < 1e-12
+    with pytest.raises(BudgetExceededError, match=f"more than {needed - 1} units of work"):
+        monte_carlo_shapley(lineage, 0.1, 0.05, 1, ex1_db.tuple_ids(), games.meter(needed - 1))
 
 
 def test_banzhaf_equals_causal_effect_worked_example(ce_db, ce_query):
