@@ -1,7 +1,7 @@
 """Line/column-tracking tokenizer shared by the small text grammars."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 
 class ParseError(ValueError):
@@ -13,7 +13,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "name" | "string" | "punct" | "end"
     text: str

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._record import record
 from .clfserver import (
     PROTOCOL_HANDSHAKE,
     check_feature_names,
@@ -69,7 +69,7 @@ class UnknownFeatureError(ValueError):
 # Feature spaces and entities
 
 
-@dataclass(frozen=True)
+@record
 class FeatureSpace:
     """Ordered, uniquely named binary features."""
 
@@ -92,7 +92,7 @@ class FeatureSpace:
         return frozenset(n for n, b in zip(self.names, entity.bits) if b)
 
 
-@dataclass(frozen=True)
+@record
 class Entity:
     """A bit vector; position i holds the value of the i-th feature."""
 
@@ -291,7 +291,7 @@ class ExternalClassifier(Classifier):
 # Constraints
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """A propositional condition evaluated on a single entity.
 
@@ -581,7 +581,7 @@ def _agreeing_entities(
 # File formats
 
 
-@dataclass(frozen=True)
+@record
 class Sample:
     """Entities loaded from a sample CSV, with recorded labels if present."""
 

@@ -16,12 +16,10 @@ modules, and heavy stdlib imports sit at their single point of use.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -211,6 +209,8 @@ def _config_echo(args) -> dict:
 
 
 def _cmd_db_scores(args) -> list[dict]:
+    from fractions import Fraction
+
     from . import dbscores, games
     charge = games.meter(_budget(args))
     db = _load_relations(args.relation)
@@ -355,7 +355,8 @@ def _budget(args) -> int:
     return budget
 
 
-def _rational_arg(flag: str, text: str) -> Fraction:
+def _rational_arg(flag: str, text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -496,6 +497,7 @@ def _apply_constraints(args, space, distribution):
 
 
 def _rational(value) -> dict:
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return {"value": str(value), "value_float": float(value)}
     return {"value": repr(float(value)), "value_float": float(value)}
@@ -559,6 +561,7 @@ def _feature_record(score) -> dict:
 
 def _emit(report: dict, args) -> None:
     if args.format == "json":
+        import json
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _format_table(report)

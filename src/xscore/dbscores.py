@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from . import formula, games
+from ._record import record
 from .games import Game
 from .reldb import ConjunctiveQuery, Database, Lineage, compile_lineage
 
@@ -55,7 +55,7 @@ class VacuousInterventionWarning(UserWarning):
     """Emitted when an intervention targets a tuple the lineage never mentions."""
 
 
-@dataclass(frozen=True)
+@record
 class CauseReport:
     """Causal status of one tuple for a true query.
 
@@ -87,9 +87,9 @@ def lineage_causes(
 
     `tuple_ids` defaults to the lineage support; pass the full instance's
     ids to also report the (zero) scores of unmentioned tuples.  Contingency
-    sizes are read off `swing_counts` (counted, and charged, here when
-    `swings` is None); only each witness is searched, at its one size, and
-    each candidate tested is charged.
+    sizes are read off `swing_counts` (counted for the reported tuples only,
+    and charged, here when `swings` is None); only each witness is
+    searched, at its one size, and each candidate tested is charged.
     """
     support = lineage.support()
     if not lineage.evaluate(support):
@@ -97,7 +97,7 @@ def lineage_causes(
     players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     if swings is None:
-        swings = swing_counts(lineage, charge)
+        swings = swing_counts(lineage, charge, players)
     return [_cause_of(lineage, support, t, swings.get(t, ()), charge) for t in players]
 
 

@@ -5,33 +5,33 @@ constraints (general formulas over feature names).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterator, Union
 
 from ._lex import ParseError, Token, TokenStream, tokenize
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     child: "Node"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     parts: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     parts: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: bool
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
+
+from ._record import record
 
 Player = Hashable
 Coalition = frozenset
@@ -34,7 +35,7 @@ class BudgetExceededError(GameError):
     """A computation charged its `meter` past the budget."""
 
 
-@dataclass(frozen=True)
+@record
 class Game:
     """Players plus a total, deterministic coalition-value oracle.
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable
 
 from . import games
+from ._record import record
 from .classify import (
     Classifier,
     Distribution,
@@ -58,7 +58,7 @@ class ZeroMassSkipWarning(UserWarning):
     """A zero-mass coalition was dropped from a SHAP sum on request."""
 
 
-@dataclass(frozen=True)
+@record
 class ExplanationRequest:
     """One entity whose label is to be explained.
 
@@ -85,7 +85,7 @@ class ExplanationRequest:
             raise ValueError("classifier width does not match the entity")
 
 
-@dataclass(frozen=True)
+@record
 class RespWitness:
     """The cheapest intervention found by the responsibility search:
     contingency features set to `contingency_values`, the inspected
@@ -98,7 +98,7 @@ class RespWitness:
     entity: Entity
 
 
-@dataclass(frozen=True)
+@record
 class FeatureScore:
     feature: str
     kind: str  # one of SCORE_KINDS

@@ -13,12 +13,12 @@ the conjunctive fragment.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formula
 from ._lex import ParseError, TokenStream, tokenize
+from ._record import record
 
 __all__ = [
     "ParseError",
@@ -69,7 +69,7 @@ class DuplicateTupleError(DatabaseError):
 # Query AST
 
 
-@dataclass(frozen=True)
+@record(compare=("index",))
 class Var:
     """A query variable, identified by first-occurrence index.
 
@@ -78,10 +78,10 @@ class Var:
     """
 
     index: int
-    name: str = field(compare=False)
+    name: str
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: str
 
@@ -89,13 +89,13 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     relation: str
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ConjunctiveQuery:
     """A conjunction of relational atoms, existentially closed.
 
@@ -321,7 +321,7 @@ def evaluate(db: Database, query: ConjunctiveQuery) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class Lineage:
     """Monotone formula over tuple ids capturing where the query holds.
 
@@ -453,7 +453,7 @@ def _matches(
 # Structural analysis
 
 
-@dataclass(frozen=True)
+@record
 class QueryAnalysis:
     """Syntactic facts about a query: the hierarchy criterion over
     existential variables, and self-join freedom."""

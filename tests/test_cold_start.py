@@ -27,18 +27,25 @@ EX6 = "ml-scores --classifier tests/data/ex6_table.csv --entity 011"
 ALL = "--kinds responsibility,causal_effect,shapley,banzhaf"
 APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 
-LEX = {"xscore._lex", "xscore.formula"}
+LEX = {"xscore._lex", "xscore._record", "xscore.formula"}
 REL = {"xscore.cli", "xscore.reldb"} | LEX
 DB = REL | {"xscore.dbscores", "xscore.games"}
-ML = {"xscore.cli", "xscore.classify", "xscore.clfserver", "xscore.mlscores", "xscore.games"}
-WATCHED = ("hashlib", "subprocess", "select", "dataclasses", "fractions")
-DATA = {"dataclasses", "fractions"}
+ML = {
+    "xscore.cli", "xscore._record", "xscore.classify", "xscore.clfserver", "xscore.mlscores",
+    "xscore.games",
+}
+# No start loads `dataclasses` or `inspect`; only the scoring ones make
+# rationals, and only a start that writes a JSON report loads `json`.
+WATCHED = ("hashlib", "subprocess", "select", "dataclasses", "inspect", "fractions", "json")
+JSON = {"json"}
+SCORES = {"fractions"} | JSON
 
 # A fresh process runs `xscore.clfserver` (first argument "clfserver") or
 # `xscore.cli.main` on its arguments, then prints its exit code and the
-# `xscore.*` and watched modules it loaded.
+# `xscore.*` and watched modules it loaded.  It imports `json` only after
+# taking that list.
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
     if sys.argv[1] == "clfserver":
         from xscore import clfserver
@@ -48,6 +55,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         from xscore import cli
         code = cli.main(sys.argv[1:])
 loaded = [m for m in sys.modules if m.startswith("xscore.") or m in %r]
+import json
 print(json.dumps({"code": code, "loaded": sorted(loaded)}))
 """ % (WATCHED,)
 
@@ -62,13 +70,13 @@ def cold(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "command, modules, stdlib",
     [
-        ("--version", {"xscore.cli"}, {"fractions"}),
-        (f"analyze {Q}", REL, DATA),
-        (f"lineage {EX1} {Q}", REL, DATA),
-        (f"db-scores {EX1} {Q} {ALL}", DB, DATA),
-        (f"db-scores {EX1} {Q} {APPROX}", DB, DATA | {"hashlib"}),
-        (EX6, ML, DATA),
-        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | LEX, DATA),
+        ("--version", {"xscore.cli"}, set()),
+        (f"analyze {Q}", REL, JSON),
+        (f"lineage {EX1} {Q}", REL, JSON),
+        (f"db-scores {EX1} {Q} {ALL}", DB, SCORES),
+        (f"db-scores {EX1} {Q} {APPROX}", DB, SCORES | {"hashlib"}),
+        (EX6, ML, SCORES),
+        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | LEX, SCORES),
         ("clfserver tests/data/ex6_table.csv", {"xscore.clfserver"}, set()),
     ],
     ids=[

@@ -128,16 +128,16 @@ def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
 
 def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
     # The ex1 swing counts take 144 units and the batch's witness searches
-    # test 5 candidates; R(a,b) alone pays the same count and tests only
-    # its witness (R(b,b),), at the size the count gives.
+    # test 5 candidates; R(a,b) alone pays only its own count, 43 units,
+    # and tests only its witness (R(b,b),), at the size the count gives.
     lineage = compile_lineage(ex1_db, ex1_query)
     with pytest.raises(BudgetExceededError, match="more than 148 units of work"):
         lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(148))
     reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(149))
     assert reports == causes_by_exhaustion(lineage, ex1_db.tuple_ids())
-    with pytest.raises(BudgetExceededError, match="more than 144 units of work"):
-        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(144))
-    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(145)) == Fraction(1, 2)
+    with pytest.raises(BudgetExceededError, match="more than 43 units of work"):
+        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(43))
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(44)) == Fraction(1, 2)
     # Counts handed in are not charged again.
     swings = swing_counts(lineage)
     assert lineage_causes(lineage, charge=games.meter(5), swings=swings) == lineage_causes(lineage)

@@ -1,6 +1,5 @@
 import random
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -261,11 +260,12 @@ def test_shap_builds_one_fraction_per_feature(monkeypatch):
 def test_shap_too_wide_to_enumerate(width):
     # Without a finite support all 2^n entities are enumerated.
     space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
-    request = uniform_request(space, FunctionClassifier(width, lambda e: 1), Entity((1,) * width))
+    clf, entity = FunctionClassifier(width, lambda e: 1), Entity((1,) * width)
     message = f"{width} free features exceed the enumeration limit 20"
     for skip_zero_mass in (False, True):
+        request = uniform_request(space, clf, entity, skip_zero_mass=skip_zero_mass)
         with pytest.raises(WidthLimitError, match=message):
-            score_all(replace(request, skip_zero_mass=skip_zero_mass), ["shap"])
+            score_all(request, ["shap"])
 
 
 def test_shap_width_refusal_comes_before_any_label():
@@ -316,9 +316,10 @@ def test_shap_labels_each_entity_once(
 BUDGET_ERROR = "needs more than {0} units of work, budget is {0}"
 
 
-def test_shap_budget_counts_coalitions(ex6_request):
+def test_shap_budget_counts_coalitions(ex6_request, ex6_space, ex6_classifier, ex6_e1):
     message = BUDGET_ERROR.format(7)
-    for request in (ex6_request, replace(ex6_request, skip_zero_mass=True)):
+    skipping = uniform_request(ex6_space, ex6_classifier, ex6_e1, skip_zero_mass=True)
+    for request in (ex6_request, skipping):
         with pytest.raises(games.BudgetExceededError, match=message):
             score_all(request, ["shap"], games.meter(7))
         with pytest.raises(games.BudgetExceededError, match=message):
@@ -434,7 +435,12 @@ def test_resp_contingency_cap(ex6_request, ex6_space, ex6_classifier, ex6_e1):
     assert resp(capped, "F2").value == 1  # counterfactual still found
     assert resp(capped, "F1").value == 0  # needs |Y| = 1, above the cap
     with pytest.raises(ValueError, match="max_contingency must be non-negative, got -1"):
-        replace(capped, max_contingency=-1)
+        ExplanationRequest(
+            entity=ex6_e1,
+            classifier=ex6_classifier,
+            distribution=UniformDistribution(ex6_space),
+            max_contingency=-1,
+        )
 
 
 @given(st.integers(0, 10**9))
