@@ -7,9 +7,11 @@ Usage: ``python -m xscore.clfserver TABLE.csv``.  Emits the handshake
 skipped; any other request ends the server with exit 1.
 
 A server start pays for this module, `csv` and `sys` only: the table is
-held as {bit string: label line}, so a request is one dict lookup.
+held as {bit string: label line}, so a request is one dict lookup.  Run as
+a process, it exits as `python -m xscore` does, with the heap frozen.
 """
 import csv
+import gc
 import sys
 
 PROTOCOL_HANDSHAKE = "xscore-clf v1"
@@ -103,4 +105,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)

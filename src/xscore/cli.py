@@ -225,7 +225,7 @@ def _cmd_db_scores(args) -> list[dict]:
             raise ValueError("--mode approx needs --epsilon and --delta")
         games.check_epsilon_delta(args.epsilon, args.delta)
     probability = None
-    if args.probability:
+    if args.probability is not None:
         probability = _rational_arg("--probability", args.probability)
         dbscores.check_probability(probability)
 
@@ -419,18 +419,21 @@ def _resolve_classifier(args):
         sample = classify.load_sample_csv(args.sample, dedupe=args.dedupe)
     if args.classifier is not None:
         space, clf = classify.load_truth_table_csv(args.classifier)
-        if args.features:
+        if args.features is not None:
             raise ValueError("--features conflicts with --classifier (header names win)")
         return space, clf, sample
     if args.classifier_cmd is not None:
         import shlex
         clf = classify.ExternalClassifier(shlex.split(args.classifier_cmd))
         try:
-            names = (
-                tuple(n.strip() for n in args.features.split(","))
-                if args.features
-                else tuple(f"F{i + 1}" for i in range(clf.width))
-            )
+            if args.features is None:
+                names = tuple(f"F{i + 1}" for i in range(clf.width))
+            else:
+                names = tuple(n.strip() for n in args.features.split(","))
+                if not all(names):
+                    raise ValueError(
+                        f"--features expects comma-separated names, got {args.features!r}"
+                    )
             space = classify.FeatureSpace(names)
             if space.width != clf.width:
                 raise ValueError(
@@ -462,7 +465,7 @@ def _resolve_distribution(args, space, sample):
             raise ValueError("--distribution empirical needs --sample")
         _check_sample_space(space, sample)
         return classify.EmpiricalDistribution(space, sample.entities)
-    if args.marginals:
+    if args.marginals is not None:
         marginals = [_rational_arg("--marginals", m) for m in args.marginals.split(",")]
         return classify.ProductDistribution(space, marginals)
     if sample is None:
@@ -622,7 +625,3 @@ def _format_table(report: dict) -> str:
     for warning in report["warnings"]:
         lines.append(f"warning: {warning}")
     return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -879,7 +879,22 @@ ML_INPUT_ERRORS = {
         ("--classifier-cmd", "{server}", "--features", "F1,F2"),
         "--features names 2 features, classifier serves 3",
     ),
+    # An empty value is a bad value, not a flag left out.
+    "empty-features-with-table": (
+        ("--classifier", "{table}", "--features", ""),
+        "--features conflicts with --classifier (header names win)",
+    ),
+    "empty-features-with-cmd": (
+        ("--classifier-cmd", "{server}", "--features", ""),
+        "--features expects comma-separated names, got ''",
+    ),
+    "empty-marginals": (
+        ("--classifier", "{table}", "--distribution", "product", "--marginals", ""),
+        "--marginals expects a rational number, got ''",
+    ),
 }
+# The cases that fail after the classifier server started, which must reap it.
+ML_SERVER_STARTED = {"features-width-differs", "empty-features-with-cmd"}
 
 
 @pytest.mark.parametrize("case", sorted(ML_INPUT_ERRORS))
@@ -898,7 +913,7 @@ def test_ml_scores_input_checks_exit_1(capsys, data_dir, tmp_path, started, case
     code, out = run(capsys, "ml-scores", *argv, "--entity", "011")
     assert code == cli.EXIT_PARSE
     assert out.err == f"xscore: error: {message}\n"
-    reaped = [0] if case == "features-width-differs" else []
+    reaped = [0] if case in ML_SERVER_STARTED else []
     assert [clf._proc.returncode for clf in started] == reaped
 
 
@@ -946,8 +961,9 @@ def test_non_integer_budget_variable_exits_1(capsys, data_dir, monkeypatch):
 
 
 def test_rational_flags_report_parse_errors(capsys, data_dir):
-    # Fraction("1/0") raises ZeroDivisionError, not ValueError.
-    for text in ("1/0", "half"):
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError.  An empty
+    # --probability is a bad value too, not the default 1/2.
+    for text in ("1/0", "half", ""):
         probability = db_args(data_dir, "--kinds", "causal_effect", "--probability", text)
         marginals = ml_args(data_dir, "--distribution", "product", "--marginals", f"0,{text},1")
         for flag, argv in (("--probability", probability), ("--marginals", marginals)):

@@ -1,21 +1,29 @@
-"""Cold starts: each entry point loads only the modules its subcommand runs.
+"""Cold starts: each entry point loads only the modules its subcommand runs,
+and each process exit leaves nothing behind.
 
 Every case starts a fresh interpreter with `PYTHONPATH=src`, so nothing the
 test process has imported leaks in.  The loaded `xscore.*` modules (and
 a few heavy stdlib ones) are a deterministic count of what a start pays
 for, so an import regression shows here without timing.
 """
+import gc
+import importlib
+import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from xscore import cli
+from xscore import __main__ as entry
+from xscore import cli, clfserver
+from xscore.classify import Entity, load_truth_table_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -156,3 +164,100 @@ def test_monte_carlo_shapley_honours_budget():
     assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
     assert "units of work, budget is 1000" in proc.stderr
     assert elapsed < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Exits: the process entries freeze the heap so that shutdown collects no
+# cycles; output, exit codes and children must come out as before.
+
+TABLE = "tests/data/ex6_table.csv"
+
+
+def test_clfserver_process_answers_then_exits_0():
+    _, local = load_truth_table_csv(ROOT / TABLE)
+    requests = ["".join(map(str, bits)) for bits in product((0, 1), repeat=3)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "xscore.clfserver", TABLE], cwd=ROOT, env=ENV,
+        input="".join(f"{r}\n" for r in requests), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    handshake, *answers = proc.stdout.splitlines()
+    assert handshake == "xscore-clf v1 n=3"
+    assert answers == [str(local.label(Entity.from_bits(r))) for r in requests]
+
+
+def test_clfserver_process_exits_1_on_a_malformed_request():
+    proc = subprocess.run(
+        [sys.executable, "-m", "xscore.clfserver", TABLE], cwd=ROOT, env=ENV,
+        input="011\n01\n011\n", capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "xscore-clf v1 n=3\n1\n"
+    assert proc.stderr == "malformed request '01'\n"
+
+
+def test_output_file_from_a_process_matches_in_process(tmp_path, capsys, monkeypatch):
+    command = f"db-scores {EX1} {Q} {ALL}"
+    target = tmp_path / "nested" / "report.json"
+    proc = cold("-m", "xscore", *shlex.split(command), "--output", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("XSCORE_BUDGET", raising=False)
+    assert cli.main(shlex.split(command)) == 0
+    expected = report_without_timing(capsys.readouterr().out)
+    assert report_without_timing(target.read_text(encoding="utf-8")) == expected
+
+
+def test_no_classifier_outlives_the_cli(tmp_path):
+    # The wrapper writes its pid, then becomes the server under that pid.
+    pid_file = tmp_path / "server.pid"
+    server = shlex.join([
+        "sh", "-c", 'echo $$ > "$0"; exec "$@"', str(pid_file),
+        sys.executable, "-m", "xscore.clfserver", TABLE,
+    ])
+    proc = cold("-m", "xscore", "ml-scores", "--classifier-cmd", server, "--entity", "011",
+                "--kinds", "counter,resp")
+    assert proc.returncode == 0, proc.stderr
+    pid = int(pid_file.read_text())
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_only_the_process_entries_freeze_the_heap(monkeypatch, capsys):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("XSCORE_BUDGET", raising=False)
+
+    assert cli.main(shlex.split(f"db-scores {EX1} {Q} {ALL}")) == 0
+    assert cli.main(shlex.split(EX6)) == 0
+    assert clfserver.serve(TABLE, io.StringIO("011\n"), io.StringIO()) == 0
+    assert events == []
+
+    def main():
+        code = cli.main()
+        events.append("main returned")
+        return code
+
+    monkeypatch.setattr(entry, "main", main)
+    monkeypatch.setattr(sys, "argv", ["xscore", *shlex.split(f"analyze {Q}")])
+    with pytest.raises(SystemExit) as exit_:
+        entry.run()
+    assert exit_.value.code == 0
+    assert events == ["main returned", "freeze"]
+
+    events.clear()
+    monkeypatch.setattr(sys, "argv", ["clfserver", TABLE])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("011\n"))
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(clfserver.__file__, run_name="__main__")
+    assert exit_.value.code == 0
+    assert events == ["freeze"]
+    assert capsys.readouterr().out.endswith("xscore-clf v1 n=3\n1\n")
+
+
+def test_installed_command_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["xscore"].partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.run
