@@ -360,7 +360,6 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
     `!(F1 & ~F2)`.
     """
     from . import formula
-    from ._lex import ParseError
 
     def resolve(tok) -> formula.Node:
         if tok.text == "true":
@@ -368,7 +367,7 @@ def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
         if tok.text == "false":
             return formula.FALSE
         if tok.text not in space.names:
-            raise ParseError(f"unknown feature {tok.text!r}", tok.line, tok.column)
+            raise formula.ParseError(f"unknown feature {tok.text!r}", tok.line, tok.column)
         return formula.Var(tok.text)
 
     return Constraint(space=space, root=formula.parse(text, resolve, "feature name"))

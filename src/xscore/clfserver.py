@@ -4,7 +4,8 @@
 Usage: ``python -m xscore.clfserver TABLE.csv``.  Emits the handshake
 ``xscore-clf v1 n=<width>``, then answers each request line of <width>
 '0'/'1' characters with a single '0' or '1' line.  Blank lines are
-skipped; any other request ends the server with exit 1.
+skipped; any other request ends the server with exit 1, as does a
+table that is missing or bad, after one ``error:`` line on stderr.
 
 A server start pays for this module, `csv` and `sys` only: the table is
 held as {bit string: label line}, so a request is one dict lookup.  Run as
@@ -101,7 +102,11 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1:
         print("usage: python -m xscore.clfserver TABLE.csv", file=sys.stderr)
         return 2
-    return serve(argv[0], sys.stdin, sys.stdout)
+    try:
+        return serve(argv[0], sys.stdin, sys.stdout)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

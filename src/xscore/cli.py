@@ -172,7 +172,6 @@ def main(argv: list[str] | None = None) -> int:
 def _exit_code(exc: Exception) -> int | None:
     """The exit code of the first error class `exc` belongs to, or None."""
     from . import classify, dbscores, games, reldb
-    from ._lex import ParseError
     codes = (
         (dbscores.NothingToExplainError, EXIT_QUERY_FALSE),
         (games.BudgetExceededError, EXIT_BUDGET),
@@ -180,7 +179,7 @@ def _exit_code(exc: Exception) -> int | None:
         (classify.ClassifierProtocolError, EXIT_PROTOCOL),
         (classify.ZeroMassEventError, EXIT_ZERO_MASS),
         (classify.InconsistentConstraintError, EXIT_ZERO_MASS),
-        (ParseError, EXIT_PARSE),
+        (reldb.ParseError, EXIT_PARSE),
         (reldb.DatabaseError, EXIT_PARSE),
         (OSError, EXIT_PARSE),
         (ValueError, EXIT_PARSE),
@@ -329,7 +328,7 @@ def _cmd_lineage(args) -> list[dict]:
             "type": "lineage",
             "query": reldb.format_query(query),
             "text": str(lineage),
-            "source": lineage.source,
+            "source": "query",
             "support": sorted(lineage.support()),
         }
     ]

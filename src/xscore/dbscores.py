@@ -152,7 +152,7 @@ def intervene(lineage: Lineage, tuple_id: str, value: int) -> Lineage:
         )
         return lineage
     root = formula.substitute(lineage.root, {tuple_id: bool(value)})
-    return Lineage(root=root, source=lineage.source)
+    return Lineage(root=root)
 
 
 def lineage_probability(

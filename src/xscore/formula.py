@@ -1,14 +1,116 @@
 """Small immutable propositional-formula trees and their text grammar.
 
 Shared by query lineage (monotone formulas over tuple ids) and entity
-constraints (general formulas over feature names).
+constraints (general formulas over feature names).  The line/column
+tokenizer here also serves the query grammar of `reldb`.
 """
 from __future__ import annotations
 
+import re
 from typing import AbstractSet, Callable, Iterator, Union
 
-from ._lex import ParseError, Token, TokenStream, tokenize
 from ._record import record
+
+
+class ParseError(ValueError):
+    """Syntax error carrying a 1-based line and column."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.line = line
+        self.column = column
+
+
+@record
+class Token:
+    kind: str  # "name" | "string" | "punct" | "end"
+    text: str
+    line: int
+    column: int
+
+
+def tokenize(text: str, extra_name_chars: str = "") -> list[Token]:
+    """Split `text` into names, quoted strings and punctuation.
+
+    Names are alphanumeric/underscore runs, optionally extended with
+    `extra_name_chars` (the lineage grammar admits ids like ``R:0``).
+    ``:-`` is a single token unless ``:`` is a name character; any other
+    character is rejected.  One pattern per name-character set matches a
+    token at a time; the unnamed last branch takes the one rejected
+    character.
+    """
+    punct = "[(),|&!~=]" if ":" in extra_name_chars else ":-|[(),|&!~=]"
+    pattern = re.compile(
+        rf"""(?P<space>[ \t\r\n]+)|(?P<string>'[^'\n]*'|"[^"\n]*")|(?P<punct>{punct})"""
+        rf"|(?P<name>[\w{re.escape(extra_name_chars)}]+)|."
+    )
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in pattern.finditer(text):
+        kind, start = match.lastgroup, match.start()
+        if kind == "space":
+            breaks = match.group().count("\n")
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", start, match.end()) + 1
+            continue
+        column = start - line_start + 1
+        found = match.group()
+        if kind is None:
+            message = "unterminated string" if found in "'\"" else f"unknown token {found!r}"
+            raise ParseError(message, line, column)
+        tokens.append(Token(kind, found[1:-1] if kind == "string" else found, line, column))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class TokenStream:
+    """Cursor over a token list with grammar-error helpers."""
+
+    def __init__(self, tokens: list[Token]):
+        self._tokens = tokens
+        self._pos = 0
+
+    @property
+    def current(self) -> Token:
+        return self._tokens[self._pos]
+
+    def take(self) -> Token:
+        tok = self._tokens[self._pos]
+        if tok.kind != "end":
+            self._pos += 1
+        return tok
+
+    def peek_punct(self, text: str) -> bool:
+        tok = self.current
+        return tok.kind == "punct" and tok.text == text
+
+    def accept_punct(self, text: str) -> bool:
+        if self.peek_punct(text):
+            self._pos += 1
+            return True
+        return False
+
+    def expect_punct(self, text: str) -> Token:
+        tok = self.current
+        if tok.kind != "punct" or tok.text != text:
+            raise ParseError(f"expected {text!r}, found {self._describe(tok)}", tok.line, tok.column)
+        return self.take()
+
+    def expect_name(self, what: str = "name") -> Token:
+        tok = self.current
+        if tok.kind != "name":
+            raise ParseError(f"expected {what}, found {self._describe(tok)}", tok.line, tok.column)
+        return self.take()
+
+    def expect_end(self) -> None:
+        tok = self.current
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing {self._describe(tok)}", tok.line, tok.column)
+
+    @staticmethod
+    def _describe(tok: Token) -> str:
+        return "end of input" if tok.kind == "end" else repr(tok.text)
 
 
 @record
@@ -119,7 +221,9 @@ def parse(
     Each name token becomes `resolve(token)`; names may also contain the
     characters of `name_chars`, and a missing name reads "expected
     {what}".  With `negation_error`, a `!` or `~` raises `ParseError`
-    with that message instead of negating.
+    with that message instead of negating.  Text nested deeper than the
+    interpreter's recursion limit allows is refused with a `ParseError`
+    at the token reached.
     """
     stream = TokenStream(tokenize(text, extra_name_chars=name_chars))
 
@@ -147,7 +251,11 @@ def parse(
             return inner
         return resolve(stream.expect_name(what))
 
-    root = disjunction()
+    try:
+        root = disjunction()
+    except RecursionError:
+        tok = stream.current
+        raise ParseError("formula nested too deeply", tok.line, tok.column) from None
     stream.expect_end()
     return root
 

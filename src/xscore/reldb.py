@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formula
-from ._lex import ParseError, TokenStream, tokenize
+from .formula import ParseError, TokenStream, tokenize
 from ._record import record
 
 __all__ = [
@@ -323,14 +323,9 @@ def evaluate(db: Database, query: ConjunctiveQuery) -> bool:
 
 @record
 class Lineage:
-    """Monotone formula over tuple ids capturing where the query holds.
-
-    `source` records provenance: "query" for compiled DNFs, "user" for
-    parsed formulas.
-    """
+    """Monotone formula over tuple ids capturing where the query holds."""
 
     root: formula.Node
-    source: str = "query"
 
     def support(self) -> frozenset[str]:
         return formula.variables(self.root)
@@ -358,13 +353,13 @@ def compile_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
     for _, used in _matches(db, query):
         disjunct_ids.add(tuple(sorted(set(used))))
     if not disjunct_ids:
-        return Lineage(root=formula.FALSE, source="query")
+        return Lineage(root=formula.FALSE)
     disjuncts = []
     for ids in sorted(disjunct_ids):
         literals = tuple(formula.Var(t) for t in ids)
         disjuncts.append(literals[0] if len(literals) == 1 else formula.And(literals))
     root = disjuncts[0] if len(disjuncts) == 1 else formula.Or(tuple(disjuncts))
-    return Lineage(root=root, source="query")
+    return Lineage(root=root)
 
 
 def parse_lineage(text: str, db: Database) -> Lineage:
@@ -385,7 +380,7 @@ def parse_lineage(text: str, db: Database) -> Lineage:
         negation_error="negation is not allowed: lineage must be monotone",
         name_chars=":.-",
     )
-    return Lineage(root=root, source="user")
+    return Lineage(root=root)
 
 
 def _check_query_against(db: Database, query: ConjunctiveQuery) -> None:

@@ -17,7 +17,8 @@ substitution oracle rebuilds the tree and constant-propagates each rebuilt
 node in a second walk instead of in the same pass; the mass oracle gives
 each entity its probability from the variant's rational formula instead of
 an integer weight over a total, and takes conditional expectations as
-ratios of those rationals over the whole space.
+ratios of those rationals over the whole space; the tokenizer oracle walks
+the text one character at a time instead of matching a pattern per token.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from xscore.classify import (
     conditional_expectation,
 )
 from xscore.dbscores import CauseReport
+from xscore.formula import ParseError, Token
 from xscore.games import Game
 from xscore.mlscores import FeatureScore, LabelMismatchError, RespWitness
 
@@ -350,6 +352,72 @@ def shap_by_expectation(request, feature) -> tuple[Fraction, int]:
                 continue
             total += weight * (with_feature - without)
     return total, skipped
+
+
+# Reference tokenizer: a walk over the text one character at a time that
+# tracks line and column as it goes.
+
+_PUNCT_CHARS = set("(),|&!~=")
+
+
+def tokenize_by_characters(text: str, extra_name_chars: str = "") -> list[Token]:
+    """Split `text` into names, quoted strings and punctuation.
+
+    Names are alphanumeric/underscore runs, optionally extended with
+    `extra_name_chars` (the lineage grammar admits ids like ``R:0``).
+    ``:-`` is a single token; any other character is rejected.
+    """
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        start_line, start_col = line, col
+        if ch in "'\"":
+            j = i + 1
+            while j < n and text[j] != ch:
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            tokens.append(Token("string", text[i + 1 : j], start_line, start_col))
+            advance(j + 1 - i)
+            continue
+        if ch == ":" and i + 1 < n and text[i + 1] == "-" and ":" not in extra_name_chars:
+            tokens.append(Token("punct", ":-", start_line, start_col))
+            advance(2)
+            continue
+        if ch.isalnum() or ch == "_" or ch in extra_name_chars:
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_" or text[j] in extra_name_chars):
+                j += 1
+            tokens.append(Token("name", text[i:j], start_line, start_col))
+            advance(j - i)
+            continue
+        if ch in _PUNCT_CHARS:
+            tokens.append(Token("punct", ch, start_line, start_col))
+            advance(1)
+            continue
+        raise ParseError(f"unknown token {ch!r}", start_line, start_col)
+
+    tokens.append(Token("end", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

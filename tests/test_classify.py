@@ -42,7 +42,7 @@ from xscore.classify import (
     load_truth_table_csv,
     parse_constraint,
 )
-from xscore._lex import ParseError
+from xscore.formula import ParseError
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ BAD_TABLES = {
     "duplicate row": "A,label\n0,1\n0,0\n",
     "missing row": "A,B,label\n0,0,1\n0,1,1\n1,0,0\n",
     "non-bit cell": "A,label\n0,1\n2,0\n",
+    "empty table": "",
+    "short row": "A,B,label\n0,0,1\n0,1\n1,0,0\n1,1,0\n",
 }
 
 

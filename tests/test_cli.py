@@ -160,6 +160,72 @@ def test_db_scores_empty_query_or_lineage_is_a_parse_error(capsys, data_dir, fla
     assert out.err.startswith("xscore: error: ")
 
 
+DB_INPUT_ERRORS = {
+    "no-relation": ((), "at least one --relation NAME=CSV is required"),
+    "relation-not-name-csv": (("--relation", "{R}"), "--relation expects NAME=CSV, got '{R}'"),
+    "relation-twice": (
+        ("--relation", "R={R}", "--relation", "R={S}"), "relation 'R' given twice",
+    ),
+    "empty-relation-csv": (
+        ("--relation", "R={empty}"), "{empty}: empty file, expected a header row",
+    ),
+    "empty-kinds": (
+        ("--relation", "R={R}", "--relation", "S={S}", "--kinds", " , "),
+        "--kinds must name at least one score",
+    ),
+    "unknown-kind": (
+        ("--relation", "R={R}", "--relation", "S={S}", "--kinds", "shapley,owen"),
+        "unknown score kind 'owen'; allowed: responsibility, causal_effect, shapley, banzhaf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DB_INPUT_ERRORS))
+def test_db_scores_input_checks_exit_1(capsys, data_dir, tmp_path, case):
+    flags, message = DB_INPUT_ERRORS[case]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    paths = {"R": data_dir / "ex1_R.csv", "S": data_dir / "ex1_S.csv", "empty": empty}
+    argv = [flag.format(**paths) for flag in flags]
+    code, out = run(capsys, "db-scores", *argv, "--query", "Q() :- S(x), R(x,y), S(y)")
+    assert code == cli.EXIT_PARSE
+    assert out.err == f"xscore: error: {message.format(**paths)}\n"
+
+
+def path_lineage_args(data_dir, text, *extra):
+    return ("db-scores", "--relation", f"E={data_dir / 'path_E.csv'}", "--lineage", text, *extra)
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--lineage", "(" * 1000 + "t1" + ")" * 1000),
+        ("--constraint", "(" * 1000 + "F1" + ")" * 1000),
+        ("--constraint", "!" * 1000 + "F1"),
+    ],
+    ids=["lineage-parentheses", "constraint-parentheses", "constraint-negations"],
+)
+def test_over_deep_nesting_is_a_parse_error(capsys, data_dir, flag, text):
+    if flag == "--lineage":
+        argv = path_lineage_args(data_dir, text)
+    else:
+        argv = ml_args(data_dir, flag, text)
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out.out == ""
+    assert out.err.startswith("xscore: error: formula nested too deeply (line 1, column ")
+    assert out.err.count("\n") == 1
+
+
+def test_deeply_nested_lineage_scores_as_its_flat_text(capsys, data_dir):
+    flat = "t1 | (t2 & t3) | (t4 & t5 & t6)"
+    kinds = ("--kinds", ",".join(cli.DB_KINDS))
+    deep = run_json(capsys, *path_lineage_args(data_dir, "(" * 250 + flat + ")" * 250, *kinds))
+    expected = run_json(capsys, *path_lineage_args(data_dir, flat, *kinds))
+    assert deep["records"] == expected["records"]
+    assert {r["kind"] for r in deep["records"]} == set(cli.DB_KINDS)
+
+
 def test_db_scores_multiple_kinds_sorted(capsys, data_dir):
     report = run_json(capsys, *db_args(data_dir, "--kinds", "banzhaf,shapley"))
     keys = [(r["kind"], r["tuple"]) for r in report["records"]]
@@ -892,6 +958,15 @@ ML_INPUT_ERRORS = {
         ("--classifier", "{table}", "--distribution", "product", "--marginals", ""),
         "--marginals expects a rational number, got ''",
     ),
+    "no-classifier": (
+        (),
+        "no classifier given: provide --classifier, --classifier-cmd, "
+        "or --sample with a _label column",
+    ),
+    "header-only-sample": (
+        ("--classifier", "{table}", "--distribution", "empirical", "--sample", "{header_only}"),
+        "{header_only}: sample has no rows",
+    ),
 }
 # The cases that fail after the classifier server started, which must reap it.
 ML_SERVER_STARTED = {"features-width-differs", "empty-features-with-cmd"}
@@ -901,18 +976,21 @@ ML_SERVER_STARTED = {"features-width-differs", "empty-features-with-cmd"}
 def test_ml_scores_input_checks_exit_1(capsys, data_dir, tmp_path, started, case):
     flags, message = ML_INPUT_ERRORS[case]
     renamed, labelled = tmp_path / "renamed.csv", tmp_path / "labelled.csv"
+    header_only = tmp_path / "header_only.csv"
     renamed.write_text("A,B,C\n0,1,1\n")
     labelled.write_text("F1,F2,F3,_label\n0,1,1,1\n")
+    header_only.write_text("F1,F2,F3\n")
     paths = {
         "table": data_dir / "ex6_table.csv",
         "server": f"{sys.executable} -m xscore.clfserver {data_dir / 'ex6_table.csv'}",
         "renamed": renamed,
         "labelled": labelled,
+        "header_only": header_only,
     }
     argv = [flag.format(**paths) for flag in flags]
     code, out = run(capsys, "ml-scores", *argv, "--entity", "011")
     assert code == cli.EXIT_PARSE
-    assert out.err == f"xscore: error: {message}\n"
+    assert out.err == f"xscore: error: {message.format(**paths)}\n"
     reaped = [0] if case in ML_SERVER_STARTED else []
     assert [clf._proc.returncode for clf in started] == reaped
 

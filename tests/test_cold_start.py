@@ -35,8 +35,8 @@ EX6 = "ml-scores --classifier tests/data/ex6_table.csv --entity 011"
 ALL = "--kinds responsibility,causal_effect,shapley,banzhaf"
 APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 
-LEX = {"xscore._lex", "xscore._record", "xscore.formula"}
-REL = {"xscore.cli", "xscore.reldb"} | LEX
+FORMULA = {"xscore._record", "xscore.formula"}
+REL = {"xscore.cli", "xscore.reldb"} | FORMULA
 DB = REL | {"xscore.dbscores", "xscore.games"}
 ML = {
     "xscore.cli", "xscore._record", "xscore.classify", "xscore.clfserver", "xscore.mlscores",
@@ -84,7 +84,7 @@ def cold(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
         (f"db-scores {EX1} {Q} {ALL}", DB, SCORES),
         (f"db-scores {EX1} {Q} {APPROX}", DB, SCORES | {"hashlib"}),
         (EX6, ML, SCORES),
-        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | LEX, SCORES),
+        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | FORMULA, SCORES),
         ("clfserver tests/data/ex6_table.csv", {"xscore.clfserver"}, set()),
     ],
     ids=[
@@ -194,6 +194,27 @@ def test_clfserver_process_exits_1_on_a_malformed_request():
     assert proc.returncode == 1
     assert proc.stdout == "xscore-clf v1 n=3\n1\n"
     assert proc.stderr == "malformed request '01'\n"
+
+
+@pytest.mark.parametrize(
+    "args, table, code, stderr",
+    [
+        ((), None, 2, "usage: python -m xscore.clfserver TABLE.csv\n"),
+        (("{path}",), None, 1, "error: [Errno 2] No such file or directory: '{path}'\n"),
+        (("{path}",), "A,label\n0,1\n", 1, "error: truth table has 1 rows, needs all 2\n"),
+    ],
+    ids=["usage", "missing-table", "one-row-table"],
+)
+def test_clfserver_process_refuses_a_bad_start_in_one_line(tmp_path, args, table, code, stderr):
+    path = tmp_path / "table.csv"
+    if table is not None:
+        path.write_text(table)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xscore.clfserver", *(a.format(path=path) for a in args)],
+        cwd=ROOT, env=ENV, input="011\n", capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr == stderr.format(path=path)
 
 
 def test_output_file_from_a_process_matches_in_process(tmp_path, capsys, monkeypatch):

@@ -150,7 +150,7 @@ def test_cause_reports_match_exhaustive_oracle(seed, nested):
     rng = random.Random(seed)
     ids = NESTED_IDS[:5]
     root = random_nested_lineage(rng, ids) if nested else random_dnf_lineage(rng, ids)
-    lineage = reldb.Lineage(root, source="user")
+    lineage = reldb.Lineage(root)
     assert lineage_causes(lineage, NESTED_IDS) == causes_by_exhaustion(lineage, NESTED_IDS)
 
 
@@ -172,7 +172,7 @@ def _pairs_lineage(pairs: int) -> reldb.Lineage:
     ids = [f"T:{i:02d}" for i in range(2 * pairs + 1)]
     var = formula.Var
     terms = (formula.And((var(a), var(b))) for a, b in zip(ids[1::2], ids[2::2]))
-    return reldb.Lineage(formula.Or((var(ids[0]), *terms)), source="user")
+    return reldb.Lineage(formula.Or((var(ids[0]), *terms)))
 
 
 def test_long_witness_search_stays_small_up_to_the_budget():
@@ -376,7 +376,7 @@ def test_swing_counts_path_lineage(path_lineage):
 def test_lineage_counting_matches_enumeration(seed):
     rng = random.Random(seed)
     # t6 never occurs, so there is always at least one null player.
-    lineage = reldb.Lineage(random_nested_lineage(rng, NESTED_IDS[:5]), source="user")
+    lineage = reldb.Lineage(random_nested_lineage(rng, NESTED_IDS[:5]))
     support = lineage.support()
     counts = swing_counts(lineage)
     assert set(counts) == support
@@ -468,7 +468,7 @@ def test_monte_carlo_shapley_equals_the_sampled_game(seed, sample_seed):
     rng = random.Random(seed)
     ids = NESTED_IDS[:5]
     shapes = (random_nested_lineage, random_dnf_lineage, lambda r, i: formula.Var(r.choice(i)))
-    lineage = reldb.Lineage(rng.choice(shapes)(rng, ids), source="user")
+    lineage = reldb.Lineage(rng.choice(shapes)(rng, ids))
     players = rng.choice((None, NESTED_IDS, NESTED_IDS[2:]))
     epsilon, delta = rng.choice(((0.3, 0.2), (0.5, 0.4), (0.25, 0.05), (0.1, 0.1)))
     estimates = monte_carlo_shapley(lineage, epsilon, delta, sample_seed, players)
@@ -483,7 +483,7 @@ def test_monte_carlo_shapley_equals_the_sampled_game(seed, sample_seed):
 
 def test_monte_carlo_shapley_constant_lineage_credits_nobody():
     for root in (formula.TRUE, formula.FALSE):
-        lineage = reldb.Lineage(root, source="user")
+        lineage = reldb.Lineage(root)
         estimates = monte_carlo_shapley(lineage, 0.2, 0.1, 5, NESTED_IDS)
         assert estimates == dict.fromkeys(NESTED_IDS, 0.0)
         game = lineage_game(lineage, NESTED_IDS)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from xscore import _lex, formula, games, reldb
+from xscore import formula, games, reldb
 from xscore.classify import (
     Constraint,
     Entity,
@@ -36,7 +36,7 @@ def request(**options):
 
 # For each record class: a maker of equal records, and one that differs.
 RECORDS = {
-    "Token": (lambda: _lex.Token("name", "x", 1, 1), _lex.Token("name", "x", 1, 2)),
+    "Token": (lambda: formula.Token("name", "x", 1, 1), formula.Token("name", "x", 1, 2)),
     "formula.Var": (lambda: formula.Var("x"), Y),
     "Not": (lambda: formula.Not(formula.Var("x")), formula.Not(Y)),
     "And": (lambda: formula.And((X, Y)), formula.And((Y, X))),
@@ -49,7 +49,7 @@ RECORDS = {
         lambda: reldb.ConjunctiveQuery((ATOM,)),
         reldb.ConjunctiveQuery((ATOM,), (QX,)),
     ),
-    "Lineage": (lambda: reldb.Lineage(formula.Var("t")), reldb.Lineage(formula.Var("t"), "user")),
+    "Lineage": (lambda: reldb.Lineage(formula.Var("t")), reldb.Lineage(formula.Var("u"))),
     "QueryAnalysis": (
         lambda: reldb.QueryAnalysis(True, True, {"x": frozenset({0})}),
         reldb.QueryAnalysis(True, False, {"x": frozenset({0})}),
@@ -93,7 +93,7 @@ def test_equal_fields_give_equal_records(name):
 
 def test_hash_is_that_of_the_compared_values():
     assert hash(Entity((0, 1))) == hash(((0, 1),))
-    assert hash(_lex.Token("name", "x", 1, 2)) == hash(("name", "x", 1, 2))
+    assert hash(formula.Token("name", "x", 1, 2)) == hash(("name", "x", 1, 2))
     assert hash(reldb.Var(0, "x")) == hash((0,))
 
 
@@ -129,14 +129,12 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 
 def test_defaults_hold():
-    assert reldb.Lineage(formula.TRUE).source == "query"
     assert reldb.ConjunctiveQuery((ATOM,)).head == ()
     made = request()
     assert (made.target_label, made.max_contingency, made.skip_zero_mass) == (1, None, False)
     score = FeatureScore("F1", "shap", Fraction(0))
     assert (score.explanation_kind, score.witness) == ("none", None)
     assert FeatureScore(value=Fraction(0), kind="shap", feature="F1") == score
-    assert reldb.Lineage(formula.TRUE, source="user").source == "user"
 
 
 @pytest.mark.parametrize(
@@ -171,7 +169,7 @@ def test_game_players_are_sorted_after_init():
 @pytest.mark.parametrize(
     "made, text",
     [
-        (_lex.Token("name", "x", 1, 2), "Token(kind='name', text='x', line=1, column=2)"),
+        (formula.Token("name", "x", 1, 2), "Token(kind='name', text='x', line=1, column=2)"),
         (formula.Var("x"), "Var(name='x')"),
         (formula.And((X, formula.Not(Y))), "And(parts=(Var(name='x'), Not(child=Var(name='y'))))"),
         (reldb.Var(0, "x"), "Var(index=0, name='x')"),
@@ -190,7 +188,7 @@ def test_game_players_are_sorted_after_init():
         ),
     ],
     ids=[
-        "_lex", "formula", "formula-nested", "reldb", "games", "dbscores", "classify", "mlscores",
+        "formula-token", "formula", "formula-nested", "reldb", "games", "dbscores", "classify", "mlscores",
     ],
 )
 def test_repr_is_the_dataclass_text(made, text):
