@@ -35,6 +35,10 @@ WIDTH_LIMIT = 20
 #: response line before it is killed as hung.
 RESPONSE_DEADLINE_S = 30.0
 
+#: Bytes an external classifier's line may hold before its newline, far
+#: above the handshake, the longest valid line; a longer line fails at once.
+MAX_LINE_BYTES = 4096
+
 
 class ZeroMassEventError(ValueError):
     """A conditioning event has probability 0 under the distribution."""
@@ -201,7 +205,8 @@ class ExternalClassifier(Classifier):
     * response: a single '0' or '1' line; anything else is an error.
 
     The handshake and each response must arrive within
-    `RESPONSE_DEADLINE_S`; a child that stays silent longer is killed.
+    `RESPONSE_DEADLINE_S`, and no line may run past `MAX_LINE_BYTES`; a
+    child that stays silent longer, or writes a longer line, is killed.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -246,25 +251,29 @@ class ExternalClassifier(Classifier):
 
     def _read_line(self) -> str:
         """The child's next output line ("" at end of file, as `readline`
-        gives).  Past `RESPONSE_DEADLINE_S` without a full line the child
-        is killed and the read fails."""
+        gives).  Past `RESPONSE_DEADLINE_S` without a full line, or past
+        `MAX_LINE_BYTES` without a newline, the child is killed and the
+        read fails."""
         import select
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + RESPONSE_DEADLINE_S
         while b"\n" not in self._pending:
+            if len(self._pending) > MAX_LINE_BYTES:
+                self._kill(f"a line longer than {MAX_LINE_BYTES} bytes")
             left = max(0.0, deadline - time.monotonic())
             if not select.select([fd], [], [], left)[0]:
-                self._proc.kill()
-                self.close()
-                raise ClassifierProtocolError(
-                    f"external classifier sent no line within {RESPONSE_DEADLINE_S} s"
-                )
+                self._kill(f"no line within {RESPONSE_DEADLINE_S} s")
             chunk = os.read(fd, 4096)
             if not chunk:
                 break
             self._pending += chunk
         line, newline, self._pending = self._pending.partition(b"\n")
         return (line + newline).decode(errors="replace")
+
+    def _kill(self, problem: str) -> None:
+        self._proc.kill()
+        self.close()
+        raise ClassifierProtocolError(f"external classifier sent {problem}")
 
     def close(self) -> None:
         for pipe in (self._proc.stdin, self._proc.stdout):

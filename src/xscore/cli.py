@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _exit_code(exc: Exception) -> int | None:
     """The exit code of the first error class `exc` belongs to, or None."""
-    from . import classify, dbscores, games, reldb
+    from . import classify, dbscores, games
     codes = (
         (dbscores.NothingToExplainError, EXIT_QUERY_FALSE),
         (games.BudgetExceededError, EXIT_BUDGET),
@@ -179,8 +179,6 @@ def _exit_code(exc: Exception) -> int | None:
         (classify.ClassifierProtocolError, EXIT_PROTOCOL),
         (classify.ZeroMassEventError, EXIT_ZERO_MASS),
         (classify.InconsistentConstraintError, EXIT_ZERO_MASS),
-        (reldb.ParseError, EXIT_PARSE),
-        (reldb.DatabaseError, EXIT_PARSE),
         (OSError, EXIT_PARSE),
         (ValueError, EXIT_PARSE),
     )

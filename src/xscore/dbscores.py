@@ -5,13 +5,14 @@ Four scores are computed over the same instance: causal responsibility
 query lineage under an independent tuple-probability model, and the
 Shapley / Banzhaf values of the query coalition game.
 
-Every score depends only on the lineage.  One memoized Shannon expansion
-counts, for each support tuple and each size, the sets of other tuples on
+Every score depends only on the lineage, and every exact score on one
+memoized Shannon expansion of it.  Counting sets by size, it gives each
+support tuple's swing counts: for each size, the sets of other tuples on
 which adding it makes the lineage true.  Shapley, Banzhaf and the causal
 effect at a shared tuple probability are weighted sums of those counts;
-a least contingency is what the largest such set leaves out.
-The same expansion with per-tuple probabilities gives lineage
-probabilities.
+a least contingency is what the largest such set leaves out.  Weighting
+by per-tuple probabilities, it gives the lineage probability and a
+tuple's causal effect.
 
 Monte Carlo Shapley plays no game: each sampled order credits the one
 tuple that first makes the lineage true, found by a min/max walk.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from . import formula, games
@@ -89,7 +91,8 @@ def lineage_causes(
     ids to also report the (zero) scores of unmentioned tuples.  Contingency
     sizes are read off `swing_counts` (counted for the reported tuples only,
     and charged, here when `swings` is None); only each witness is
-    searched, at its one size, and each candidate tested is charged.
+    searched, at its one size, and each candidate tested is charged the
+    lineage's tuple occurrences, the nodes its evaluation may visit.
     """
     support = lineage.support()
     if not lineage.evaluate(support):
@@ -98,7 +101,8 @@ def lineage_causes(
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     if swings is None:
         swings = swing_counts(lineage, charge, players)
-    return [_cause_of(lineage, support, t, swings.get(t, ()), charge) for t in players]
+    search = partial(charge, sum(1 for _ in formula.occurrences(lineage.root)))
+    return [_cause_of(lineage, support, t, swings.get(t, ()), search) for t in players]
 
 
 def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
@@ -144,7 +148,7 @@ def intervene(lineage: Lineage, tuple_id: str, value: int) -> Lineage:
     """
     if value not in (0, 1):
         raise ValueError(f"intervention value must be 0 or 1, got {value!r}")
-    if not lineage.mentions(tuple_id):
+    if tuple_id not in lineage.support():
         warnings.warn(
             f"intervention on {tuple_id!r} is vacuous: the lineage does not mention it",
             VacuousInterventionWarning,
@@ -166,14 +170,8 @@ def lineage_probability(
     Computed exactly by Shannon expansion, P = p_t P(f|t=1) + (1 - p_t)
     P(f|t=0), which charges one unit per product it takes.
     """
-    support = lineage.support()
-    prob = _probability_table(sorted(support), probabilities)
-
-    def weight(t):
-        return [prob[t]], [1 - prob[t]]
-
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
-    (total,) = _weighted_count(lineage.root, support, weight, {}, charge)
+    weight = _probability_weight(lineage, probabilities)
+    (total,), _ = _expand(lineage.root, weight, frozenset(), charge)
     return Fraction(total)
 
 
@@ -185,15 +183,15 @@ def causal_effect(
 ) -> Fraction:
     """Expected lineage value under do(X=1) minus under do(X=0).
 
-    Tuples the lineage never mentions have identical intervened formulas,
-    hence effect 0.  Both `lineage_probability` calls charge one meter.
+    That is the tuple's swing at the tuple probabilities, carried through
+    the one expansion `lineage_probability` makes.  Tuples the lineage
+    never mentions have effect 0 and cost nothing.
     """
-    if not lineage.mentions(tuple_id):
+    if tuple_id not in lineage.support():
         return Fraction(0)
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
-    p_on = lineage_probability(intervene(lineage, tuple_id, 1), probabilities, charge)
-    p_off = lineage_probability(intervene(lineage, tuple_id, 0), probabilities, charge)
-    return p_on - p_off
+    weight = _probability_weight(lineage, probabilities)
+    _, swings = _expand(lineage.root, weight, frozenset([tuple_id]), charge)
+    return Fraction(swings.get(tuple_id, [0])[0])
 
 
 def swing_counts(
@@ -203,23 +201,17 @@ def swing_counts(
     all of them), for k = 0 .. m-1, m the support size.
 
     d[k] is the number of k-sets S of the other m-1 support tuples on
-    which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  The
-    cofactors of all tuples share one memo of sub-formula counts.  Each
+    which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  One
+    Shannon expansion of the lineage, counting sets by size, carries the
+    swings of the asked tuples alongside the count (see `_expand`).  Each
     product of polynomials a and b charges len(a) len(b) units.
     """
     support = lineage.support()
     wanted = support if tuple_ids is None else support.intersection(tuple_ids)
-    memo: dict = {}
-    counts = {}
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
-    for t in sorted(wanted):
-        rest = support - {t}
-        on, off = (
-            _weighted_count(formula.substitute(lineage.root, {t: v}), rest, _by_size, memo, charge)
-            for v in (True, False)
-        )
-        counts[t] = [a - b for a, b in zip(on, off)]
-    return counts
+    # Counting sets by size: a present tuple adds one to the size.
+    _, swings = _expand(lineage.root, lambda t: ([0, 1], [1]), wanted, charge)
+    m = len(support)  # pad each to k = 0 .. m-1: swings may lack trailing zeros
+    return {t: (swings.get(t, []) + [0] * m)[:m] for t in sorted(wanted)}
 
 
 def swing_scores(
@@ -287,41 +279,57 @@ def _first_place(node: formula.Node, place: Mapping[str, int], never: int) -> in
     raise ValueError("a Monte Carlo lineage must be monotone")
 
 
-def _weighted_count(node: formula.Node, names: frozenset, weight, memo: dict, charge) -> list:
-    """Weighted model count of `node` over the tuples `names`.
-
-    A count is a polynomial as a coefficient list.  `weight(t)` gives the
-    (present, absent) polynomials of tuple t, and every valuation of
-    `names` that satisfies the node adds the product of its tuples'
-    weights.  `names` must hold the node's variables; each distinct
-    sub-formula is Shannon-expanded once per memo, on the tuple occurring
-    most often in it (least id on ties).  The products, whose exact
-    multiply-adds dominate the count, are charged to `charge`.
+def _expand(root: formula.Node, weight, wanted: frozenset, charge) -> tuple[list, dict]:
+    """Weighted model count of `root` and the swings of its `wanted`
+    tuples (count with the tuple present minus absent), from one Shannon
+    expansion that expands each distinct sub-formula once, on its most
+    frequent tuple (least id on ties).  A count is a coefficient list, and
+    `weight(t)` gives t's (present, absent) polynomials.  The pivot's swing
+    is the difference of the branches, each smoothed over the node's tuples
+    it no longer mentions; another tuple's is the sum of each branch weight
+    times its swing there (Darwiche, JACM 2003).  Products are charged.  A
+    lineage that needs more nested pivots than Python's recursion limit
+    allows is a `ValueError`.
     """
-    got = memo.get(node)
-    if got is None:
-        if isinstance(node, formula.Const):
-            got = frozenset(), [int(node.value)]
-        else:
-            occurrences = Counter(formula.occurrences(node))
-            pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
-            own = frozenset(occurrences)
-            total = [0]
-            for value, w in zip((True, False), weight(pivot)):
-                branch = formula.substitute(node, {pivot: value})
-                count = _weighted_count(branch, own - {pivot}, weight, memo, charge)
-                total = _poly_add(total, _poly_mul(w, count, charge))
-            got = own, total
-        memo[node] = got
-    own, count = got
-    for t in names - own:  # a tuple the node ignores may take either value
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    memo: dict = {}
+
+    def expand(node):
+        got = memo.get(node)
+        if got is None:
+            if isinstance(node, formula.Const):
+                got = frozenset(), [int(node.value)], {}
+            else:
+                occurrences = Counter(formula.occurrences(node))
+                pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
+                own = frozenset(occurrences)
+                count, swings, sides = [0], {}, []
+                for value, w in zip((True, False), weight(pivot)):
+                    names, side, side_swings = expand(formula.substitute(node, {pivot: value}))
+                    ignored = own - names - {pivot}
+                    sides.append(_smooth(side, ignored, weight, charge))
+                    count = _poly_add(count, _poly_mul(w, sides[-1], charge))
+                    for t, swing in side_swings.items():
+                        swing = _poly_mul(w, _smooth(swing, ignored, weight, charge), charge)
+                        swings[t] = _poly_add(swings.get(t, [0]), swing)
+                if pivot in wanted:
+                    swings[pivot] = [a - b for a, b in zip(*sides)]
+                got = own, count, swings
+            memo[node] = got
+        return got
+
+    try:
+        return expand(root)[1:]
+    except RecursionError:
+        size = len(formula.variables(root))
+        raise ValueError(f"lineage of {size} tuples is too deep to expand") from None
+
+
+def _smooth(count: list, names, weight, charge) -> list:
+    # A tuple the node ignores may take either value.
+    for t in names:
         count = _poly_mul(count, _poly_add(*weight(t)), charge)
     return count
-
-
-def _by_size(t: str) -> tuple[list[int], list[int]]:
-    # Counting sets by size: a present tuple adds one to the size.
-    return [0, 1], [1]
 
 
 def _poly_add(a: list, b: list) -> list:
@@ -359,22 +367,16 @@ def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game
     return Game(players=tuple(lineage.support() if players is None else players), value=value)
 
 
-def _probability_table(
-    support: list[str],
-    probabilities: Mapping[str, Fraction] | Fraction | None,
-) -> dict[str, Fraction]:
-    if probabilities is None:
-        return {t: HALF for t in support}
-    if isinstance(probabilities, (Fraction, int)):
-        shared = Fraction(probabilities)
+def _probability_weight(lineage: Lineage, probabilities) -> Callable:
+    # The (present, absent) weights of the support tuples, each checked.
+    if probabilities is None or isinstance(probabilities, (Fraction, int)):
+        shared = Fraction(HALF if probabilities is None else probabilities)
         check_probability(shared)
-        return {t: shared for t in support}
-    table = {}
-    for t in support:
-        p = Fraction(probabilities.get(t, HALF))
+        probabilities = dict.fromkeys(lineage.support(), shared)
+    prob = {t: Fraction(probabilities.get(t, HALF)) for t in sorted(lineage.support())}
+    for p in prob.values():
         check_probability(p)
-        table[t] = p
-    return table
+    return lambda t: ([prob[t]], [1 - prob[t]])
 
 
 def check_probability(p: Fraction) -> None:

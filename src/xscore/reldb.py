@@ -334,9 +334,6 @@ class Lineage:
         """Truth value when exactly the tuples in `present` exist."""
         return formula.evaluate(self.root, frozenset(present))
 
-    def mentions(self, tuple_id: str) -> bool:
-        return tuple_id in self.support()
-
     def __str__(self) -> str:
         return formula.to_text(self.root)
 

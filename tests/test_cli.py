@@ -274,8 +274,8 @@ def test_budget_env_override(capsys, data_dir, monkeypatch):
     monkeypatch.setenv("XSCORE_BUDGET", "16")
     code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley"))
     assert code == cli.EXIT_BUDGET
-    # explicit flag beats the environment; ex1's swing counts take 144 units
-    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "144"))
+    # explicit flag beats the environment; ex1's swing counts take 78 units
+    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "78"))
     assert code == 0
 
 
@@ -295,16 +295,16 @@ def _assert_budget_edge(capsys, argv, failing, message):
 
 def test_budget_edge_banzhaf_query_counts_lineage_products(capsys, data_dir):
     # The query game's null players cost nothing: the products of the
-    # ex1 lineage's swing counts take 144 units.
-    _assert_budget_edge(capsys, db_args(data_dir, "--kinds", "banzhaf"), 143, budget_error(143))
+    # ex1 lineage's swing counts take 78 units.
+    _assert_budget_edge(capsys, db_args(data_dir, "--kinds", "banzhaf"), 77, budget_error(77))
 
 
 def test_budget_edge_causal_effect_counts_lineage_products(capsys, data_dir):
     # The causal effect is read off the same swing counts as Shapley.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "causal_effect"), 143, budget_error(143)
+        capsys, db_args(data_dir, "--kinds", "causal_effect"), 77, budget_error(77)
     )
-    # A CNF lineage of the path edges: 121 units.
+    # A CNF lineage of the path edges: 75 units.
     argv = (
         "db-scores",
         "--relation",
@@ -314,11 +314,11 @@ def test_budget_edge_causal_effect_counts_lineage_products(capsys, data_dir):
         "--kinds",
         "causal_effect",
     )
-    _assert_budget_edge(capsys, argv, 120, budget_error(120))
+    _assert_budget_edge(capsys, argv, 74, budget_error(74))
 
 
 def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
-    # The swing counts of this four-tuple lineage take 153 units.
+    # The swing counts of this four-tuple lineage take 76 units.
     argv = (
         "db-scores",
         "--relation",
@@ -328,22 +328,23 @@ def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
         "--kinds",
         "shapley",
     )
-    _assert_budget_edge(capsys, argv, 152, budget_error(152))
+    _assert_budget_edge(capsys, argv, 75, budget_error(75))
 
 
 def test_budget_edge_responsibility_counts_candidates(capsys, data_dir):
-    # Responsibility reads its sizes off the ex1 swing counts (144 units),
-    # and the batch's witness searches test 5 candidates.
+    # Responsibility reads its sizes off the ex1 swing counts (78 units),
+    # and the batch's witness searches test 5 candidates, each charged the
+    # lineage's 5 tuple occurrences.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "responsibility"), 148, budget_error(148)
+        capsys, db_args(data_dir, "--kinds", "responsibility"), 102, budget_error(102)
     )
 
 
 def test_budget_is_shared_by_every_db_kind(capsys, data_dir):
-    # One swing count of 144 units, shared by the four kinds that read
-    # it, plus responsibility's 5 witness candidates.
+    # One swing count of 78 units, shared by the four kinds that read
+    # it, plus responsibility's 5 witness candidates of 5 units each.
     argv = db_args(data_dir, "--kinds", ",".join(cli.DB_KINDS))
-    _assert_budget_edge(capsys, argv, 148, budget_error(148))
+    _assert_budget_edge(capsys, argv, 102, budget_error(102))
 
 
 def _pairs_args(tmp_path, pairs: int) -> tuple:
@@ -357,8 +358,9 @@ def _pairs_args(tmp_path, pairs: int) -> tuple:
 
 def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
     # T:00's witness takes one tuple of each pair, and combinations order
-    # reaches it after 1,079 candidates; the batch would test 9,027.  The
-    # count (15,288 units) fits the budget, so the witness search hits it.
+    # reaches it after 1,079 candidates of 15 units each; the batch would
+    # test 9,027.  The count (3,132 units) fits the budget, so the witness
+    # search hits it.
     argv = (*_pairs_args(tmp_path, 7), "--budget", "20000")
     run_json(capsys, *argv, "--kinds", "shapley")
     code, out = run(capsys, *argv, "--kinds", "responsibility")
@@ -368,13 +370,14 @@ def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
 
 
 def test_tuple_filter_searches_only_its_own_witnesses(capsys, tmp_path):
-    # Nine pairs: T:00's own count takes 1,905 units and its witness search
-    # 15,522 candidates, 17,427 in all; counting every tuple would take
-    # 36,483 units, and the batch would test 160,776 candidates.
+    # Nine pairs: T:00's own count takes 1,962 units and its witness search
+    # 15,522 candidates of 19 units each, 296,880 in all; counting every
+    # tuple would take 6,336 units, and the batch would test 160,776
+    # candidates.
     argv = (*_pairs_args(tmp_path, 9), "--kinds", "responsibility")
-    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 17_426, budget_error(17_426))
-    code, out = run(capsys, *argv, "--budget", "17427")
-    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(17_427))
+    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 296_879, budget_error(296_879))
+    code, out = run(capsys, *argv, "--budget", "296880")
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(296_880))
 
 
 def test_tuple_filter_keeps_the_records(capsys, data_dir):
@@ -419,14 +422,15 @@ class _Tally:
 
 
 def test_chain_responsibility_work_is_pinned(tmp_path):
-    # Chain |R| = 800, support 14: the count's products take 20,259 units
-    # and the witness searches test 1,589 candidates, one unit each.
+    # Chain |R| = 800, support 14: the count's products take 8,418 units
+    # and the witness searches test 1,589 candidates, each charged the
+    # lineage's 20 tuple occurrences.
     db = cli._load_relations(_random_instance(tmp_path, 800)[1::2])
     lineage = dbscores.query_lineage(db, reldb.parse_query("Q() :- S(x), R(x,y), S(y)"))
     count, search = _Tally(), _Tally()
     swings = dbscores.swing_counts(lineage, count)
     reports = dbscores.lineage_causes(lineage, db.tuple_ids(), search, swings)
-    assert (count.units, search.units, search.calls) == (20_259, 1_589, 1_589)
+    assert (count.units, search.units, search.calls) == (8_418, 31_780, 1_589)
     # Every support tuple is a cause: 11 need 3 tuples removed, 3 need 4.
     sizes = [r.min_contingency_size for r in reports if r.is_actual_cause]
     assert (sizes.count(3), sizes.count(4), len(sizes)) == (11, 3, 14)
@@ -440,6 +444,30 @@ def test_budget_stops_a_large_lineage_quickly(capsys, tmp_path):
     code, out = run(capsys, *argv, "--kinds", "shapley", "--budget", "100000")
     assert time.monotonic() - started < 1.0
     assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(100000))
+
+
+def test_chain_responsibility_budget_bounds_the_witness_searches(capsys, tmp_path):
+    # Chain |R| = 1200, support 32: the count takes about 1.4 M units and
+    # each witness candidate the lineage's 45 tuple occurrences, so the
+    # searches spend the rest of the budget in about 2 s on 2 cores (at
+    # one unit per candidate they ran for over 30 s).
+    argv = ("db-scores", *_random_instance(tmp_path, 1200), "--query", "Q() :- S(x), R(x,y), S(y)")
+    started = time.monotonic()
+    code, out = run(capsys, *argv, "--kinds", "responsibility", "--budget", "6000000")
+    assert time.monotonic() - started < 10.0
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(6_000_000))
+
+
+def test_lineage_too_deep_to_expand_is_one_error_line(capsys, tmp_path):
+    # One nested Shannon pivot per tuple of a 1,200-tuple conjunction
+    # passes Python's recursion limit.
+    ids = [f"T:{i}" for i in range(1200)]
+    csv = tmp_path / "T.csv"
+    csv.write_text("_id,a\n" + "".join(f"{t},{i}\n" for i, t in enumerate(ids)))
+    argv = ("db-scores", "--relation", f"T={csv}", "--lineage", " & ".join(ids))
+    code, out = run(capsys, *argv, "--kinds", "shapley")
+    assert (code, out.out) == (cli.EXIT_PARSE, "")
+    assert out.err == "xscore: error: lineage of 1200 tuples is too deep to expand\n"
 
 
 def test_out_of_range_probability_exits_1_whatever_the_kinds(capsys, data_dir):
@@ -866,6 +894,23 @@ def test_ml_scores_silent_external_classifier_exits_4(capsys, monkeypatch):
     assert time.monotonic() - start < 2.0
     assert exit_code == cli.EXIT_PROTOCOL
     assert out.err == "xscore: error: external classifier sent no line within 1.0 s\n"
+
+
+def test_ml_scores_endless_external_line_exits_4_at_once(capsys):
+    # 20 MB with no newline: refused past the line bound, not held until
+    # the 30 s deadline.
+    code = (
+        "import sys, time; print('xscore-clf v1 n=3', flush=True);"
+        "sys.stdout.write('0' * 20_000_000); sys.stdout.flush(); time.sleep(60)"
+    )
+    start = time.monotonic()
+    exit_code, out = run(
+        capsys, "ml-scores", "--classifier-cmd", f'{sys.executable} -c "{code}"', "--entity", "011"
+    )
+    assert time.monotonic() - start < 3.0
+    assert exit_code == cli.EXIT_PROTOCOL
+    bound = classify.MAX_LINE_BYTES
+    assert out.err == f"xscore: error: external classifier sent a line longer than {bound} bytes\n"
 
 
 def test_ml_scores_external_matches_local(capsys, data_dir):

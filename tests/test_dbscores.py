@@ -127,20 +127,21 @@ def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
 
 
 def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
-    # The ex1 swing counts take 144 units and the batch's witness searches
-    # test 5 candidates; R(a,b) alone pays only its own count, 43 units,
-    # and tests only its witness (R(b,b),), at the size the count gives.
+    # The ex1 swing counts take 78 units and the batch's witness searches
+    # test 5 candidates, each charged the lineage's 5 tuple occurrences;
+    # R(a,b) alone pays only its own count, 57 units, and tests only its
+    # witness (R(b,b),), at the size the count gives.
     lineage = compile_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 148 units of work"):
-        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(148))
-    reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(149))
+    with pytest.raises(BudgetExceededError, match="more than 102 units of work"):
+        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(102))
+    reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(103))
     assert reports == causes_by_exhaustion(lineage, ex1_db.tuple_ids())
-    with pytest.raises(BudgetExceededError, match="more than 43 units of work"):
-        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(43))
-    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(44)) == Fraction(1, 2)
+    with pytest.raises(BudgetExceededError, match="more than 61 units of work"):
+        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(61))
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(62)) == Fraction(1, 2)
     # Counts handed in are not charged again.
     swings = swing_counts(lineage)
-    assert lineage_causes(lineage, charge=games.meter(5), swings=swings) == lineage_causes(lineage)
+    assert lineage_causes(lineage, charge=games.meter(25), swings=swings) == lineage_causes(lineage)
 
 
 @given(st.integers(0, 10**9), st.booleans())
@@ -156,11 +157,12 @@ def test_cause_reports_match_exhaustive_oracle(seed, nested):
 
 def test_absorbed_tuples_test_no_candidates():
     # T:1 .. T:23 are never pivotal: their swing counts are all zero, so
-    # they are non-causes without a search, and T:0 tests its one witness.
+    # they are non-causes without a search, and T:0 tests its one witness,
+    # charged the lineage's 25 tuple occurrences.
     db = Database.from_dict({"T": [(str(i),) for i in range(24)]})
     lineage = parse_lineage("T:0 | (" + " & ".join(f"T:{i}" for i in range(24)) + ")", db)
     swings = swing_counts(lineage)
-    reports = lineage_causes(lineage, charge=games.meter(1), swings=swings)
+    reports = lineage_causes(lineage, charge=games.meter(25), swings=swings)
     assert [r.responsibility for r in reports] == [1] + [0] * 23
     assert reports[0].witness_contingency == ()
     assert lineage_causes(lineage, charge=games.meter(50_000)) == reports
@@ -176,9 +178,9 @@ def _pairs_lineage(pairs: int) -> reldb.Lineage:
 
 
 def test_long_witness_search_stays_small_up_to_the_budget():
-    # The count takes 15,288 units and the witness searches 9,027
-    # candidates, so the budget stops a search; nothing is kept per
-    # candidate.
+    # The count takes 3,132 units and the witness searches 9,027
+    # candidates of 15 units each, so the budget stops a search; nothing
+    # is kept per candidate.
     lineage = _pairs_lineage(7)
     swing_counts(lineage, games.meter(20_000))
     tracemalloc.start()
@@ -266,19 +268,20 @@ def test_lineage_probability_budget(path_lineage):
     with pytest.raises(BudgetExceededError, match="more than 23 units of work"):
         lineage_probability(path_lineage, charge=games.meter(23))
     assert lineage_probability(path_lineage, charge=games.meter(24)) == Fraction(43, 64)
-    # Both intervened lineages of a causal effect charge the one meter.
-    with pytest.raises(BudgetExceededError, match="more than 33 units of work"):
-        causal_effect(path_lineage, "t2", charge=games.meter(33))
-    assert causal_effect(path_lineage, "t2", charge=games.meter(34)) == Fraction(7, 32)
+    # A causal effect carries t2's swing through the same expansion: one
+    # more product.
+    with pytest.raises(BudgetExceededError, match="more than 24 units of work"):
+        causal_effect(path_lineage, "t2", charge=games.meter(24))
+    assert causal_effect(path_lineage, "t2", charge=games.meter(25)) == Fraction(7, 32)
 
 
 def test_swing_counts_work_is_deterministic(ex1_db, ex1_query):
-    # The products of ex1's swing counts take 144 units, so a change to
+    # The products of ex1's swing counts take 78 units, so a change to
     # the work the count does shows here without timing.
     lineage = query_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 143 units of work"):
-        swing_counts(lineage, games.meter(143))
-    assert swing_counts(lineage, games.meter(144)) == swing_counts(lineage)
+    with pytest.raises(BudgetExceededError, match="more than 77 units of work"):
+        swing_counts(lineage, games.meter(77))
+    assert swing_counts(lineage, games.meter(78)) == swing_counts(lineage)
 
 
 def test_lineage_probability_rejects_bad_probability(path_db):
@@ -371,15 +374,20 @@ def test_swing_counts_path_lineage(path_lineage):
     assert sum(swing_scores(counts, "shapley").values()) == 1
 
 
-@given(st.integers(0, 10**9))
+@given(st.integers(0, 10**9), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_lineage_counting_matches_enumeration(seed):
+def test_lineage_counting_matches_enumeration(seed, nested):
     rng = random.Random(seed)
     # t6 never occurs, so there is always at least one null player.
-    lineage = reldb.Lineage(random_nested_lineage(rng, NESTED_IDS[:5]))
+    ids = NESTED_IDS[:5]
+    root = random_nested_lineage(rng, ids) if nested else random_dnf_lineage(rng, ids)
+    lineage = reldb.Lineage(root)
     support = lineage.support()
     counts = swing_counts(lineage)
     assert set(counts) == support
+    # Asking for some tuples carries only their swings, with the same counts.
+    asked = rng.sample(NESTED_IDS, rng.randint(0, len(NESTED_IDS)))
+    assert swing_counts(lineage, tuple_ids=asked) == {t: counts[t] for t in asked if t in support}
 
     shapley = swing_scores(counts, "shapley")
     with_nulls = lineage_game(lineage, players=NESTED_IDS)
