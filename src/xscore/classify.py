@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -38,6 +39,18 @@ RESPONSE_DEADLINE_S = 30.0
 #: Bytes an external classifier's line may hold before its newline, far
 #: above the handshake, the longest valid line; a longer line fails at once.
 MAX_LINE_BYTES = 4096
+
+#: Most requests written to an external classifier in one window.  A
+#: window's bytes also stay within `PIPE_CAPACITY`.
+WINDOW_REQUESTS = 64
+
+#: The least capacity a pipe can have (one page).  A window no longer than
+#: this, written while no answer is outstanding, fits in the child's empty
+#: input pipe, so the write cannot block.
+PIPE_CAPACITY = 4096
+
+#: Turns the bits of an entity, as bytes 0 and 1, into its request text.
+_REQUEST_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class ZeroMassEventError(ValueError):
@@ -144,8 +157,8 @@ def all_entities(width: int) -> Iterator[Entity]:
 class Classifier:
     """Deterministic total function from entities to {0, 1}.
 
-    Labels are cached by bit vector, so each entity is asked at most once,
-    which also serializes access to external processes.
+    Labels are cached by bit vector, so each entity is asked at most once.
+    `labels` gives the labels of a stream of entities in order.
     """
 
     def __init__(self, width: int):
@@ -153,8 +166,7 @@ class Classifier:
         self._cache: dict[tuple[int, ...], int] = {}
 
     def label(self, entity: Entity) -> int:
-        if entity.width != self.width:
-            raise ValueError(f"entity width {entity.width} != classifier width {self.width}")
+        self._check_width(entity)
         hit = self._cache.get(entity.bits)
         if hit is not None:
             return hit
@@ -163,6 +175,16 @@ class Classifier:
             raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
         self._cache[entity.bits] = out
         return out
+
+    def labels(self, entities: Iterable[Entity]) -> Iterator[int]:
+        """The label of each entity, lazily and in order.  In process, each
+        entity is drawn just before its label is asked, so the caller may
+        choose the next entity from the labels so far."""
+        return map(self.label, entities)
+
+    def _check_width(self, entity: Entity) -> None:
+        if entity.width != self.width:
+            raise ValueError(f"entity width {entity.width} != classifier width {self.width}")
 
     def _label(self, entity: Entity) -> int:
         raise NotImplementedError
@@ -198,15 +220,20 @@ class FunctionClassifier(Classifier):
 class ExternalClassifier(Classifier):
     """Black-box classifier reached over a child process's standard streams.
 
-    Protocol (line oriented, one request in flight at a time):
+    Protocol (line oriented, requests answered in order):
 
     * startup: the child emits ``xscore-clf v1 n=<width>``;
     * request: <width> characters '0'/'1' followed by a newline;
-    * response: a single '0' or '1' line; anything else is an error.
+    * response: a single '0' or '1' line per request, in request order;
+      anything else is an error.
 
-    The handshake and each response must arrive within
-    `RESPONSE_DEADLINE_S`, and no line may run past `MAX_LINE_BYTES`; a
-    child that stays silent longer, or writes a longer line, is killed.
+    `labels` draws the uncached entities of its stream in windows of up to
+    `WINDOW_REQUESTS` requests and at most `PIPE_CAPACITY` bytes, and writes
+    each window in one write once every earlier answer is read.  Answers a
+    caller left unread are cached before the next write.  The handshake and
+    each response must arrive within `RESPONSE_DEADLINE_S`, and no line may
+    run past `MAX_LINE_BYTES`; a child that stays silent longer, or writes a
+    longer line, is killed.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -218,6 +245,7 @@ class ExternalClassifier(Classifier):
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
         self._pending = b""
+        self._outstanding: deque[tuple[int, ...]] = deque()
         super().__init__(self._read_handshake())
 
     def _read_handshake(self) -> int:
@@ -236,18 +264,54 @@ class ExternalClassifier(Classifier):
             raise ClassifierProtocolError(f"bad handshake width {width}")
         return width
 
+    def labels(self, entities: Iterable[Entity]) -> Iterator[int]:
+        limit = min(WINDOW_REQUESTS, PIPE_CAPACITY // (self.width + 1))
+        cache = self._cache
+        source = iter(entities)
+        for entity in source:
+            self._check_width(entity)
+            if entity.bits in cache:
+                yield cache[entity.bits]
+                continue
+            window, asked = [entity], {entity.bits: None}
+            while len(asked) < limit and (entity := next(source, None)) is not None:
+                self._check_width(entity)
+                window.append(entity)
+                if entity.bits not in cache:
+                    asked[entity.bits] = None
+            self._write(asked)
+            for entity in window:
+                while entity.bits not in cache:
+                    self._read_answer()
+                yield cache[entity.bits]
+
     def _label(self, entity: Entity) -> int:
+        return next(self.labels((entity,)))
+
+    def _write(self, requests) -> None:
+        """Send one window of requests (bit tuples), after caching the
+        answers still outstanding; a request they answer is dropped."""
+        while self._outstanding:
+            self._read_answer()
+        requests = [bits for bits in requests if bits not in self._cache]
+        if not requests:
+            return
         if self._proc.poll() is not None:
             raise ClassifierProtocolError("external classifier process has exited")
+        text = b"\n".join(map(bytes, requests)).translate(_REQUEST_TEXT) + b"\n"
         try:
-            self._proc.stdin.write(f"{entity}\n".encode("ascii"))
+            self._proc.stdin.write(text)
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ClassifierProtocolError("external classifier pipe is closed") from exc
+        self._outstanding.extend(requests)
+
+    def _read_answer(self) -> None:
+        """Cache the answer to the oldest outstanding request."""
         line = self._read_line()
         if line.strip() not in ("0", "1"):
             raise ClassifierProtocolError(f"bad response {line!r}")
-        return int(line.strip())
+        self._cache[self._outstanding.popleft()] = int(line.strip())
 
     def _read_line(self) -> str:
         """The child's next output line ("" at end of file, as `readline`
@@ -276,11 +340,13 @@ class ExternalClassifier(Classifier):
         raise ClassifierProtocolError(f"external classifier sent {problem}")
 
     def close(self) -> None:
-        for pipe in (self._proc.stdin, self._proc.stdout):
-            try:
-                pipe.close()
-            except OSError:
-                pass
+        """End the child's input, wait for it to exit, then close its
+        output: answers still outstanding land in the open pipe, so the
+        child never writes to a closed one."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
         if self._proc.poll() is None:
             import subprocess
             try:
@@ -288,6 +354,7 @@ class ExternalClassifier(Classifier):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalClassifier":
         return self

@@ -17,10 +17,12 @@ expectations.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections import deque
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Iterable
+from itertools import combinations, compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import games
 from ._record import record
@@ -141,56 +143,83 @@ def counter(
 def resp(
     request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
-    """Responsibility of one feature value for the explained label.
+    """Responsibility of one feature value for the explained label: the
+    walk of `_resp_scores`, stopped at the feature's witness.  It asks the
+    flip sets that hold the feature, which are its contingency sets Y in
+    `combinations` order by size."""
+    request.distribution.space.index(feature)
+    return _resp_scores(request, [feature], charge)[feature]
 
-    Searches contingency sets Y of other features by size through
-    `games.least_contingency`; the feature is a counterfactual explanation
-    when changing its value alone flips the label, and an actual
-    explanation when jointly changing Y and the feature does.  Score:
+
+def _resp_scores(
+    request: ExplanationRequest, features: Sequence[str], charge: Callable | None
+) -> dict[str, FeatureScore]:
+    """RESP scores of `features` from one walk over flip sets.
+
+    A feature is a counterfactual explanation when changing its value alone
+    flips the label, and an actual explanation when jointly changing a
+    contingency set Y of other features and the feature does.  Score:
     1 / (1 + |Y|) for the smallest such Y, with the lexicographically least
     witness; 0 when no contingency within the cap works.
 
-    Each Y is tried once, with every feature of Y flipped: a replacement
-    that keeps some original value is the entity of a smaller contingency,
-    which the search tested at its own size.  Each candidate tested is
-    charged.
+    Each Y of feature i is tried once, as its flip set F = Y + {i}: the
+    entity with every feature of F changed.  A replacement that keeps some
+    original value is the entity of a smaller flip set.  The walk goes by
+    size (up to `max_contingency` + 1), then in `combinations` order over
+    the sorted names, asking only the sets that hold a feature without a
+    witness; the first flipping F that holds i is i's witness, Y = F - {i}.
+    Dropping one fixed element keeps lexicographic order, so this is i's
+    least Y of least size.  Each flip set is charged before it is asked.
     """
-    space = request.distribution.space
-    index = space.index(feature)
-    entity = request.entity
-    label = request.classifier.label(entity)
+    names = request.distribution.space.names
+    entity, classifier = request.entity, request.classifier
+    label = classifier.label(entity)
     if label != request.target_label:
         raise LabelMismatchError(
             f"entity has label {label}, request explains label {request.target_label}"
         )
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
-    bits = list(entity.bits)
-    bits[index] = 1 - bits[index]
-
-    def flip(y) -> Entity:
-        flipped = bits[:]
-        for _, i in y:
-            flipped[i] = 1 - flipped[i]
-        return Entity(tuple(flipped))
-
+    pending = {names.index(n) for n in features}
+    order = sorted(range(len(names)), key=names.__getitem__)
     cap = request.max_contingency
-    chosen = games.least_contingency(
-        sorted((n, space.index(n)) for n in space.names if n != feature),
-        lambda y: request.classifier.label(flip(y)) == flipped_label,
-        None if cap is None else range(cap + 1),
-        charge,
-    )
-    if chosen is None:
-        return FeatureScore(feature=feature, kind="resp", value=Fraction(0))
-    witness = RespWitness(
-        contingency=tuple(n for n, _ in chosen),
-        contingency_values=tuple(1 - entity.bits[i] for _, i in chosen),
-        replacement=bits[index],
-        entity=flip(chosen),
-    )
-    kind = "actual" if chosen else "counterfactual"
-    return FeatureScore(feature, "resp", Fraction(1, len(chosen) + 1), kind, witness)
+    top = len(names) if cap is None else min(len(names), cap + 1)
+    asked: deque = deque()
+
+    def flip_sets() -> Iterator[Entity]:
+        for size in range(1, top + 1):
+            for chosen in combinations(order, size):
+                if pending.isdisjoint(chosen):
+                    continue
+                charge()
+                bits = list(entity.bits)
+                for i in chosen:
+                    bits[i] ^= 1
+                flipped = Entity(tuple(bits))
+                asked.append((chosen, flipped))
+                yield flipped
+
+    scores = {}
+    for got in classifier.labels(flip_sets()):
+        chosen, flipped = asked.popleft()
+        if got != flipped_label:
+            continue
+        for i in pending.intersection(chosen):
+            y = [j for j in chosen if j != i]
+            witness = RespWitness(
+                contingency=tuple(names[j] for j in y),
+                contingency_values=tuple(1 - entity.bits[j] for j in y),
+                replacement=1 - entity.bits[i],
+                entity=flipped,
+            )
+            kind = "actual" if y else "counterfactual"
+            value = Fraction(1, len(chosen))
+            scores[names[i]] = FeatureScore(names[i], "resp", value, kind, witness)
+        pending.difference_update(chosen)
+        if not pending:
+            break
+    zero = Fraction(0)
+    return {n: scores[n] if n in scores else FeatureScore(n, "resp", zero) for n in features}
 
 
 def score_all(
@@ -199,7 +228,7 @@ def score_all(
     """Scores of every feature for the requested kinds, ranked within each
     kind by descending value with feature-name tiebreak.  Every kind
     charges the one `charge`: SHAP its 2^n coalitions, COUNTER each entity
-    it weighs and RESP each candidate it tests.  SHAP's charge and width
+    it weighs and RESP each flip set it asks.  SHAP's charge and width
     refusal come before any kind runs."""
     wanted = sorted(set(kinds))
     for kind in wanted:
@@ -215,7 +244,7 @@ def score_all(
             values = _shap_values(request)
             batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
         elif kind == "resp":
-            batch = [resp(request, n, charge) for n in names]
+            batch = list(_resp_scores(request, names, charge).values())
         else:
             batch = [counter(request, n, charge) for n in names]
         batch.sort(key=lambda s: (-s.value, s.feature))
@@ -302,7 +331,10 @@ def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]
     mask with e (the features where x and e agree); distinct entities have
     distinct masks.  Adding slot S | {j} into slot S for each feature j
     (O(n 2^n) integer additions) turns the slots into the sums over the
-    entities agreeing with e on S.  The caller has passed
+    entities agreeing with e on S.  The slots without bit j lie in runs of
+    2^j at a stride of 2^(j+1), each just below its partners, so each
+    addition pass is C-level slice arithmetic: 2^j strided slices while
+    those are the fewer, else one slice per run.  The caller has passed
     `_check_enumerable`.
     """
     dist, entity = request.distribution, request.entity
@@ -321,9 +353,15 @@ def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]
         den[agree] = w
         if w and request.classifier.label(x) == 1:
             num[agree] = w
-    for bit in place:
-        for s in range(full + 1):
-            if not s & bit:
-                num[s] += num[s | bit]
-                den[s] += den[s | bit]
+    add = operator.add
+    for table in (num, den):
+        for bit in place:
+            step = 2 * bit
+            if bit <= (full + 1) // step:  # bit strided runs of 2^n / step slots
+                for low in range(bit):
+                    table[low::step] = map(add, table[low::step], table[low + bit :: step])
+            else:  # 2^n / step contiguous runs of bit slots
+                for low in range(0, full + 1, step):
+                    high = low + bit
+                    table[low:high] = map(add, table[low:high], table[high : high + bit])
     return num, den

@@ -444,6 +444,61 @@ def test_external_matches_in_process(tmp_path):
             assert remote.label(e) == local.label(e)
 
 
+def test_external_labels_windows_and_unread_answers(tmp_path, monkeypatch):
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", 3)
+    width = 4
+    space, local = random_truth_table(random.Random(5), width)
+    table_csv = tmp_path / "table.csv"
+    rows = [",".join(space.names) + ",label"]
+    for bits in product((0, 1), repeat=width):
+        rows.append(",".join(map(str, bits)) + f",{local.label(Entity(bits))}")
+    table_csv.write_text("\n".join(rows) + "\n")
+    entities = list(all_entities(width))
+
+    with external_for(table_csv) as remote:
+        assert list(remote.labels(entities[:7] + entities[:2])) == [
+            local.label(e) for e in entities[:7] + entities[:2]
+        ]
+        # Two labels read of a window of three: the third answer is cached
+        # before the next request is written.
+        labels = remote.labels(entities[8:])
+        assert [next(labels), next(labels)] == [local.label(e) for e in entities[8:10]]
+        assert remote.label(entities[15]) == local.label(entities[15])
+        assert entities[10].bits in remote._cache
+        assert entities[11].bits not in remote._cache
+        assert list(labels) == [local.label(e) for e in entities[10:]]
+
+
+def test_external_asks_an_outstanding_entity_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", 3)
+    count = tmp_path / "count"
+    code = (
+        "import sys; print('xscore-clf v1 n=2', flush=True); n = 0\n"
+        "for line in sys.stdin:\n    n += 1; print(1, flush=True)\n"
+        f"open({str(count)!r}, 'w').write(str(n))"
+    )
+    entities = list(all_entities(2))
+    with ExternalClassifier([sys.executable, "-c", code]) as clf:
+        assert next(clf.labels(entities[:3])) == 1
+        # Its answer is outstanding: read, not asked again.
+        assert clf.label(entities[1]) == 1
+        assert clf.label(entities[3]) == 1
+    assert count.read_text() == "4"
+
+
+def test_external_close_lets_the_child_answer_what_is_outstanding():
+    # The client stops reading after one answer of a window of four; the
+    # slow child must still write the other three into an open pipe.
+    code = (
+        "import sys, time; print('xscore-clf v1 n=2', flush=True)\n"
+        "for line in sys.stdin:\n    time.sleep(0.02); print(1, flush=True)"
+    )
+    clf = ExternalClassifier([sys.executable, "-c", code])
+    assert next(clf.labels(all_entities(2))) == 1
+    clf.close()
+    assert clf._proc.returncode == 0
+
+
 def test_external_bad_handshake():
     with pytest.raises(ClassifierProtocolError, match="handshake"):
         ExternalClassifier([sys.executable, "-c", "print('hello there')"])

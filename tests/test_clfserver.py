@@ -2,6 +2,8 @@
 import io
 import random
 import re
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -34,6 +36,23 @@ def test_answers_equal_the_in_process_table(tmp_path):
     handshake, *answers = out.splitlines()
     assert handshake == f"xscore-clf v1 n={width}"
     assert answers == [str(loaded.label(Entity.from_bits(r))) for r in requests]
+
+
+def test_batch_is_answered_in_order(data_dir):
+    # One write of many requests, as a window arrives from the client, with
+    # repeats and out of table order.
+    rng = random.Random(3)
+    requests = ["".join(rng.choice("01") for _ in range(3)) for _ in range(200)]
+    _, table = clfserver.read_truth_table(data_dir / "ex6_table.csv")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "xscore.clfserver", str(data_dir / "ex6_table.csv")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    out, _ = server.communicate("".join(f"{r}\n" for r in requests), timeout=30)
+    assert server.returncode == 0
+    handshake, *answers = out.splitlines()
+    assert handshake == "xscore-clf v1 n=3"
+    assert answers == [str(table[r]) for r in requests]
 
 
 @pytest.mark.parametrize("request_line", ["01", "0a1", "0111"])

@@ -704,13 +704,13 @@ def test_budget_edge_ml_counter_counts_entities(capsys, data_dir):
 
 
 def test_budget_is_shared_by_every_ml_kind(capsys, data_dir):
-    # 8 coalitions, 6 entities and 6 RESP candidates.
+    # 8 coalitions, 6 entities and 6 RESP flip sets.
     argv = ml_args(data_dir, "--kinds", "shap,counter,resp")
     _assert_budget_edge(capsys, argv, 19, budget_error(19))
 
 
 def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
-    # Summed over the features, the ex6 RESP searches test 6 candidates.
+    # The ex6 RESP walk asks 6 flip sets.
     argv = ml_args(data_dir, "--kinds", "resp")
     _assert_budget_edge(capsys, argv, 5, budget_error(5))
     monkeypatch.setenv("XSCORE_BUDGET", "5")
@@ -911,6 +911,65 @@ def test_ml_scores_endless_external_line_exits_4_at_once(capsys):
     assert exit_code == cli.EXIT_PROTOCOL
     bound = classify.MAX_LINE_BYTES
     assert out.err == f"xscore: error: external classifier sent a line longer than {bound} bytes\n"
+
+
+# A width-4 child that answers 1 to its first three requests.  It labels the
+# entity 1 and no flip set 0, so the RESP walk asks all 15 flip sets in one
+# window, and the fourth request lies in the middle of it.
+WINDOW_FAULTS = {
+    "exits": ("sys.exit(0)", "bad response ''"),
+    "goes silent": ("time.sleep(60)", "external classifier sent no line within 1.0 s"),
+    "sends garbage": ("print('maybe', flush=True)", r"bad response 'maybe\n'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_FAULTS))
+def test_ml_scores_fault_in_a_window_exits_4(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.setattr(classify, "RESPONSE_DEADLINE_S", 1.0)
+    fault, message = WINDOW_FAULTS[case]
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import sys, time\n"
+        "print('xscore-clf v1 n=4', flush=True)\n"
+        "for count, line in enumerate(sys.stdin):\n"
+        "    if count == 3:\n"
+        f"        {fault}\n"
+        "    print(1, flush=True)\n"
+    )
+    start = time.monotonic()
+    exit_code, out = run(
+        capsys, "ml-scores", "--classifier-cmd", f"{sys.executable} {child}",
+        "--entity", "1111", "--kinds", "resp",
+    )
+    assert time.monotonic() - start < 2.0
+    assert exit_code == cli.EXIT_PROTOCOL
+    assert out.err == f"xscore: error: {message}\n"
+
+
+@pytest.mark.parametrize("window", [1, 2, 7])
+def test_ml_scores_external_matches_local_across_windows(capsys, monkeypatch, tmp_path, window):
+    # Small windows split the walk's size levels across writes.
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", window)
+    rng = random.Random(window)
+    for case in range(4):  # target labels 0, 1, 0, 1; the last two capped
+        width = rng.randint(1, 8)
+        labels = [rng.randint(0, 1) for _ in range(2**width)]
+        table = tmp_path / f"table{case}.csv"
+        rows = [",".join(f"F{i + 1}" for i in range(width)) + ",label"]
+        for index, label in enumerate(labels):
+            rows.append(",".join(format(index, f"0{width}b")) + f",{label}")
+        table.write_text("\n".join(rows) + "\n")
+        target = case % 2 if case % 2 in labels else 1 - case % 2
+        entity = rng.choice([i for i, label in enumerate(labels) if label == target])
+        flags = ["--entity", format(entity, f"0{width}b"), "--target-label", str(target)]
+        if case >= 2:
+            flags += ["--max-contingency", str(rng.randint(0, width - 1))]
+        local = run_json(capsys, "ml-scores", "--classifier", str(table), *flags)
+        external = run_json(
+            capsys, "ml-scores", "--classifier-cmd", f"{sys.executable} -m xscore.clfserver {table}",
+            "--features", ",".join(f"F{i + 1}" for i in range(width)), *flags,
+        )
+        assert json.dumps(external["records"]) == json.dumps(local["records"])
 
 
 def test_ml_scores_external_matches_local(capsys, data_dir):

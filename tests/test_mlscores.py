@@ -24,6 +24,7 @@ from xscore.classify import (
     FunctionClassifier,
     InconsistentConstraintError,
     ProductDistribution,
+    TableClassifier,
     UniformDistribution,
     WidthLimitError,
     ZeroMassEventError,
@@ -541,10 +542,41 @@ def test_resp_matches_replacement_search_oracle(seed, width, target_label):
     assert _resp_outcome(resp, *args) == _resp_outcome(resp_by_replacement_search, *args)
 
 
-@pytest.mark.parametrize("width, calls, distinct", [(8, 808, 222), (11, 9350, 1820)])
+@given(st.integers(0, 10**9), st.integers(1, 8), st.sampled_from((0, 1)))
+@settings(max_examples=150, deadline=None)
+def test_resp_walk_for_all_features_matches_replacement_search_oracle(seed, width, target_label):
+    # score_all runs one flip-set walk for every feature at once.
+    rng = random.Random(seed)
+    names = [f"F{i + 1}" for i in range(width)]
+    rng.shuffle(names)
+    least = rng.randint(0, width + 1)
+    table = {
+        e.bits: rng.randint(0, 1) if least > width else int(sum(e.bits) >= least)
+        for e in all_entities(width)
+    }
+    entity = Entity(tuple(rng.randint(0, 1) for _ in range(width)))
+    request = uniform_request(
+        FeatureSpace(tuple(names)),
+        TableClassifier(width, table),
+        entity,
+        target_label=target_label,
+        max_contingency=rng.choice((None, 0, 1, 2, width + 3)),
+    )
+    try:
+        expected = [resp_by_replacement_search(request, n) for n in names]
+    except LabelMismatchError as exc:
+        with pytest.raises(LabelMismatchError, match=f"^{exc}$"):
+            score_all(request, ["resp"])
+        return
+    expected.sort(key=lambda s: (-s.value, s.feature))
+    assert score_all(request, ["resp"]) == expected
+
+
+@pytest.mark.parametrize("width, calls, distinct", [(8, 222, 222), (11, 1820, 1820)])
 def test_resp_tests_one_candidate_per_contingency(width, calls, distinct):
     # From all ones, a flip set reaches the label-0 side only at size
-    # n - n//2 + 1, so each feature tests every smaller contingency.
+    # n - n//2 + 1, so every smaller flip set is asked, each once for all
+    # the features it holds.
     clf = CountingClassifier(width, lambda e: int(sum(e.bits) >= width // 2 - 1))
     space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
     score_all(uniform_request(space, clf, Entity((1,) * width)), ["resp"])
@@ -552,11 +584,12 @@ def test_resp_tests_one_candidate_per_contingency(width, calls, distinct):
 
 
 def test_resp_budget_counts_candidates_over_features(ex6_request):
-    # F1 tests two candidates, F2 one and F3 three.
+    # The walk asks the three singletons, then {F1, F2}, {F1, F3} and
+    # {F2, F3}: 6 flip sets.
     with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(5)):
         score_all(ex6_request, ["resp"], games.meter(5))
     assert len(score_all(ex6_request, ["resp"], games.meter(6))) == 3
-    # SHAP's 2^3 coalitions and the 6 candidates draw on one sum.
+    # SHAP's 2^3 coalitions and the 6 flip sets draw on one sum.
     with pytest.raises(games.BudgetExceededError, match=BUDGET_ERROR.format(13)):
         score_all(ex6_request, ["shap", "resp"], games.meter(13))
     assert len(score_all(ex6_request, ["shap", "resp"], games.meter(14))) == 6
