@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -44,9 +43,9 @@ MAX_LINE_BYTES = 4096
 #: window's bytes also stay within `PIPE_CAPACITY`.
 WINDOW_REQUESTS = 64
 
-#: The least capacity a pipe can have (one page).  A window no longer than
-#: this, written while no answer is outstanding, fits in the child's empty
-#: input pipe, so the write cannot block.
+#: The least capacity a pipe can have (one page).  Every answer to a window
+#: is read before the next is written, so a window no longer than this fits
+#: in the child's empty input pipe and the write cannot block.
 PIPE_CAPACITY = 4096
 
 #: Turns the bits of an entity, as bytes 0 and 1, into its request text.
@@ -157,8 +156,9 @@ def all_entities(width: int) -> Iterator[Entity]:
 class Classifier:
     """Deterministic total function from entities to {0, 1}.
 
-    Labels are cached by bit vector, so each entity is asked at most once.
-    `labels` gives the labels of a stream of entities in order.
+    Labels are cached by bit vector, so each entity is asked at most once;
+    a table classifier's cache is its table.  `labels` gives the labels of
+    a stream of entities in order.
     """
 
     def __init__(self, width: int):
@@ -191,19 +191,20 @@ class Classifier:
 
 
 class TableClassifier(Classifier):
-    """Classifier backed by an explicit (usually total) truth table."""
+    """Classifier backed by an explicit (usually total) truth table, held
+    as the label cache: only an entity the table lacks reaches `_label`."""
 
     def __init__(self, width: int, table: Mapping[tuple[int, ...], int], total: bool = True):
         super().__init__(width)
-        self._table = dict(table)
+        self._cache.update(table)
+        if not {0, 1}.issuperset(self._cache.values()):
+            bad = next(v for v in self._cache.values() if v not in (0, 1))
+            raise ValueError(f"truth table label {bad!r} is not 0 or 1")
         if total:
-            check_total(len(self._table), width)
+            check_total(len(self._cache), width)
 
     def _label(self, entity: Entity) -> int:
-        try:
-            return self._table[entity.bits]
-        except KeyError:
-            raise ValueError(f"no label recorded for entity {entity}") from None
+        raise ValueError(f"no label recorded for entity {entity}")
 
 
 class FunctionClassifier(Classifier):
@@ -228,11 +229,12 @@ class ExternalClassifier(Classifier):
       anything else is an error.
 
     `labels` draws the uncached entities of its stream in windows of up to
-    `WINDOW_REQUESTS` requests and at most `PIPE_CAPACITY` bytes, and writes
-    each window in one write once every earlier answer is read.  Answers a
-    caller left unread are cached before the next write.  The handshake and
-    each response must arrive within `RESPONSE_DEADLINE_S`, and no line may
-    run past `MAX_LINE_BYTES`; a child that stays silent longer, or writes a
+    `WINDOW_REQUESTS` requests and at most `PIPE_CAPACITY` bytes, writes
+    each window in one write and caches every answer to it before yielding
+    the window's first label.  No answer is outstanding between calls, so
+    several `labels` streams may be interleaved.  The handshake and each
+    response must arrive within `RESPONSE_DEADLINE_S`, and no line may run
+    past `MAX_LINE_BYTES`; a child that stays silent longer, or writes a
     longer line, is killed.
     """
 
@@ -245,7 +247,6 @@ class ExternalClassifier(Classifier):
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
         self._pending = b""
-        self._outstanding: deque[tuple[int, ...]] = deque()
         super().__init__(self._read_handshake())
 
     def _read_handshake(self) -> int:
@@ -279,23 +280,16 @@ class ExternalClassifier(Classifier):
                 window.append(entity)
                 if entity.bits not in cache:
                     asked[entity.bits] = None
-            self._write(asked)
+            self._ask(asked)
             for entity in window:
-                while entity.bits not in cache:
-                    self._read_answer()
                 yield cache[entity.bits]
 
     def _label(self, entity: Entity) -> int:
         return next(self.labels((entity,)))
 
-    def _write(self, requests) -> None:
-        """Send one window of requests (bit tuples), after caching the
-        answers still outstanding; a request they answer is dropped."""
-        while self._outstanding:
-            self._read_answer()
-        requests = [bits for bits in requests if bits not in self._cache]
-        if not requests:
-            return
+    def _ask(self, requests) -> None:
+        """Send one window of requests (bit tuples) in one write, then
+        cache the answer to each."""
         if self._proc.poll() is not None:
             raise ClassifierProtocolError("external classifier process has exited")
         text = b"\n".join(map(bytes, requests)).translate(_REQUEST_TEXT) + b"\n"
@@ -304,14 +298,11 @@ class ExternalClassifier(Classifier):
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ClassifierProtocolError("external classifier pipe is closed") from exc
-        self._outstanding.extend(requests)
-
-    def _read_answer(self) -> None:
-        """Cache the answer to the oldest outstanding request."""
-        line = self._read_line()
-        if line.strip() not in ("0", "1"):
-            raise ClassifierProtocolError(f"bad response {line!r}")
-        self._cache[self._outstanding.popleft()] = int(line.strip())
+        for bits in requests:
+            line = self._read_line()
+            if line.strip() not in ("0", "1"):
+                raise ClassifierProtocolError(f"bad response {line!r}")
+            self._cache[bits] = int(line)
 
     def _read_line(self) -> str:
         """The child's next output line ("" at end of file, as `readline`
@@ -341,8 +332,8 @@ class ExternalClassifier(Classifier):
 
     def close(self) -> None:
         """End the child's input, wait for it to exit, then close its
-        output: answers still outstanding land in the open pipe, so the
-        child never writes to a closed one."""
+        output: a child still answering a window that a protocol error cut
+        short writes into the open pipe, never a closed one."""
         try:
             self._proc.stdin.close()
         except OSError:

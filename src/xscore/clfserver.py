@@ -7,9 +7,9 @@ Usage: ``python -m xscore.clfserver TABLE.csv``.  Emits the handshake
 skipped; any other request ends the server with exit 1, as does a
 table that is missing or bad, after one ``error:`` line on stderr.
 
-A server start pays for this module, `csv` and `sys` only: the table is
-held as {bit string: label line}, so a request is one dict lookup.  Run as
-a process, it exits as `python -m xscore` does, with the heap frozen.
+A server start pays for this module, `csv` and `sys` only: a request is
+one lookup in the {bit string: label} table of `read_truth_table`.  Run
+as a process, it exits as `python -m xscore` does, with the heap frozen.
 """
 import csv
 import gc
@@ -22,7 +22,6 @@ _BITS = frozenset(("0", "1"))
 
 def serve(table_path, stdin, stdout) -> int:
     names, table = read_truth_table(table_path)
-    answers = {bits: f"{label}\n" for bits, label in table.items()}
     stdout.write(f"{PROTOCOL_HANDSHAKE} n={len(names)}\n")
     stdout.flush()
     for line in stdin:
@@ -30,11 +29,11 @@ def serve(table_path, stdin, stdout) -> int:
         if not request:
             continue
         # The table is total, so a miss is a wrong width or a non-bit.
-        answer = answers.get(request)
-        if answer is None:
+        label = table.get(request)
+        if label is None:
             print(f"malformed request {request!r}", file=sys.stderr)
             return 1
-        stdout.write(answer)
+        stdout.write(f"{label}\n")
         stdout.flush()
     return 0
 

@@ -169,7 +169,8 @@ def _resp_scores(
     the sorted names, asking only the sets that hold a feature without a
     witness; the first flipping F that holds i is i's witness, Y = F - {i}.
     Dropping one fixed element keeps lexicographic order, so this is i's
-    least Y of least size.  Each flip set is charged before it is asked.
+    least Y of least size.  Each flip set is charged when its label is read,
+    so the budget edge does not depend on how far ahead a classifier asks.
     """
     names = request.distribution.space.names
     entity, classifier = request.entity, request.classifier
@@ -191,7 +192,6 @@ def _resp_scores(
             for chosen in combinations(order, size):
                 if pending.isdisjoint(chosen):
                     continue
-                charge()
                 bits = list(entity.bits)
                 for i in chosen:
                     bits[i] ^= 1
@@ -202,6 +202,7 @@ def _resp_scores(
     scores = {}
     for got in classifier.labels(flip_sets()):
         chosen, flipped = asked.popleft()
+        charge()
         if got != flipped_label:
             continue
         for i in pending.intersection(chosen):
@@ -228,8 +229,8 @@ def score_all(
     """Scores of every feature for the requested kinds, ranked within each
     kind by descending value with feature-name tiebreak.  Every kind
     charges the one `charge`: SHAP its 2^n coalitions, COUNTER each entity
-    it weighs and RESP each flip set it asks.  SHAP's charge and width
-    refusal come before any kind runs."""
+    it weighs and RESP each flip set whose label it reads.  SHAP's charge
+    and width refusal come before any kind runs."""
     wanted = sorted(set(kinds))
     for kind in wanted:
         if kind not in SCORE_KINDS:

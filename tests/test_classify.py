@@ -121,6 +121,12 @@ def test_partial_table_requires_total_flag():
         partial.label(Entity.from_bits("11"))
 
 
+@pytest.mark.parametrize("total", [True, False])
+def test_table_label_other_than_a_bit_is_refused_at_construction(total):
+    with pytest.raises(ValueError, match="^truth table label 2 is not 0 or 1$"):
+        TableClassifier(1, {(0,): 0, (1,): 2}, total=total)
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -484,6 +490,25 @@ def test_external_asks_an_outstanding_entity_once(tmp_path, monkeypatch):
         assert clf.label(entities[1]) == 1
         assert clf.label(entities[3]) == 1
     assert count.read_text() == "4"
+
+
+def test_external_interleaved_label_streams(tmp_path, monkeypatch):
+    # Every window is answered whole before its first label is yielded, so
+    # two streams drawn in turn over one classifier see no stray answers.
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", 3)
+    width = 4
+    space, local = random_truth_table(random.Random(11), width)
+    table_csv = tmp_path / "table.csv"
+    rows = [",".join(space.names) + ",label"]
+    for bits in product((0, 1), repeat=width):
+        rows.append(",".join(map(str, bits)) + f",{local.label(Entity(bits))}")
+    table_csv.write_text("\n".join(rows) + "\n")
+    forward = list(all_entities(width))
+    backward = forward[::-1]
+
+    with external_for(table_csv) as remote:
+        pairs = list(zip(remote.labels(forward), remote.labels(backward)))
+    assert pairs == [(local.label(a), local.label(b)) for a, b in zip(forward, backward)]
 
 
 def test_external_close_lets_the_child_answer_what_is_outstanding():

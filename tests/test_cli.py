@@ -721,6 +721,18 @@ def test_budget_edge_ml_resp_counts_candidates(capsys, data_dir, monkeypatch):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_budget_edge_ml_resp_is_the_same_through_the_server(capsys, data_dir):
+    # A flip set is charged when its label is read, so a window asked ahead
+    # of the walk moves no edge.
+    server = f"{sys.executable} -m xscore.clfserver {data_dir / 'ex6_table.csv'}"
+    for argv in (
+        ml_args(data_dir, "--kinds", "resp"),
+        ("ml-scores", "--classifier-cmd", server, "--features", "F1,F2,F3",
+         "--entity", "011", "--kinds", "resp"),
+    ):
+        _assert_budget_edge(capsys, argv, 5, budget_error(5))
+
+
 def test_ml_scores_resp_golden(capsys, data_dir):
     report = run_json(capsys, *ml_args(data_dir, "--kinds", "resp"))
     records = report["records"]
@@ -944,6 +956,24 @@ def test_ml_scores_fault_in_a_window_exits_4(capsys, monkeypatch, tmp_path, case
     assert time.monotonic() - start < 2.0
     assert exit_code == cli.EXIT_PROTOCOL
     assert out.err == f"xscore: error: {message}\n"
+
+
+def test_ml_scores_garbage_past_what_the_walk_reads_exits_4(capsys, tmp_path):
+    # The four single flips of 1111 all flip its label, so the walk reads 4
+    # of a window of 15.  The rest of the window is read and checked too.
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import sys\n"
+        "print('xscore-clf v1 n=4', flush=True)\n"
+        "for count, line in enumerate(sys.stdin):\n"
+        "    print(1 if count == 0 else 0 if count <= 4 else 'maybe', flush=True)\n"
+    )
+    exit_code, out = run(
+        capsys, "ml-scores", "--classifier-cmd", f"{sys.executable} {child}",
+        "--entity", "1111", "--kinds", "resp",
+    )
+    assert exit_code == cli.EXIT_PROTOCOL
+    assert out.err == "xscore: error: bad response 'maybe\\n'\n"
 
 
 @pytest.mark.parametrize("window", [1, 2, 7])

@@ -57,6 +57,15 @@ def ex6_request(ex6_space, ex6_classifier, ex6_e1):
     return uniform_request(ex6_space, ex6_classifier, ex6_e1)
 
 
+def test_total_table_never_reaches_label(ex6_request, monkeypatch):
+    def missing(self, entity):
+        raise AssertionError(f"{entity} asked past the table")
+
+    monkeypatch.setattr(TableClassifier, "_label", missing)
+    scores = score_all(ex6_request, ["counter", "resp", "shap"])
+    assert len(scores) == 9
+
+
 def dictator_request(width=3):
     space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
     clf = FunctionClassifier(width, lambda e: e.bits[0])
