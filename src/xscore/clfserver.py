@@ -87,10 +87,12 @@ def read_bit_csv(
                 raise ValueError(
                     f"{path}: row at line {line_no} has {len(row)} fields, expected {len(header)}"
                 )
-            cells = [cell.strip() for cell in row]
-            if not _BITS.issuperset(cells):
-                bad = next(cell for cell in row if cell.strip() not in _BITS)
-                raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
+            cells = row  # strip only a row whose raw cells are not all bits
+            if not _BITS.issuperset(row):
+                cells = [cell.strip() for cell in row]
+                if not _BITS.issuperset(cells):
+                    bad = next(cell for cell in row if cell.strip() not in _BITS)
+                    raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
             extra = None if special_col is None else int(cells.pop(special_col))
             out.append((line_no, "".join(cells), extra))
     return out, names

@@ -13,6 +13,7 @@ the conjunctive fragment.
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,7 +203,8 @@ def _format_term(term: Term) -> str:
         c.isalnum() or c == "_" for c in v
     ):
         return v
-    return '"' + v + '"'
+    quote = "'" if '"' in v else '"'
+    return quote + v + quote
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +221,8 @@ class Database:
 
     def __init__(self):
         self._arities: dict[str, int] = {}
-        self._rows: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        self._rows: dict[str, dict[tuple[str, ...], str]] = {}  # values -> id, in order
         self._by_id: dict[str, tuple[str, tuple[str, ...]]] = {}
-        self._row_values: dict[str, set[tuple[str, ...]]] = {}
 
     @classmethod
     def from_dict(cls, relations: Mapping[str, Iterable[Sequence[str]]]) -> "Database":
@@ -237,28 +238,24 @@ class Database:
         known = self._arities.get(name)
         if known is None:
             self._arities[name] = arity
-            self._rows[name] = []
-            self._row_values[name] = set()
+            self._rows[name] = {}
         elif known != arity:
             raise ArityMismatchError(f"relation {name} declared with arity {known}, got {arity}")
 
     def add(self, relation: str, values: Sequence[str], tuple_id: str | None = None) -> str:
         """Insert one tuple; returns its id."""
-        values = tuple(str(v) for v in values)
-        self.add_relation(relation, len(values))
-        if len(values) != self._arities[relation]:
-            raise ArityMismatchError(
-                f"relation {relation} has arity {self._arities[relation]}, got row of {len(values)}"
-            )
-        if values in self._row_values[relation]:
+        values = tuple(map(str, values))
+        if self._arities.get(relation) != len(values):
+            self.add_relation(relation, len(values))  # declares it, or refuses the arity
+        rows = self._rows[relation]
+        if values in rows:
             raise DuplicateTupleError(f"duplicate tuple {values!r} in relation {relation}")
         if tuple_id is None:
-            tuple_id = f"{relation}:{len(self._rows[relation])}"
+            tuple_id = f"{relation}:{len(rows)}"
         if tuple_id in self._by_id:
             raise DuplicateTupleError(f"duplicate tuple id {tuple_id!r}")
-        self._rows[relation].append((tuple_id, values))
+        rows[values] = tuple_id
         self._by_id[tuple_id] = (relation, values)
-        self._row_values[relation].add(values)
         return tuple_id
 
     def relation_names(self) -> tuple[str, ...]:
@@ -273,7 +270,8 @@ class Database:
     def rows(self, relation: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """(tuple_id, values) pairs of one relation, in insertion order."""
         self.arity(relation)
-        return tuple(self._rows[relation])
+        rows = self._rows[relation]
+        return tuple(zip(rows.values(), rows))
 
     def tuple_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._by_id))
@@ -290,7 +288,7 @@ class Database:
         sub = Database()
         for name, arity in self._arities.items():
             sub.add_relation(name, arity)
-            for tid, values in self._rows[name]:
+            for values, tid in self._rows[name].items():
                 if tid in keep:
                     sub.add(name, values, tuple_id=tid)
         return sub
@@ -351,9 +349,10 @@ def compile_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
         disjunct_ids.add(tuple(sorted(set(used))))
     if not disjunct_ids:
         return Lineage(root=formula.FALSE)
+    var = {t: formula.Var(t) for t in set().union(*disjunct_ids)}
     disjuncts = []
     for ids in sorted(disjunct_ids):
-        literals = tuple(formula.Var(t) for t in ids)
+        literals = tuple(map(var.__getitem__, ids))
         disjuncts.append(literals[0] if len(literals) == 1 else formula.And(literals))
     root = disjuncts[0] if len(disjuncts) == 1 else formula.Or(tuple(disjuncts))
     return Lineage(root=root)
@@ -389,56 +388,73 @@ def _check_query_against(db: Database, query: ConjunctiveQuery) -> None:
             )
 
 
+def _plan(atoms: Sequence[Atom], sizes: Sequence[int]) -> tuple[int, ...]:
+    """Join order as query positions: next the smallest atom that shares a
+    bound variable, else the smallest atom; ties go to the earlier atom."""
+    var_sets = [{t.index for t in atom.terms if isinstance(t, Var)} for atom in atoms]
+    order, bound, left = [], set(), list(range(len(atoms)))
+    while left:
+        order.append(min([i for i in left if var_sets[i] & bound] or left, key=sizes.__getitem__))
+        left.remove(order[-1])
+        bound |= var_sets[order[-1]]
+    return tuple(order)
+
+
+def _getter(slots: Sequence[int]):
+    """`operator.itemgetter` over `slots` that always returns a tuple."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots) if slots else itemgetter(slice(0))
+
+
 def _matches(
     db: Database, query: ConjunctiveQuery
 ) -> Iterator[tuple[dict[Var, str], tuple[str, ...]]]:
-    """All satisfying valuations as (binding, matched tuple ids).
+    """All satisfying valuations as (binding, matched tuple ids), the ids in
+    query-atom order.
 
-    A hash join in query order.  Each atom's rows are read once and filed
-    under their values at the atom's key positions: constants and
-    variables bound by earlier atoms.  Rows that break a repeated fresh
-    variable, as in `R(x,x)`, are dropped then.  A partial binding visits
-    only the rows under its own key and binds the fresh variables from
-    them.  Every call plans and indexes every atom afresh: that suits the
-    CLI's one join; the one caller that re-joins many sub-instances is
-    the test oracle `min_contingency_unrestricted`.
+    Each atom's rows are read once, in query order, and `_plan` picks the
+    join order.  A partial valuation is one tuple, the query's constants
+    and then each joined atom's row id and values, so every term has a
+    fixed slot.  Each atom's rows are filed under their values at its
+    constants and bound variables, dropping rows that break a repeated
+    fresh variable, as in `R(x,x)`.  The join extends all partial
+    valuations one atom at a time, each visiting only the rows under its
+    own key.  Each level but the last is built whole, so memory is bounded
+    by the largest level; the last streams, so `evaluate` stops at the
+    first full valuation.
     """
-    steps = []
-    bound: set[Var] = set()
-    for atom in query.atoms:
-        key_terms: list[Term] = []
-        key_positions: list[int] = []
-        first: dict[Var, int] = {}  # fresh variable -> its first position
-        repeats: list[tuple[int, int]] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Const) or term in bound:
-                key_terms.append(term)
-                key_positions.append(position)
-            elif term in first:
-                repeats.append((position, first[term]))
+    atoms = query.atoms
+    rows = [db.rows(atom.relation) for atom in atoms]
+    constants = [t for atom in atoms for t in atom.terms if isinstance(t, Const)]
+    # A constant is its own key, a variable its index: hashing a `Var` is slow.
+    slots: dict[Const | int, int] = {t: s for s, t in enumerate(constants)}
+    width, id_slots, steps = len(constants), [0] * len(atoms), []
+    for i in _plan(atoms, [len(r) for r in rows]):
+        keys = [t if isinstance(t, Const) else t.index for t in atoms[i].terms]
+        keyed, repeats, first = [], [], {}
+        for position, key in enumerate(keys):
+            if key in slots:
+                keyed.append(position)
+            elif key in first:
+                repeats.append((position, first[key]))
             else:
-                first[term] = position
-        index: dict[tuple[str, ...], list[tuple[str, tuple[str, ...]]]] = {}
-        for tid, values in db.rows(atom.relation):
-            if all(values[p] == values[q] for p, q in repeats):
-                key = tuple(values[p] for p in key_positions)
-                index.setdefault(key, []).append((tid, values))
-        steps.append((tuple(key_terms), tuple(first.items()), index))
-        bound.update(first)
-
-    def extend(i: int, binding: dict[Var, str], used: tuple[str, ...]):
-        if i == len(steps):
-            yield binding, used
-            return
-        key_terms, fresh, index = steps[i]
-        key = tuple(t.value if isinstance(t, Const) else binding[t] for t in key_terms)
-        for tid, values in index.get(key, ()):
-            new = dict(binding)
-            for var, position in fresh:
-                new[var] = values[position]
-            yield from extend(i + 1, new, used + (tid,))
-
-    yield from extend(0, {}, ())
+                first[key] = position
+        index, row_key = {}, _getter(keyed)
+        for tid, values in rows[i]:
+            if not repeats or all(values[p] == values[q] for p, q in repeats):
+                index.setdefault(row_key(values), []).append((tid, *values))
+        steps.append((_getter([slots[keys[p]] for p in keyed]), index))
+        slots.update((key, width + 1 + p) for key, p in first.items())
+        id_slots[i], width = width, width + 1 + len(keys)
+    variables = query.variables()
+    binding_of, ids_of = _getter([slots[v.index] for v in variables]), _getter(id_slots)
+    level = [tuple(c.value for c in constants)]
+    for key_of, index in steps[:-1]:
+        level = [val + row for val in level for row in index.get(key_of(val), ())]
+    key_of, index = steps[-1]
+    for full in (val + row for val in level for row in index.get(key_of(val), ())):
+        yield dict(zip(variables, binding_of(full))), ids_of(full)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +528,16 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DatabaseError(f"{path}: empty file, expected a header row") from None
-            header = [h.strip() for h in header]
             id_col = header.index("_id") if "_id" in header else None
-            columns = [h for h in header if h != "_id"]
-            db.add_relation(relation, len(columns))
+            db.add_relation(relation, len(header) - header.count("_id"))
             for row_number, row in enumerate(reader):
                 if len(row) != len(header):
                     raise DatabaseError(
                         f"{path}: row {row_number + 2} has {len(row)} fields, expected {len(header)}"
                     )
-                if id_col is None:
-                    db.add(relation, row)
-                else:
-                    tuple_id = row[id_col]
-                    values = [v for i, v in enumerate(row) if i != id_col]
-                    db.add(relation, values, tuple_id=tuple_id)
+                tuple_id = None if id_col is None else row.pop(id_col)
+                db.add(relation, row, tuple_id)
     return db

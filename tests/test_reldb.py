@@ -138,6 +138,9 @@ def test_format_parse_round_trip():
         "Q() :- S(x), R(x,y), S(y)",
         'Q() :- R("a", x), S(x, Bob, 12)',
         "Q(v) :- R(v, v)",
+        # A constant holding one quote kind is printed inside the other.
+        """Q() :- R('a"b', x)""",
+        """Q() :- R("it's", x), S('"')""",
     ]
     for text in texts:
         q = parse_query(text)
@@ -329,12 +332,38 @@ JOIN_DB = {
         "Q() :- S(x), S(y)",
         "Q() :- R(x,y), E(y,z)",
         'Q() :- R(x, "zzz")',
+        "Q() :- R(x,y), S(z)",
     ],
 )
 def test_join_matches_nested_loop_cases(text):
     db = Database.from_dict(JOIN_DB)
     db.add_relation("E", 2)
     _assert_join_matches_oracle(db, parse_query(text))
+
+
+def test_plan_joins_the_smallest_linked_atom_next():
+    chain = parse_query("Q() :- S(x), R(x,y), S(y)").atoms
+    path = parse_query("Q() :- R(x,y), R(y,z), S(z)").atoms
+    # Sizes of the benchmark's largest chain and path instances.
+    assert reldb._plan(chain, [40, 1600, 40]) == (0, 1, 2)
+    assert reldb._plan(path, [850, 850, 21]) == (2, 1, 0)
+    # An unlinked atom waits while a linked one is left, however small.
+    assert reldb._plan(parse_query("Q() :- R(x,y), S(y), T(z)").atoms, [9, 5, 1]) == (2, 1, 0)
+    assert reldb._plan(parse_query("Q() :- R(x,y), S(z), T(y)").atoms, [3, 1, 9]) == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "text, plan",
+    [("Q() :- R(x,y), R(y,z), S(z)", (2, 1, 0)), ("Q() :- R(x,y), S(z)", (1, 0))],
+)
+def test_join_out_of_query_order_yields_ids_in_query_order(text, plan):
+    # `test_join_matches_nested_loop_cases` holds both queries to the oracle.
+    query = parse_query(text)
+    assert reldb._plan(query.atoms, [len(JOIN_DB[a.relation]) for a in query.atoms]) == plan
+    matches = list(reldb._matches(Database.from_dict(JOIN_DB), query))
+    assert matches
+    for _, used in matches:
+        assert [tid.split(":")[0] for tid in used] == [a.relation for a in query.atoms]
 
 
 def test_compile_reads_each_atom_once(monkeypatch):
@@ -465,6 +494,30 @@ def test_load_csv_bad_column_count(tmp_path):
     f.write_text("A,B\n1,2\n1,2,3\n")
     with pytest.raises(reldb.DatabaseError, match="row 3"):
         load_csv({"T": f})
+
+
+@pytest.mark.parametrize(
+    "t_text, error, message",
+    [
+        ("A,B\n1,2\n1,2\n", DuplicateTupleError, "duplicate tuple ('1', '2') in relation T"),
+        ("_id,A\nR:0,y\n", DuplicateTupleError, "duplicate tuple id 'R:0'"),  # R loads first
+        ("A,B\n1,2\n3\n", reldb.DatabaseError, "{T}: row 3 has 1 fields, expected 2"),
+    ],
+)
+def test_load_csv_refusals(tmp_path, t_text, error, message):
+    r, t = tmp_path / "R.csv", tmp_path / "T.csv"
+    r.write_text("A\nx\n")
+    t.write_text(t_text)
+    with pytest.raises(error) as caught:
+        load_csv({"R": r, "T": t})
+    assert str(caught.value) == message.format(T=t)
+
+
+def test_add_refuses_a_row_of_another_arity():
+    db = Database()
+    db.add("R", ("a", "b"))
+    with pytest.raises(ArityMismatchError, match=r"^relation R declared with arity 2, got 3$"):
+        db.add("R", ("a", "b", "c"))
 
 
 def test_load_csv_duplicate_explicit_id(tmp_path):
