@@ -121,9 +121,10 @@ class Entity:
 
     @classmethod
     def from_bits(cls, text: str) -> "Entity":
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"entity must be a non-empty string of 0/1, got {text!r}")
-        return cls(tuple(int(c) for c in text))
+        try:
+            return cls(_bit_tuple(text or "?"))  # "" and None fail as a non-bit would
+        except KeyError:
+            raise ValueError(f"entity must be a non-empty string of 0/1, got {text!r}") from None
 
     @property
     def width(self) -> int:
@@ -673,28 +674,17 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     """
     rows, names = read_bit_csv(path, required=None, optional="_label")
     space = FeatureSpace(tuple(names))
-    entities: list[Entity] = []
-    seen: set[Entity] = set()
-    labels: dict[Entity, int] = {}
-    has_labels = False
-    for line_no, bits, extra in rows:
+    if not rows:
+        raise ValueError(f"{path}: sample has no rows")
+    labels: dict[Entity, int | None] = {}  # in file order; None without `_label`
+    for line_no, bits, label in rows:
         e = Entity(_bit_tuple(bits))
-        if e in seen:
+        if e in labels:
             if dedupe:
                 continue
             raise DuplicateSampleError(f"{path}: duplicate sample entity at line {line_no}")
-        seen.add(e)
-        entities.append(e)
-        if extra is not None:
-            has_labels = True
-            labels[e] = extra
-    if not entities:
-        raise ValueError(f"{path}: sample has no rows")
-    return Sample(
-        space=space,
-        entities=tuple(entities),
-        labels=labels if has_labels else None,
-    )
+        labels[e] = label
+    return Sample(space, tuple(labels), labels if rows[0][2] is not None else None)
 
 
 _BIT_VALUES = {"0": 0, "1": 1}

@@ -226,36 +226,29 @@ def _cmd_db_scores(args) -> list[dict]:
         probability = _rational_arg("--probability", args.probability)
         dbscores.check_probability(probability)
 
-    all_ids = db.tuple_ids()
+    # The reported tuples; a --tuple filter spares the others' counts and searches.
+    ids = sorted(set(args.tuple)) if args.tuple else db.tuple_ids()
     swings = None  # counted once, shared by the exact kinds
     records: list[dict] = []
     for kind in kinds:
         if kind == "shapley" and args.mode == "approx":
-            records.extend(_monte_carlo_records(args, all_ids, lineage, players, charge))
+            records.extend(_monte_carlo_records(args, ids, lineage, players, charge))
             continue
         if swings is None:
-            # A --tuple filter spares the other tuples' counts.
-            swings = dbscores.swing_counts(lineage, charge, args.tuple or None)
+            swings = dbscores.swing_counts(lineage, charge, ids)
         if kind == "responsibility":
-            # A --tuple filter spares the other tuples' witness searches.
-            ids = args.tuple or all_ids
-            for report in dbscores.lineage_causes(lineage, ids, charge, swings):
-                records.append(_cause_record(report))
+            reports = dbscores.lineage_causes(lineage, ids, charge, swings)
+            records.extend(map(_cause_record, reports))
             continue
         values = dbscores.swing_scores(swings, kind, probability)
-        for tid in all_ids:
-            value = values.get(tid, Fraction(0))
-            records.append(_score_record(tid, kind, value))
-    if args.tuple:
-        wanted = set(args.tuple)
-        records = [r for r in records if r["tuple"] in wanted]
+        records.extend(_score_record(t, kind, values.get(t, Fraction(0))) for t in ids)
     if args.nonzero:
         records = [r for r in records if r["value_float"] != 0.0]
     records.sort(key=lambda r: (r["kind"], r["tuple"]))
     return records
 
 
-def _monte_carlo_records(args, all_ids, lineage, players, charge) -> list[dict]:
+def _monte_carlo_records(args, ids, lineage, players, charge) -> list[dict]:
     from . import dbscores, games
     estimates = dbscores.monte_carlo_shapley(
         lineage, args.epsilon, args.delta, args.seed, players, charge
@@ -263,7 +256,7 @@ def _monte_carlo_records(args, all_ids, lineage, players, charge) -> list[dict]:
     samples = games.sample_count(args.epsilon, args.delta)
     settings = {"epsilon": args.epsilon, "delta": args.delta, "seed": args.seed}
     out = []
-    for tid in all_ids:
+    for tid in ids:
         # A tuple outside the players is never sampled.
         value, used = (estimates[tid], samples) if tid in estimates else (0.0, 0)
         out.append(_score_record(tid, "shapley", value, **settings, samples=used))

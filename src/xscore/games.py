@@ -56,9 +56,15 @@ class Game:
 
 def sample_count(epsilon: float, delta: float) -> int:
     """Hoeffding sample size for an additive (epsilon, delta) guarantee on
-    [0, 1]-bounded marginal contributions: ceil(ln(2/delta) / (2 eps^2))."""
+    [0, 1]-bounded marginal contributions: ceil(ln(2/delta) / (2 eps^2)),
+    and at least 1.  ln(2/delta) is taken as ln 2 - ln delta, finite for
+    the least delta; a count past the largest float is past any budget."""
     check_epsilon_delta(epsilon, delta)
-    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
+    spread = 2.0 * epsilon * epsilon  # 0.0 once epsilon^2 underflows
+    count = (math.log(2.0) - math.log(delta)) / spread if spread else math.inf
+    if count == math.inf:
+        raise BudgetExceededError(f"epsilon {epsilon} needs more samples than a float can count")
+    return max(1, math.ceil(count))
 
 
 def shapley_all(game: Game, charge: Callable | None = None) -> dict:

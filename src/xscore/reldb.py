@@ -109,7 +109,7 @@ class ConjunctiveQuery:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a conjunctive query needs at least one atom")
-        body_vars = {t for atom in self.atoms for t in atom.terms if isinstance(t, Var)}
+        body_vars = set(self.variables())
         for v in self.head:
             if v not in body_vars:
                 raise ValueError(f"head variable {v.name!r} does not occur in the body")
@@ -119,12 +119,8 @@ class ConjunctiveQuery:
         return not self.head
 
     def variables(self) -> tuple[Var, ...]:
-        seen: dict[Var, None] = {}
-        for atom in self.atoms:
-            for term in atom.terms:
-                if isinstance(term, Var):
-                    seen.setdefault(term)
-        return tuple(sorted(seen, key=lambda v: v.index))
+        found = {t for atom in self.atoms for t in atom.terms if isinstance(t, Var)}
+        return tuple(sorted(found, key=lambda v: v.index))
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
@@ -141,11 +137,9 @@ def parse_query(text: str) -> ConjunctiveQuery:
             return Const(tok.text)
         first = tok.text[0]
         if first.isalpha() and first.islower():
-            var = variables.get(tok.text)
-            if var is None:
-                var = Var(index=len(variables), name=tok.text)
-                variables[tok.text] = var
-            return var
+            if tok.text not in variables:
+                variables[tok.text] = Var(index=len(variables), name=tok.text)
+            return variables[tok.text]
         return Const(tok.text)
 
     stream.expect_name("head predicate")
@@ -391,7 +385,7 @@ def _check_query_against(db: Database, query: ConjunctiveQuery) -> None:
 def _plan(atoms: Sequence[Atom], sizes: Sequence[int]) -> tuple[int, ...]:
     """Join order as query positions: next the smallest atom that shares a
     bound variable, else the smallest atom; ties go to the earlier atom."""
-    var_sets = [{t.index for t in atom.terms if isinstance(t, Var)} for atom in atoms]
+    var_sets = [{t for t in atom.terms if isinstance(t, Var)} for atom in atoms]
     order, bound, left = [], set(), list(range(len(atoms)))
     while left:
         order.append(min([i for i in left if var_sets[i] & bound] or left, key=sizes.__getitem__))
@@ -427,28 +421,27 @@ def _matches(
     atoms = query.atoms
     rows = [db.rows(atom.relation) for atom in atoms]
     constants = [t for atom in atoms for t in atom.terms if isinstance(t, Const)]
-    # A constant is its own key, a variable its index: hashing a `Var` is slow.
-    slots: dict[Const | int, int] = {t: s for s, t in enumerate(constants)}
+    slots: dict[Term, int] = {t: s for s, t in enumerate(constants)}
     width, id_slots, steps = len(constants), [0] * len(atoms), []
     for i in _plan(atoms, [len(r) for r in rows]):
-        keys = [t if isinstance(t, Const) else t.index for t in atoms[i].terms]
+        terms = atoms[i].terms
         keyed, repeats, first = [], [], {}
-        for position, key in enumerate(keys):
-            if key in slots:
+        for position, term in enumerate(terms):
+            if term in slots:
                 keyed.append(position)
-            elif key in first:
-                repeats.append((position, first[key]))
+            elif term in first:
+                repeats.append((position, first[term]))
             else:
-                first[key] = position
+                first[term] = position
         index, row_key = {}, _getter(keyed)
         for tid, values in rows[i]:
             if not repeats or all(values[p] == values[q] for p, q in repeats):
                 index.setdefault(row_key(values), []).append((tid, *values))
-        steps.append((_getter([slots[keys[p]] for p in keyed]), index))
-        slots.update((key, width + 1 + p) for key, p in first.items())
-        id_slots[i], width = width, width + 1 + len(keys)
+        steps.append((_getter([slots[terms[p]] for p in keyed]), index))
+        slots.update((term, width + 1 + p) for term, p in first.items())
+        id_slots[i], width = width, width + 1 + len(terms)
     variables = query.variables()
-    binding_of, ids_of = _getter([slots[v.index] for v in variables]), _getter(id_slots)
+    binding_of, ids_of = _getter([slots[v] for v in variables]), _getter(id_slots)
     level = [tuple(c.value for c in constants)]
     for key_of, index in steps[:-1]:
         level = [val + row for val in level for row in index.get(key_of(val), ())]
@@ -519,8 +512,8 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
     """Load one CSV file per relation into a database.
 
     The header row names the columns; an optional leading or trailing
-    `_id` column supplies explicit tuple ids, otherwise ids are assigned
-    as `<relation>:<row-index>`.
+    `_id` column, at most one, supplies explicit tuple ids, otherwise ids
+    are assigned as `<relation>:<row-index>`.
     """
     db = Database()
     for relation in sorted(paths):
@@ -531,6 +524,8 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise DatabaseError(f"{path}: empty file, expected a header row") from None
+            if header.count("_id") > 1:
+                raise DatabaseError(f"{path}: header has more than one _id column")
             id_col = header.index("_id") if "_id" in header else None
             db.add_relation(relation, len(header) - header.count("_id"))
             for row_number, row in enumerate(reader):

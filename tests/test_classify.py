@@ -59,6 +59,13 @@ def test_entity_basics():
         Entity.from_bits("01x")
 
 
+@pytest.mark.parametrize("text", ["", "01x", "0 1", None])
+def test_entity_from_bits_refuses_other_text(text):
+    with pytest.raises(ValueError) as caught:
+        Entity.from_bits(text)
+    assert str(caught.value) == f"entity must be a non-empty string of 0/1, got {text!r}"
+
+
 @pytest.mark.parametrize("bits", [(0, 2), (0, "1"), (None,), (1, 0.5)])
 def test_entity_rejects_non_bits(bits):
     with pytest.raises(ValueError, match="entity bits must be 0/1"):
@@ -634,6 +641,29 @@ def test_load_sample_duplicates(tmp_path):
         load_sample_csv(f)
     sample = load_sample_csv(f, dedupe=True)
     assert sample.entities == (Entity((0, 0)), Entity((1, 1)))
+
+
+def test_load_sample_duplicate_names_its_line(tmp_path):
+    f = tmp_path / "s.csv"
+    f.write_text("A,B\n0,0\n1,1\n0,1\n1,1\n")
+    with pytest.raises(DuplicateSampleError) as caught:
+        load_sample_csv(f)
+    assert str(caught.value) == f"{f}: duplicate sample entity at line 5"
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_load_sample_dedupe_keeps_first_occurrences_in_file_order(tmp_path, labelled):
+    rows = [("1", "1", "0"), ("0", "0", "1"), ("1", "1", "1"), ("0", "1", "0"), ("0", "0", "0")]
+    header = "A,B,_label" if labelled else "A,B"
+    f = tmp_path / "s.csv"
+    f.write_text("\n".join([header] + [",".join(r if labelled else r[:2]) for r in rows]) + "\n")
+    sample = load_sample_csv(f, dedupe=True)
+    firsts = (Entity((1, 1)), Entity((0, 0)), Entity((0, 1)))
+    assert sample.entities == firsts
+    if labelled:
+        assert list(sample.labels.items()) == list(zip(firsts, (0, 1, 0)))
+    else:
+        assert sample.labels is None
 
 
 def test_load_sample_rejects_non_bits(tmp_path):

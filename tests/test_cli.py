@@ -238,6 +238,14 @@ def test_db_scores_nonzero_filter(capsys, data_dir):
     assert {r["tuple"] for r in report["records"]} == {"S(b)", "R(a,b)", "R(b,b)", "S(a)"}
 
 
+def test_repeated_id_column_exits_1_naming_the_file(capsys, tmp_path):
+    t = tmp_path / "dup_id.csv"
+    t.write_text("_id,A,_id\nt1,x,t2\n")
+    code, out = run(capsys, "lineage", "--relation", f"T={t}", "--query", "Q() :- T(x)")
+    assert code == cli.EXIT_PARSE
+    assert out.err == f"xscore: error: {t}: header has more than one _id column\n"
+
+
 def test_db_scores_unknown_tuple_filter(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir, "--tuple", "nope"))
     assert code == cli.EXIT_PARSE
@@ -388,6 +396,20 @@ def test_tuple_filter_keeps_the_records(capsys, data_dir):
     assert filtered == [r for r in every if r["tuple"] in ("R(a,b)", "S(c)")]
 
 
+@pytest.mark.parametrize("lineage", [False, True])
+def test_tuple_filter_keeps_the_monte_carlo_records(capsys, data_dir, lineage):
+    approx = ("--kinds", "shapley", "--mode", "approx", "--epsilon", "0.2", "--delta", "0.2")
+    argv, wanted = db_args(data_dir, *approx), ("S(c)", "R(a,b)")
+    if lineage:  # t4 is outside the lineage: never sampled
+        argv = ("db-scores", "--relation", f"E={data_dir / 'path_E.csv'}", *approx)
+        argv, wanted = (*argv, "--lineage", "t1 | (t2 & t3)"), ("t4", "t1")
+    every = run_json(capsys, *argv)["records"]
+    # Out of order, repeated, and one tuple outside the lineage.
+    filtered = run_json(capsys, *argv, *("--tuple", wanted[0], "--tuple", wanted[1]) * 2)
+    assert filtered["records"] == [r for r in every if r["tuple"] in wanted]
+    assert [r["tuple"] for r in filtered["records"]] == sorted(wanted)
+
+
 def _random_instance(tmp_path, size: int) -> list[str]:
     """`--relation` arguments of |R| = `size` random distinct pairs over a
     domain of size/4 values (seed 0), with S the first tenth of it."""
@@ -536,6 +558,33 @@ def test_epsilon_and_delta_are_range_checked_before_any_kind_runs(
     code, out = run(capsys, *db_args(data_dir, *argv, "--epsilon", epsilon, "--delta", delta))
     assert code == cli.EXIT_PARSE
     assert out.err == f"xscore: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, samples",
+    [
+        ("1e-150", "0.1", None),  # a count past the budget
+        ("1e-160", "0.1", None),  # a count past the largest float
+        ("1e-170", "0.1", None),  # epsilon^2 underflows to 0
+        ("1e200", "0.1", 1),  # 2 epsilon^2 overflows: one sample
+        ("inf", "0.1", 1),
+        ("0.5", "5e-324", 1491),  # ln 2 - ln delta stays finite
+    ],
+)
+def test_monte_carlo_sample_count_at_extreme_epsilon_and_delta(
+    capsys, data_dir, epsilon, delta, samples
+):
+    argv = ("--kinds", "shapley", "--mode", "approx", "--epsilon", epsilon, "--delta", delta)
+    code, out = run(capsys, *db_args(data_dir, *argv))
+    if samples is None:
+        assert code == cli.EXIT_BUDGET
+        assert out.err.startswith("xscore: error: ") and out.err.count("\n") == 1
+        return
+    assert code == 0, out.err
+    records = json.loads(out.out)["records"]
+    assert {r["samples"] for r in records} == {samples}
+    # Every sample credits exactly one tuple.
+    assert abs(sum(r["value_float"] for r in records) - 1) < 1e-12
 
 
 def test_monte_carlo_mode_is_seeded(capsys, data_dir):

@@ -192,6 +192,16 @@ def test_sample_count_formula():
     assert sample_count(0.1, 0.05) == 185
 
 
+def test_sample_count_at_extremes():
+    # At least one sample; ln 2 - ln delta keeps the least delta finite.
+    assert sample_count(1e200, 0.1) == sample_count(math.inf, 0.1) == 1
+    assert sample_count(0.5, 5e-324) == 1491
+    assert sum(shapley_monte_carlo_all(and_game(), math.inf, 0.1, seed=1).values()) == 1
+    for epsilon in (1e-160, 1e-170):  # past the largest float, or epsilon^2 == 0
+        with pytest.raises(BudgetExceededError, match="more samples than a float can count"):
+            sample_count(epsilon, 0.1)
+
+
 def test_invalid_epsilon_delta():
     game = and_game()
     with pytest.raises(ValueError):

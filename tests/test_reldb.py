@@ -513,6 +513,15 @@ def test_load_csv_refusals(tmp_path, t_text, error, message):
     assert str(caught.value) == message.format(T=t)
 
 
+@pytest.mark.parametrize("header", ["_id,A,_id", "_id,_id,A", "A,_id,B,_id,_id"])
+def test_load_csv_refuses_a_second_id_column(tmp_path, header):
+    t = tmp_path / "T.csv"
+    t.write_text(header + "\n")
+    with pytest.raises(reldb.DatabaseError) as caught:
+        load_csv({"T": t})
+    assert str(caught.value) == f"{t}: header has more than one _id column"
+
+
 def test_add_refuses_a_row_of_another_arity():
     db = Database()
     db.add("R", ("a", "b"))
