@@ -241,6 +241,8 @@ class ExternalClassifier(Classifier):
 
     def __init__(self, command: Sequence[str]):
         import subprocess
+        if not command:
+            raise ValueError("empty classifier command")
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE

@@ -70,7 +70,7 @@ def read_bit_csv(
 ) -> tuple[list[tuple[int, str, int | None]], list[str]]:
     """(line number, feature bits as a '0'/'1' string, bit of the `required`
     or `optional` column) per row, and the feature column names."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -381,12 +381,12 @@ def _resolve_query_or_lineage(args, db):
         raise ValueError(
             "exactly one of --query/--query-file/--lineage/--lineage-file is required"
         )
+    # A file's leading byte-order mark, as spreadsheets write, is dropped.
+    text = sources[0].read_text("utf-8-sig") if isinstance(sources[0], Path) else sources[0]
     if args.query is not None or args.query_file is not None:
-        query_text = args.query if args.query is not None else args.query_file.read_text()
-        query = reldb.parse_query(query_text.strip())
+        query = reldb.parse_query(text.strip())
         return dbscores.query_lineage(db, query), db.tuple_ids()
-    lineage_text = args.lineage if args.lineage is not None else args.lineage_file.read_text()
-    lineage = reldb.parse_lineage(lineage_text.strip(), db)
+    lineage = reldb.parse_lineage(text.strip(), db)
     return lineage, sorted(lineage.support())
 
 
@@ -475,7 +475,7 @@ def _apply_constraints(args, space, distribution):
     from . import classify
     texts = list(args.constraint)
     if args.constraint_file is not None:
-        for line in args.constraint_file.read_text().splitlines():
+        for line in args.constraint_file.read_text("utf-8-sig").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 texts.append(line)

@@ -6,13 +6,14 @@ query lineage under an independent tuple-probability model, and the
 Shapley / Banzhaf values of the query coalition game.
 
 Every score depends only on the lineage, and every exact score on one
-memoized Shannon expansion of it.  Counting sets by size, it gives each
-support tuple's swing counts: for each size, the sets of other tuples on
-which adding it makes the lineage true.  Shapley, Banzhaf and the causal
-effect at a shared tuple probability are weighted sums of those counts;
-a least contingency is what the largest such set leaves out.  Weighting
-by per-tuple probabilities, it gives the lineage probability and a
-tuple's causal effect.
+memoized Shannon expansion of it: the recurrence P = P0 + p_t (P1 - P0)
+of its probability, carrying each asked tuple's swing P1 - P0.  At the
+tuple probabilities it gives the lineage probability and causal effects;
+at one shared, symbolic probability y (Owen's multilinear extension), a
+swing read by size gives the tuple's swing counts: the sets of other
+tuples on which adding it makes the lineage true.  Shapley, Banzhaf and
+the causal effect at a shared tuple probability are weighted sums of
+those counts; a least contingency is what the largest such set leaves out.
 
 Monte Carlo Shapley plays no game: each sampled order credits the one
 tuple that first makes the lineage true, found by a min/max walk.
@@ -23,6 +24,8 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
+from math import comb
 from typing import Callable, Iterable, Mapping
 
 from . import formula, games
@@ -167,11 +170,11 @@ def lineage_probability(
     """Probability that the lineage is true under independent tuple variables.
 
     Each tuple is present with its own probability (default 1/2 for all).
-    Computed exactly by Shannon expansion, P = p_t P(f|t=1) + (1 - p_t)
-    P(f|t=0), which charges one unit per product it takes.
+    Computed exactly by Shannon expansion, P = P0 + p_t (P1 - P0) with P1
+    = P(f|t=1) and P0 = P(f|t=0), which charges two units per distinct
+    sub-formula: the swing P1 - P0 and P.
     """
-    weight = _probability_weight(lineage, probabilities)
-    (total,), _ = _expand(lineage.root, weight, frozenset(), charge)
+    (total,), _ = _expand_at(lineage, probabilities, frozenset(), charge)
     return Fraction(total)
 
 
@@ -189,8 +192,7 @@ def causal_effect(
     """
     if tuple_id not in lineage.support():
         return Fraction(0)
-    weight = _probability_weight(lineage, probabilities)
-    _, swings = _expand(lineage.root, weight, frozenset([tuple_id]), charge)
+    _, swings = _expand_at(lineage, probabilities, frozenset([tuple_id]), charge)
     return Fraction(swings.get(tuple_id, [0])[0])
 
 
@@ -202,16 +204,23 @@ def swing_counts(
 
     d[k] is the number of k-sets S of the other m-1 support tuples on
     which t swings the lineage: f|t=1 is true on S and f|t=0 is not.  One
-    Shannon expansion of the lineage, counting sets by size, carries the
-    swings of the asked tuples alongside the count (see `_expand`).  Each
-    product of polynomials a and b charges len(a) len(b) units.
+    Shannon expansion of the lineage at a shared, symbolic tuple
+    probability y carries the swings of the asked tuples, polynomials in y
+    (see `_expand`).  A swing sum_j a_j y^j is sum_k d[k] y^k (1 - y)^(m-1-k),
+    so d[k] = sum_{j<=k} a_j C(m-1-j, k-j).  The expansion charges one unit
+    per coefficient it writes, and each tuple's conversion m more.
     """
     support = lineage.support()
     wanted = support if tuple_ids is None else support.intersection(tuple_ids)
-    # Counting sets by size: a present tuple adds one to the size.
-    _, swings = _expand(lineage.root, lambda t: ([0, 1], [1]), wanted, charge)
-    m = len(support)  # pad each to k = 0 .. m-1: swings may lack trailing zeros
-    return {t: (swings.get(t, []) + [0] * m)[:m] for t in sorted(wanted)}
+    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    # A present tuple multiplies by y: one place up.
+    _, swings = _expand(lineage.root, lambda t, poly: [0, *poly], wanted, charge)
+    m, d = len(support), {}
+    for t in sorted(wanted):
+        charge(m)
+        a = swings.get(t, [])
+        d[t] = [sum(x * comb(m - 1 - j, k - j) for j, x in enumerate(a[:k + 1])) for k in range(m)]
+    return d
 
 
 def swing_scores(
@@ -279,73 +288,53 @@ def _first_place(node: formula.Node, place: Mapping[str, int], never: int) -> in
     raise ValueError("a Monte Carlo lineage must be monotone")
 
 
-def _expand(root: formula.Node, weight, wanted: frozenset, charge) -> tuple[list, dict]:
-    """Weighted model count of `root` and the swings of its `wanted`
-    tuples (count with the tuple present minus absent), from one Shannon
+def _expand(root: formula.Node, present, wanted: frozenset, charge) -> tuple[list, dict]:
+    """Probability of `root` and the swings of its `wanted` tuples
+    (probability with the tuple present minus absent), from one Shannon
     expansion that expands each distinct sub-formula once, on its most
-    frequent tuple (least id on ties).  A count is a coefficient list, and
-    `weight(t)` gives t's (present, absent) polynomials.  The pivot's swing
-    is the difference of the branches, each smoothed over the node's tuples
-    it no longer mentions; another tuple's is the sum of each branch weight
-    times its swing there (Darwiche, JACM 2003).  Products are charged.  A
-    lineage that needs more nested pivots than Python's recursion limit
-    allows is a `ValueError`.
+    frequent tuple t (least id on ties): P = P0 + p_t (P1 - P0), P1 and P0
+    the branches with t present and absent.  A probability is a list of
+    coefficients, and `present(t, poly)` multiplies one by p_t.  The
+    pivot's swing is P1 - P0, and another tuple's follows the same
+    recurrence (Darwiche, JACM 2003).  A tuple a branch no longer mentions
+    is present or absent with total probability 1, so nothing is smoothed.
+    Each recurrence charges one unit per coefficient it writes.  A lineage
+    that needs more nested pivots than Python's recursion limit allows is
+    a `ValueError`.
     """
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     memo: dict = {}
+
+    def mix(t, p0, p1):
+        # P0 + p_t (P1 - P0), and the swing P1 - P0 on the way.
+        swing = [x - y for x, y in zip_longest(p1, p0, fillvalue=0)]
+        out = [x + y for x, y in zip_longest(p0, present(t, swing), fillvalue=0)]
+        charge(len(swing) + len(out))
+        return out, swing
 
     def expand(node):
         got = memo.get(node)
         if got is None:
             if isinstance(node, formula.Const):
-                got = frozenset(), [int(node.value)], {}
+                got = [int(node.value)], {}
             else:
                 occurrences = Counter(formula.occurrences(node))
-                pivot = min(occurrences, key=lambda t: (-occurrences[t], t))
-                own = frozenset(occurrences)
-                count, swings, sides = [0], {}, []
-                for value, w in zip((True, False), weight(pivot)):
-                    names, side, side_swings = expand(formula.substitute(node, {pivot: value}))
-                    ignored = own - names - {pivot}
-                    sides.append(_smooth(side, ignored, weight, charge))
-                    count = _poly_add(count, _poly_mul(w, sides[-1], charge))
-                    for t, swing in side_swings.items():
-                        swing = _poly_mul(w, _smooth(swing, ignored, weight, charge), charge)
-                        swings[t] = _poly_add(swings.get(t, [0]), swing)
-                if pivot in wanted:
-                    swings[pivot] = [a - b for a, b in zip(*sides)]
-                got = own, count, swings
+                t = min(occurrences, key=lambda u: (-occurrences[u], u))
+                p1, s1 = expand(formula.substitute(node, {t: True}))
+                p0, s0 = expand(formula.substitute(node, {t: False}))
+                swings = {u: mix(t, s0.get(u, []), s1.get(u, []))[0] for u in s1.keys() | s0.keys()}
+                p, swing = mix(t, p0, p1)
+                if t in wanted:
+                    swings[t] = swing
+                got = p, swings
             memo[node] = got
         return got
 
     try:
-        return expand(root)[1:]
+        return expand(root)
     except RecursionError:
         size = len(formula.variables(root))
         raise ValueError(f"lineage of {size} tuples is too deep to expand") from None
-
-
-def _smooth(count: list, names, weight, charge) -> list:
-    # A tuple the node ignores may take either value.
-    for t in names:
-        count = _poly_mul(count, _poly_add(*weight(t)), charge)
-    return count
-
-
-def _poly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _poly_mul(a: list, b: list, charge) -> list:
-    charge(len(a) * len(b))
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +356,14 @@ def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game
     return Game(players=tuple(lineage.support() if players is None else players), value=value)
 
 
-def _probability_weight(lineage: Lineage, probabilities) -> Callable:
-    # The (present, absent) weights of the support tuples, each checked.
-    if probabilities is None or isinstance(probabilities, (Fraction, int)):
-        shared = Fraction(HALF if probabilities is None else probabilities)
-        check_probability(shared)
-        probabilities = dict.fromkeys(lineage.support(), shared)
-    prob = {t: Fraction(probabilities.get(t, HALF)) for t in sorted(lineage.support())}
-    for p in prob.values():
+def _expand_at(lineage: Lineage, probabilities, wanted: frozenset, charge) -> tuple[list, dict]:
+    # `_expand` at the support tuples' checked probabilities.
+    table = probabilities if isinstance(probabilities, Mapping) else {}
+    shared = HALF if probabilities is None or table is probabilities else Fraction(probabilities)
+    prob = {t: Fraction(table.get(t, shared)) for t in sorted(lineage.support())}
+    for p in (shared, *prob.values()):
         check_probability(p)
-    return lambda t: ([prob[t]], [1 - prob[t]])
+    return _expand(lineage.root, lambda t, poly: [prob[t] * c for c in poly], wanted, charge)
 
 
 def check_probability(p: Fraction) -> None:

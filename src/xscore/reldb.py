@@ -518,7 +518,7 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
     db = Database()
     for relation in sorted(paths):
         path = Path(paths[relation])
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]

@@ -8,10 +8,12 @@ support, instead of reading contingency sizes off swing counts; the
 hierarchy oracle re-derives Atoms(x) from scratch; the join oracle re-scans
 each relation for every partial binding instead of probing one hash index
 per atom; lineage probabilities and causal effects enumerate every
-valuation of the support instead of counting by Shannon expansion; the
-Monte Carlo oracle redraws every order for each player on its own; the SHAP
-oracle plays the coalition game with one conditional expectation per
-coalition instead of one table; the RESP oracle tries every replacement
+valuation of the support instead of counting by Shannon expansion, and
+swing counts test every set of the other support tuples instead of
+reading a polynomial in a shared probability; the Monte Carlo oracle
+redraws every order for each player on its own; the SHAP oracle plays
+the coalition game with one conditional expectation per coalition
+instead of one table; the RESP oracle tries every replacement
 vector of each contingency instead of the one that flips all of it; the
 substitution oracle rebuilds the tree and constant-propagates each rebuilt
 node in a second walk instead of in the same pass; the mass oracle gives
@@ -111,6 +113,23 @@ def causal_effect_by_enumeration(lineage: reldb.Lineage, tuple_id: str, probabil
                 weight *= prob[t] if bit else 1 - prob[t]
             total += swing * weight
     return total
+
+
+def swing_counts_by_enumeration(lineage: reldb.Lineage, tuple_ids=None) -> dict:
+    """For each support tuple t among `tuple_ids` (default: all) and each
+    k = 0 .. m-1, m the support size, the number of k-sets S of the other
+    support tuples on which t swings the lineage: true on S + t, false on S."""
+    support = lineage.support()
+    counts = {}
+    for t in sorted(support if tuple_ids is None else support.intersection(tuple_ids)):
+        others = sorted(support - {t})
+        counts[t] = [0] * len(support)
+        for k in range(len(others) + 1):
+            for subset in combinations(others, k):
+                present = frozenset(subset)
+                if lineage.evaluate(present | {t}) and not lineage.evaluate(present):
+                    counts[t][k] += 1
+    return counts
 
 
 def _presence(support, probabilities) -> dict:

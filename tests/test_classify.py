@@ -17,7 +17,7 @@ from oracles import (
     random_formula,
     random_truth_table,
 )
-from xscore import classify
+from xscore import classify, clfserver
 from xscore.classify import (
     Constraint,
     ClassifierProtocolError,
@@ -546,6 +546,11 @@ def test_external_bad_handshake_width(width, message):
         ExternalClassifier([sys.executable, "-c", code])
 
 
+def test_external_empty_command():
+    with pytest.raises(ValueError, match="^empty classifier command$"):
+        ExternalClassifier([])
+
+
 def test_external_unreachable_command():
     with pytest.raises(ClassifierProtocolError, match="cannot start"):
         ExternalClassifier(["/no/such/binary-xyz"])
@@ -596,6 +601,17 @@ def test_load_truth_table(data_dir):
     assert space.names == ("F1", "F2", "F3")
     assert clf.label(Entity.from_bits("011")) == 1
     assert clf.label(Entity.from_bits("001")) == 0
+
+
+def test_bit_csvs_drop_a_byte_order_mark(data_dir, tmp_path):
+    # Spreadsheet exports often start with one; F1 is still named F1, in a
+    # truth table, in a sample and in the reference server's table.
+    table, sample = tmp_path / "t.csv", tmp_path / "s.csv"
+    table.write_text("\ufeff" + (data_dir / "ex6_table.csv").read_text(), encoding="utf-8")
+    sample.write_text("\ufeffF1,F2\n0,1\n", encoding="utf-8")
+    assert load_truth_table_csv(table)[0].names == ("F1", "F2", "F3")
+    assert load_sample_csv(sample).space.names == ("F1", "F2")
+    assert clfserver.read_truth_table(table)[0] == ["F1", "F2", "F3"]
 
 
 def test_load_truth_table_requires_all_rows(tmp_path):

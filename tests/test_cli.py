@@ -138,6 +138,35 @@ def test_db_scores_query_file(capsys, data_dir, tmp_path):
     assert {r["tuple"]: r["value"] for r in report["records"]} == EX1_RESPONSIBILITY
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--query-file", "Q() :- S(x), R(x,y), S(y)"),
+        ("--lineage-file", "t1 | (t2 & t3)"),
+        ("--constraint-file", "F1 | F2"),
+    ],
+)
+def test_text_files_drop_a_byte_order_mark(capsys, data_dir, tmp_path, flag, text):
+    # Spreadsheets and some editors start a UTF-8 file with one.
+    base = {
+        "--query-file": db_args(data_dir)[:-2],
+        "--lineage-file": ("db-scores", "--relation", f"E={data_dir / 'path_E.csv'}"),
+        "--constraint-file": ml_args(data_dir, "--kinds", "counter"),
+    }[flag]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text + "\n", encoding="utf-8")
+    marked.write_text("\ufeff" + text + "\n", encoding="utf-8")
+    expected = run_json(capsys, *base, flag, str(plain))["records"]
+    assert run_json(capsys, *base, flag, str(marked))["records"] == expected
+
+
+@pytest.mark.parametrize("command", ["", "   "])
+def test_empty_classifier_cmd_is_one_error_line(capsys, command):
+    # Both split into no words: there is no program to start.
+    code, out = run(capsys, "ml-scores", "--classifier-cmd", command, "--entity", "011")
+    assert (code, out.err) == (cli.EXIT_PARSE, "xscore: error: empty classifier command\n")
+
+
 def test_db_scores_query_and_lineage_both_rejected(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir, "--lineage", "t1"))
     assert code == cli.EXIT_PARSE
@@ -282,8 +311,8 @@ def test_budget_env_override(capsys, data_dir, monkeypatch):
     monkeypatch.setenv("XSCORE_BUDGET", "16")
     code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley"))
     assert code == cli.EXIT_BUDGET
-    # explicit flag beats the environment; ex1's swing counts take 78 units
-    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "78"))
+    # explicit flag beats the environment; ex1's swing counts take 77 units
+    code, _ = run(capsys, *db_args(data_dir, "--kinds", "shapley", "--budget", "77"))
     assert code == 0
 
 
@@ -302,17 +331,17 @@ def _assert_budget_edge(capsys, argv, failing, message):
 
 
 def test_budget_edge_banzhaf_query_counts_lineage_products(capsys, data_dir):
-    # The query game's null players cost nothing: the products of the
-    # ex1 lineage's swing counts take 78 units.
-    _assert_budget_edge(capsys, db_args(data_dir, "--kinds", "banzhaf"), 77, budget_error(77))
+    # The query game's null players cost nothing: the ex1 lineage's swing
+    # counts take 77 units.
+    _assert_budget_edge(capsys, db_args(data_dir, "--kinds", "banzhaf"), 76, budget_error(76))
 
 
 def test_budget_edge_causal_effect_counts_lineage_products(capsys, data_dir):
     # The causal effect is read off the same swing counts as Shapley.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "causal_effect"), 77, budget_error(77)
+        capsys, db_args(data_dir, "--kinds", "causal_effect"), 76, budget_error(76)
     )
-    # A CNF lineage of the path edges: 75 units.
+    # A CNF lineage of the path edges: 74 units.
     argv = (
         "db-scores",
         "--relation",
@@ -322,11 +351,11 @@ def test_budget_edge_causal_effect_counts_lineage_products(capsys, data_dir):
         "--kinds",
         "causal_effect",
     )
-    _assert_budget_edge(capsys, argv, 74, budget_error(74))
+    _assert_budget_edge(capsys, argv, 73, budget_error(73))
 
 
 def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
-    # The swing counts of this four-tuple lineage take 76 units.
+    # The swing counts of this four-tuple lineage take 77 units.
     argv = (
         "db-scores",
         "--relation",
@@ -336,23 +365,23 @@ def test_budget_edge_lineage_shapley_counts_lineage_products(capsys, data_dir):
         "--kinds",
         "shapley",
     )
-    _assert_budget_edge(capsys, argv, 75, budget_error(75))
+    _assert_budget_edge(capsys, argv, 76, budget_error(76))
 
 
 def test_budget_edge_responsibility_counts_candidates(capsys, data_dir):
-    # Responsibility reads its sizes off the ex1 swing counts (78 units),
+    # Responsibility reads its sizes off the ex1 swing counts (77 units),
     # and the batch's witness searches test 5 candidates, each charged the
     # lineage's 5 tuple occurrences.
     _assert_budget_edge(
-        capsys, db_args(data_dir, "--kinds", "responsibility"), 102, budget_error(102)
+        capsys, db_args(data_dir, "--kinds", "responsibility"), 101, budget_error(101)
     )
 
 
 def test_budget_is_shared_by_every_db_kind(capsys, data_dir):
-    # One swing count of 78 units, shared by the four kinds that read
+    # One swing count of 77 units, shared by the four kinds that read
     # it, plus responsibility's 5 witness candidates of 5 units each.
     argv = db_args(data_dir, "--kinds", ",".join(cli.DB_KINDS))
-    _assert_budget_edge(capsys, argv, 102, budget_error(102))
+    _assert_budget_edge(capsys, argv, 101, budget_error(101))
 
 
 def _pairs_args(tmp_path, pairs: int) -> tuple:
@@ -367,7 +396,7 @@ def _pairs_args(tmp_path, pairs: int) -> tuple:
 def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
     # T:00's witness takes one tuple of each pair, and combinations order
     # reaches it after 1,079 candidates of 15 units each; the batch would
-    # test 9,027.  The count (3,132 units) fits the budget, so the witness
+    # test 9,027.  The count (2,615 units) fits the budget, so the witness
     # search hits it.
     argv = (*_pairs_args(tmp_path, 7), "--budget", "20000")
     run_json(capsys, *argv, "--kinds", "shapley")
@@ -378,14 +407,14 @@ def test_responsibility_budget_stops_a_long_search(capsys, tmp_path):
 
 
 def test_tuple_filter_searches_only_its_own_witnesses(capsys, tmp_path):
-    # Nine pairs: T:00's own count takes 1,962 units and its witness search
-    # 15,522 candidates of 19 units each, 296,880 in all; counting every
-    # tuple would take 6,336 units, and the batch would test 160,776
+    # Nine pairs: T:00's own count takes 418 units and its witness search
+    # 15,522 candidates of 19 units each, 295,336 in all; counting every
+    # tuple would take 5,149 units, and the batch would test 160,776
     # candidates.
     argv = (*_pairs_args(tmp_path, 9), "--kinds", "responsibility")
-    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 296_879, budget_error(296_879))
-    code, out = run(capsys, *argv, "--budget", "296880")
-    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(296_880))
+    _assert_budget_edge(capsys, (*argv, "--tuple", "T:00"), 295_335, budget_error(295_335))
+    code, out = run(capsys, *argv, "--budget", "295336")
+    assert (code, out.err) == (cli.EXIT_BUDGET, budget_error(295_336))
 
 
 def test_tuple_filter_keeps_the_records(capsys, data_dir):
@@ -444,15 +473,15 @@ class _Tally:
 
 
 def test_chain_responsibility_work_is_pinned(tmp_path):
-    # Chain |R| = 800, support 14: the count's products take 8,418 units
-    # and the witness searches test 1,589 candidates, each charged the
-    # lineage's 20 tuple occurrences.
+    # Chain |R| = 800, support 14: the count takes 4,769 units and the
+    # witness searches test 1,589 candidates, each charged the lineage's
+    # 20 tuple occurrences.
     db = cli._load_relations(_random_instance(tmp_path, 800)[1::2])
     lineage = dbscores.query_lineage(db, reldb.parse_query("Q() :- S(x), R(x,y), S(y)"))
     count, search = _Tally(), _Tally()
     swings = dbscores.swing_counts(lineage, count)
     reports = dbscores.lineage_causes(lineage, db.tuple_ids(), search, swings)
-    assert (count.units, search.units, search.calls) == (8_418, 31_780, 1_589)
+    assert (count.units, search.units, search.calls) == (4_769, 31_780, 1_589)
     # Every support tuple is a cause: 11 need 3 tuples removed, 3 need 4.
     sizes = [r.min_contingency_size for r in reports if r.is_actual_cause]
     assert (sizes.count(3), sizes.count(4), len(sizes)) == (11, 3, 14)

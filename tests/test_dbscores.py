@@ -21,6 +21,7 @@ from oracles import (
     random_sjf_query,
     shapley_by_permutations,
     substitute_then_simplify,
+    swing_counts_by_enumeration,
 )
 from xscore import formula, games, reldb
 from xscore.dbscores import (
@@ -127,18 +128,18 @@ def test_support_restriction_matches_unrestricted_search(ex1_db, ex1_query):
 
 
 def test_contingency_budget_counts_candidates(ex1_db, ex1_query):
-    # The ex1 swing counts take 78 units and the batch's witness searches
+    # The ex1 swing counts take 77 units and the batch's witness searches
     # test 5 candidates, each charged the lineage's 5 tuple occurrences;
-    # R(a,b) alone pays only its own count, 57 units, and tests only its
+    # R(a,b) alone pays only its own count, 38 units, and tests only its
     # witness (R(b,b),), at the size the count gives.
     lineage = compile_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 102 units of work"):
-        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(102))
-    reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(103))
+    with pytest.raises(BudgetExceededError, match="more than 101 units of work"):
+        lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(101))
+    reports = lineage_causes(lineage, ex1_db.tuple_ids(), games.meter(102))
     assert reports == causes_by_exhaustion(lineage, ex1_db.tuple_ids())
-    with pytest.raises(BudgetExceededError, match="more than 61 units of work"):
-        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(61))
-    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(62)) == Fraction(1, 2)
+    with pytest.raises(BudgetExceededError, match="more than 42 units of work"):
+        _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(42))
+    assert _responsibility(ex1_db, ex1_query, "R(a,b)", games.meter(43)) == Fraction(1, 2)
     # Counts handed in are not charged again.
     swings = swing_counts(lineage)
     assert lineage_causes(lineage, charge=games.meter(25), swings=swings) == lineage_causes(lineage)
@@ -178,7 +179,7 @@ def _pairs_lineage(pairs: int) -> reldb.Lineage:
 
 
 def test_long_witness_search_stays_small_up_to_the_budget():
-    # The count takes 3,132 units and the witness searches 9,027
+    # The count takes 2,615 units and the witness searches 9,027
     # candidates of 15 units each, so the budget stops a search; nothing
     # is kept per candidate.
     lineage = _pairs_lineage(7)
@@ -264,24 +265,26 @@ def test_lineage_probability_per_tuple_table(path_db):
 
 
 def test_lineage_probability_budget(path_lineage):
-    # One unit per product of the Shannon expansion: 24 in all.
-    with pytest.raises(BudgetExceededError, match="more than 23 units of work"):
-        lineage_probability(path_lineage, charge=games.meter(23))
-    assert lineage_probability(path_lineage, charge=games.meter(24)) == Fraction(43, 64)
-    # A causal effect carries t2's swing through the same expansion: one
-    # more product.
-    with pytest.raises(BudgetExceededError, match="more than 24 units of work"):
-        causal_effect(path_lineage, "t2", charge=games.meter(24))
-    assert causal_effect(path_lineage, "t2", charge=games.meter(25)) == Fraction(7, 32)
+    # Two units per distinct sub-formula of the Shannon expansion, its
+    # swing and its probability: 12 in all.
+    with pytest.raises(BudgetExceededError, match="more than 11 units of work"):
+        lineage_probability(path_lineage, charge=games.meter(11))
+    assert lineage_probability(path_lineage, charge=games.meter(12)) == Fraction(43, 64)
+    # A causal effect carries t2's swing through the same expansion: two
+    # more units, where the root carries it past its pivot t1.
+    with pytest.raises(BudgetExceededError, match="more than 13 units of work"):
+        causal_effect(path_lineage, "t2", charge=games.meter(13))
+    assert causal_effect(path_lineage, "t2", charge=games.meter(14)) == Fraction(7, 32)
 
 
 def test_swing_counts_work_is_deterministic(ex1_db, ex1_query):
-    # The products of ex1's swing counts take 78 units, so a change to
-    # the work the count does shows here without timing.
+    # ex1's swing counts take 77 units, 61 in the expansion and 16 in the
+    # conversion, so a change to the work the count does shows here
+    # without timing.
     lineage = query_lineage(ex1_db, ex1_query)
-    with pytest.raises(BudgetExceededError, match="more than 77 units of work"):
-        swing_counts(lineage, games.meter(77))
-    assert swing_counts(lineage, games.meter(78)) == swing_counts(lineage)
+    with pytest.raises(BudgetExceededError, match="more than 76 units of work"):
+        swing_counts(lineage, games.meter(76))
+    assert swing_counts(lineage, games.meter(77)) == swing_counts(lineage)
 
 
 def test_lineage_probability_rejects_bad_probability(path_db):
@@ -372,6 +375,21 @@ def test_swing_counts_path_lineage(path_lineage):
     assert counts["t1"] == [1, 5, 9, 6, 0, 0]
     assert counts["t2"] == [0, 1, 3, 3, 0, 0]
     assert sum(swing_scores(counts, "shapley").values()) == 1
+
+
+@given(st.integers(0, 10**9), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_swing_counts_match_enumeration(seed, nested, asked):
+    # The raw counts, not only the scores read off them: t6 (and t4, t5
+    # when not drawn) are null players, and DNF lineages hold absorbed
+    # disjuncts such as a | (a & b).
+    rng = random.Random(seed)
+    ids = NESTED_IDS[: rng.randint(3, 5)]
+    root = random_nested_lineage(rng, ids) if nested else random_dnf_lineage(rng, ids)
+    lineage = reldb.Lineage(root)
+    tuple_ids = rng.sample(NESTED_IDS, rng.randint(0, len(NESTED_IDS))) if asked else None
+    expected = swing_counts_by_enumeration(lineage, tuple_ids)
+    assert swing_counts(lineage, tuple_ids=tuple_ids) == expected
 
 
 @given(st.integers(0, 10**9), st.booleans())

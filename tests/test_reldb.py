@@ -481,6 +481,14 @@ def test_load_csv_auto_ids(tmp_path):
     assert db.values_of("T:1") == ("3", "4")
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports often start with one; the header is still `_id,a`.
+    f = tmp_path / "R.csv"
+    f.write_text("\ufeff_id,a\nr1,x\n", encoding="utf-8")
+    db = load_csv({"R": f})
+    assert (db.arity("R"), db.tuple_ids(), db.values_of("r1")) == (1, ("r1",), ("x",))
+
+
 def test_load_csv_empty_relation(tmp_path):
     f = tmp_path / "T.csv"
     f.write_text("A,B\n")
