@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, tee
 from math import prod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -157,37 +157,45 @@ def all_entities(width: int) -> Iterator[Entity]:
 class Classifier:
     """Deterministic total function from entities to {0, 1}.
 
-    Labels are cached by bit vector, so each entity is asked at most once;
-    a table classifier's cache is its table.  `labels` gives the labels of
-    a stream of entities in order.
+    Every label is read through `labels`, which caches it by bit vector
+    (a table classifier's cache is its table) and has `_label` answer the
+    uncached entities in windows of up to `_window`: one in process, so
+    each entity is drawn just before its label is asked.
     """
 
     def __init__(self, width: int):
         self.width = width
         self._cache: dict[tuple[int, ...], int] = {}
 
+    @property
+    def _window(self) -> int:
+        return 1
+
     def label(self, entity: Entity) -> int:
-        self._check_width(entity)
-        hit = self._cache.get(entity.bits)
-        if hit is not None:
-            return hit
-        out = self._label(entity)
-        if out not in (0, 1):
-            raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
-        self._cache[entity.bits] = out
-        return out
+        return next(self.labels((entity,)))
 
     def labels(self, entities: Iterable[Entity]) -> Iterator[int]:
-        """The label of each entity, lazily and in order.  In process, each
-        entity is drawn just before its label is asked, so the caller may
-        choose the next entity from the labels so far."""
-        return map(self.label, entities)
+        """The label of each entity, lazily and in order.  A window is cached
+        whole before its first label is yielded, so streams may interleave."""
+        cache, width, window = self._cache, self.width, self._window
+        source = iter(entities)
+        for entity in source:
+            if (hit := cache.get(entity.bits)) is not None:  # a cached key has the right width
+                yield hit
+                continue
+            drawn, asked = [entity.bits], {entity.bits: entity}
+            while len(asked) < window and (entity := next(source, None)) is not None:
+                drawn.append(entity.bits)
+                if entity.bits not in cache:
+                    asked[entity.bits] = entity
+            for entity in asked.values():
+                if entity.width != width:
+                    raise ValueError(f"entity width {entity.width} != classifier width {width}")
+            cache.update(zip(asked, self._label(asked)))
+            yield from map(cache.__getitem__, drawn)
 
-    def _check_width(self, entity: Entity) -> None:
-        if entity.width != self.width:
-            raise ValueError(f"entity width {entity.width} != classifier width {self.width}")
-
-    def _label(self, entity: Entity) -> int:
+    def _label(self, requests: Mapping[tuple[int, ...], Entity]) -> Iterable[int]:
+        """The labels, in order, of a window's distinct uncached bit vectors."""
         raise NotImplementedError
 
 
@@ -198,14 +206,18 @@ class TableClassifier(Classifier):
     def __init__(self, width: int, table: Mapping[tuple[int, ...], int], total: bool = True):
         super().__init__(width)
         self._cache.update(table)
+        keys = self._cache.keys()  # checked in C; a bad table is walked to name its key
+        if set(map(len, keys)) - {width} or not {0, 1}.issuperset(chain.from_iterable(keys)):
+            bad = next(k for k in keys if len(k) != width or not {0, 1}.issuperset(k))
+            raise ValueError(f"truth table key {bad!r} is not a 0/1 tuple of width {width}")
         if not {0, 1}.issuperset(self._cache.values()):
             bad = next(v for v in self._cache.values() if v not in (0, 1))
             raise ValueError(f"truth table label {bad!r} is not 0 or 1")
         if total:
             check_total(len(self._cache), width)
 
-    def _label(self, entity: Entity) -> int:
-        raise ValueError(f"no label recorded for entity {entity}")
+    def _label(self, requests):
+        raise ValueError(f"no label recorded for entity {next(iter(requests.values()))}")
 
 
 class FunctionClassifier(Classifier):
@@ -215,8 +227,11 @@ class FunctionClassifier(Classifier):
         super().__init__(width)
         self._fn = fn
 
-    def _label(self, entity: Entity) -> int:
-        return self._fn(entity)
+    def _label(self, requests):
+        for entity in requests.values():
+            if (out := self._fn(entity)) not in (0, 1):
+                raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
+            yield out
 
 
 class ExternalClassifier(Classifier):
@@ -229,11 +244,9 @@ class ExternalClassifier(Classifier):
     * response: a single '0' or '1' line per request, in request order;
       anything else is an error.
 
-    `labels` draws the uncached entities of its stream in windows of up to
-    `WINDOW_REQUESTS` requests and at most `PIPE_CAPACITY` bytes, writes
-    each window in one write and caches every answer to it before yielding
-    the window's first label.  No answer is outstanding between calls, so
-    several `labels` streams may be interleaved.  The handshake and each
+    Every kind's label stream asks in windows of up to `WINDOW_REQUESTS`
+    requests and at most `PIPE_CAPACITY` bytes; `_label` writes a window in
+    one write and reads every answer to it.  The handshake and each
     response must arrive within `RESPONSE_DEADLINE_S`, and no line may run
     past `MAX_LINE_BYTES`; a child that stays silent longer, or writes a
     longer line, is killed.
@@ -268,31 +281,12 @@ class ExternalClassifier(Classifier):
             raise ClassifierProtocolError(f"bad handshake width {width}")
         return width
 
-    def labels(self, entities: Iterable[Entity]) -> Iterator[int]:
-        limit = min(WINDOW_REQUESTS, PIPE_CAPACITY // (self.width + 1))
-        cache = self._cache
-        source = iter(entities)
-        for entity in source:
-            self._check_width(entity)
-            if entity.bits in cache:
-                yield cache[entity.bits]
-                continue
-            window, asked = [entity], {entity.bits: None}
-            while len(asked) < limit and (entity := next(source, None)) is not None:
-                self._check_width(entity)
-                window.append(entity)
-                if entity.bits not in cache:
-                    asked[entity.bits] = None
-            self._ask(asked)
-            for entity in window:
-                yield cache[entity.bits]
+    @property
+    def _window(self) -> int:
+        return min(WINDOW_REQUESTS, PIPE_CAPACITY // (self.width + 1))
 
-    def _label(self, entity: Entity) -> int:
-        return next(self.labels((entity,)))
-
-    def _ask(self, requests) -> None:
-        """Send one window of requests (bit tuples) in one write, then
-        cache the answer to each."""
+    def _label(self, requests) -> list[int]:
+        """Write one window of requests at once, then read each answer."""
         if self._proc.poll() is not None:
             raise ClassifierProtocolError("external classifier process has exited")
         text = b"\n".join(map(bytes, requests)).translate(_REQUEST_TEXT) + b"\n"
@@ -301,11 +295,13 @@ class ExternalClassifier(Classifier):
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ClassifierProtocolError("external classifier pipe is closed") from exc
-        for bits in requests:
+        out = []
+        for _ in requests:
             line = self._read_line()
             if line.strip() not in ("0", "1"):
                 raise ClassifierProtocolError(f"bad response {line!r}")
-            self._cache[bits] = int(line)
+            out.append(int(line))
+        return out
 
     def _read_line(self) -> str:
         """The child's next output line ("" at end of file, as `readline`
@@ -603,26 +599,43 @@ def conditional_expectation(
 
     Exact rational; raises `ZeroMassEventError` when the conditioning
     event has no mass (possible under empirical and conditioned variants).
-    `charge()`, when given, is called for each entity weighed.
+    `charge()`, when given, is called for each entity weighed; those of
+    positive weight are labelled through one `labels` stream.
     """
     space = dist.space
     if classifier.width != space.width:
         raise ValueError("classifier and distribution widths differ")
     dist._check(entity)
-    fixed_indices = sorted({space.index(name) for name in fixed})
+    pinned = sorted({space.index(name) for name in fixed})
+    support = dist.finite_support
+    if support is not None:
+        candidates = (x for x in support if all(x.bits[i] == entity.bits[i] for i in pinned))
+    else:
+        free = [i for i in range(entity.width) if i not in pinned]
+        candidates = (entity.with_bits(dict(zip(free, c.bits))) for c in all_entities(len(free)))
     numerator = mass = 0
-    for candidate in _agreeing_entities(dist, entity, fixed_indices):
-        if charge is not None:
-            charge()
-        w = dist.weight(candidate)
-        if w == 0:
-            continue
+    for (_, w), label in _weighed_labels(dist, classifier, candidates, charge):
         mass += w
-        if classifier.label(candidate) == 1:
+        if label == 1:
             numerator += w
     if mass == 0:
         raise ZeroMassEventError.pinned(entity, fixed)
     return Fraction(numerator, mass)
+
+
+def _weighed_labels(dist, classifier, entities, charge=None) -> Iterator[tuple[tuple, int]]:
+    """((entity, weight), label) of each entity of positive weight, in order,
+    from one `labels` stream; `charge()`, if given, per entity weighed."""
+
+    def weighed() -> Iterator[tuple[Entity, int]]:
+        for x in entities:
+            if charge is not None:
+                charge()
+            if w := dist.weight(x):
+                yield x, w
+
+    pairs, asked = tee(weighed())
+    return zip(pairs, classifier.labels(x for x, _ in asked))
 
 
 def check_free_width(free: int) -> None:
@@ -630,20 +643,6 @@ def check_free_width(free: int) -> None:
     `WIDTH_LIMIT`."""
     if free > WIDTH_LIMIT:
         raise WidthLimitError(f"{free} free features exceed the enumeration limit {WIDTH_LIMIT}")
-
-
-def _agreeing_entities(
-    dist: Distribution, entity: Entity, fixed_indices: list[int]
-) -> Iterator[Entity]:
-    support = dist.finite_support
-    if support is not None:
-        for e in support:
-            if all(e.bits[i] == entity.bits[i] for i in fixed_indices):
-                yield e
-        return
-    free = [i for i in range(entity.width) if i not in fixed_indices]
-    for completion in all_entities(len(free)):
-        yield entity.with_bits(dict(zip(free, completion.bits)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .classify import (
     Distribution,
     Entity,
     ZeroMassEventError,
+    _weighed_labels,
     all_entities,
     check_free_width,
     conditional_expectation,
@@ -328,15 +329,15 @@ def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]
     (feature j is bit j of the slot index): E[L | e on S] = num[S] / den[S],
     and den[S] is 0 where the event has no mass.
 
-    Each entity x is labelled at most once and filed under its agreement
-    mask with e (the features where x and e agree); distinct entities have
-    distinct masks.  Adding slot S | {j} into slot S for each feature j
-    (O(n 2^n) integer additions) turns the slots into the sums over the
-    entities agreeing with e on S.  The slots without bit j lie in runs of
-    2^j at a stride of 2^(j+1), each just below its partners, so each
-    addition pass is C-level slice arithmetic: 2^j strided slices while
-    those are the fewer, else one slice per run.  The caller has passed
-    `_check_enumerable`.
+    Each entity x of positive weight, labelled through one `labels`
+    stream, is filed under its agreement mask with e (the features where x
+    and e agree); distinct entities have distinct masks.  Adding slot
+    S | {j} into slot S for each feature j (O(n 2^n) integer additions)
+    turns the slots into the sums over the entities agreeing with e on S.
+    The slots without bit j lie in runs of 2^j at a stride of 2^(j+1), each
+    just below its partners, so each addition pass is C-level slice
+    arithmetic: 2^j strided slices while those are the fewer, else one
+    slice per run.  The caller has passed `_check_enumerable`.
     """
     dist, entity = request.distribution, request.entity
     n = entity.width
@@ -348,11 +349,10 @@ def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]
     target = sum(compress(place, entity.bits))
     num = [0] * (full + 1)
     den = [0] * (full + 1)
-    for x in candidates:
-        w = dist.weight(x)
+    for (x, w), label in _weighed_labels(dist, request.classifier, candidates):
         agree = full & ~(sum(compress(place, x.bits)) ^ target)
         den[agree] = w
-        if w and request.classifier.label(x) == 1:
+        if label == 1:
             num[agree] = w
     add = operator.add
     for table in (num, den):

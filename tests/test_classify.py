@@ -134,6 +134,21 @@ def test_table_label_other_than_a_bit_is_refused_at_construction(total):
         TableClassifier(1, {(0,): 0, (1,): 2}, total=total)
 
 
+@pytest.mark.parametrize("total", [True, False])
+@pytest.mark.parametrize(
+    "table, key",
+    [
+        ({(0, 0, 0): 1, (0, 0, 1): 0, (0, 1, 0): 1, (1, 1, 1): 0}, (0, 0, 0)),
+        ({(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 2): 0}, (1, 2)),
+        ({(0, 0): 1, (0, 1): 0, (1, 0): 1, "11": 0}, "11"),
+    ],
+)
+def test_table_key_other_than_a_bit_tuple_of_its_width_is_refused(table, key, total):
+    message = f"^truth table key {re.escape(repr(key))} is not a 0/1 tuple of width 2$"
+    with pytest.raises(ValueError, match=message):
+        TableClassifier(2, table, total=total)
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -498,7 +499,7 @@ def test_budget_stops_a_large_lineage_quickly(capsys, tmp_path):
 
 
 def test_chain_responsibility_budget_bounds_the_witness_searches(capsys, tmp_path):
-    # Chain |R| = 1200, support 32: the count takes about 1.4 M units and
+    # Chain |R| = 1200, support 32: the count takes 927,361 units and
     # each witness candidate the lineage's 45 tuple occurrences, so the
     # searches spend the rest of the budget in about 2 s on 2 cores (at
     # one unit per candidate they ran for over 30 s).
@@ -1078,6 +1079,34 @@ def test_ml_scores_external_matches_local_across_windows(capsys, monkeypatch, tm
             "--features", ",".join(f"F{i + 1}" for i in range(width)), *flags,
         )
         assert json.dumps(external["records"]) == json.dumps(local["records"])
+
+
+@pytest.mark.parametrize("width, window", [(4, 3), (5, 7), (6, 64)])
+def test_ml_scores_shap_asks_the_external_classifier_in_windows(
+    capsys, monkeypatch, tmp_path, width, window
+):
+    # SHAP's 2^n entities go out in ceil(2^n / window) windows, not one each.
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", window)
+    windows = []
+    answer = classify.ExternalClassifier._label
+
+    def counted(self, requests):
+        windows.append(len(requests))
+        return answer(self, requests)
+
+    monkeypatch.setattr(classify.ExternalClassifier, "_label", counted)
+    names = [f"F{i + 1}" for i in range(width)]
+    table = tmp_path / "table.csv"
+    rows = [",".join(names) + ",label"]
+    for bits in product("01", repeat=width):
+        rows.append(",".join(bits) + f",{int(bits.count('1') >= 2)}")
+    table.write_text("\n".join(rows) + "\n")
+    run_json(
+        capsys, "ml-scores", "--classifier-cmd", f"{sys.executable} -m xscore.clfserver {table}",
+        "--features", ",".join(names), "--entity", "1" * width, "--kinds", "shap",
+    )
+    assert len(windows) == -(-(2**width) // window)
+    assert sum(windows) == 2**width
 
 
 def test_ml_scores_external_matches_local(capsys, data_dir):

@@ -289,21 +289,22 @@ def test_shap_width_refusal_comes_before_any_label():
 
 
 class CountingClassifier(FunctionClassifier):
-    """Counts every `label` call, cache hits included, and the distinct
-    entities it computes a label for."""
+    """Counts every label `labels` gives, cache hits included, and the
+    distinct entities it computes a label for."""
 
     def __init__(self, width, fn):
         super().__init__(width, fn)
         self.calls = 0
         self.distinct = 0
 
-    def label(self, entity):
-        self.calls += 1
-        return super().label(entity)
+    def labels(self, entities):
+        for label in super().labels(entities):
+            self.calls += 1
+            yield label
 
-    def _label(self, entity):
-        self.distinct += 1
-        return super()._label(entity)
+    def _label(self, requests):
+        self.distinct += len(requests)
+        return super()._label(requests)
 
 
 @pytest.mark.parametrize("skip_zero_mass", [False, True])
