@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain, product, tee
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import record
 from .clfserver import (
@@ -588,19 +588,16 @@ def condition(dist: Distribution, constraints: Constraint | Sequence[Constraint]
 
 
 def conditional_expectation(
-    dist: Distribution,
-    classifier: Classifier,
-    entity: Entity,
-    fixed: Iterable[str],
-    charge: Callable | None = None,
+    dist: Distribution, classifier: Classifier, entity: Entity, fixed: Iterable[str]
 ) -> Fraction:
     """Expected label when the features in `fixed` are pinned to the
     reference entity's values and the rest vary under `dist`.
 
     Exact rational; raises `ZeroMassEventError` when the conditioning
     event has no mass (possible under empirical and conditioned variants).
-    `charge()`, when given, is called for each entity weighed; those of
-    positive weight are labelled through one `labels` stream.
+    The entities of positive weight are labelled through one `labels`
+    stream.  No scorer calls this general form: it is the reference the
+    tests' oracles take SHAP's and COUNTER's expectations from.
     """
     space = dist.space
     if classifier.width != space.width:
@@ -614,7 +611,7 @@ def conditional_expectation(
         free = [i for i in range(entity.width) if i not in pinned]
         candidates = (entity.with_bits(dict(zip(free, c.bits))) for c in all_entities(len(free)))
     numerator = mass = 0
-    for (_, w), label in _weighed_labels(dist, classifier, candidates, charge):
+    for (_, w), label in _weighed_labels(dist, classifier, candidates):
         mass += w
         if label == 1:
             numerator += w
@@ -623,18 +620,10 @@ def conditional_expectation(
     return Fraction(numerator, mass)
 
 
-def _weighed_labels(dist, classifier, entities, charge=None) -> Iterator[tuple[tuple, int]]:
+def _weighed_labels(dist, classifier, entities) -> Iterator[tuple[tuple, int]]:
     """((entity, weight), label) of each entity of positive weight, in order,
-    from one `labels` stream; `charge()`, if given, per entity weighed."""
-
-    def weighed() -> Iterator[tuple[Entity, int]]:
-        for x in entities:
-            if charge is not None:
-                charge()
-            if w := dist.weight(x):
-                yield x, w
-
-    pairs, asked = tee(weighed())
+    from one `labels` stream."""
+    pairs, asked = tee((x, w) for x in entities if (w := dist.weight(x)))
     return zip(pairs, classifier.labels(x for x, _ in asked))
 
 

@@ -34,7 +34,6 @@ from .classify import (
     _weighed_labels,
     all_entities,
     check_free_width,
-    conditional_expectation,
 )
 
 __all__ = [
@@ -122,23 +121,43 @@ def shap(
     """
     request.distribution.space.index(feature)
     _check_enumerable(request, charge or games.meter(games.DEFAULT_BUDGET))
-    value = _shap_values(request, [feature])[feature]
-    return FeatureScore(feature=feature, kind="shap", value=value)
+    return _shap_values(request, [feature], charge)[feature]
 
 
 def counter(
     request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
-    """Label of the entity minus the expected label with every feature
-    except `feature` pinned to the entity's values; each entity the
-    expectation weighs is charged."""
-    dist, clf = request.distribution, request.classifier
-    dist.space.index(feature)
-    others = [n for n in dist.space.names if n != feature]
+    """COUNTER score of one feature value: the batch of `_counter_scores`
+    for that feature alone."""
+    return _counter_scores(request, [feature], charge)[feature]
+
+
+def _counter_scores(
+    request: ExplanationRequest, features: Sequence[str], charge: Callable | None
+) -> dict[str, FeatureScore]:
+    """COUNTER scores of `features`: the label of the request's entity e
+    minus the expected label over the entities that agree with e on every
+    feature but F.  Those are e and its flip f on F, of weights w_e and w_f,
+    so the score is w_f (L(e) - L(f)) / (w_e + w_f).
+
+    e is weighed once.  Then each feature in turn charges 2 units (e and f),
+    weighs f and raises its `ZeroMassEventError` when neither has mass.
+    One `labels` stream then reads e and every flip of positive weight.
+    """
+    dist, entity = request.distribution, request.entity
     charge = charge or games.meter(games.DEFAULT_BUDGET)
-    expected = conditional_expectation(dist, clf, request.entity, others, charge)
-    label = clf.label(request.entity)
-    return FeatureScore(feature=feature, kind="counter", value=label - expected)
+    own, flips = dist.weight(entity), {}
+    for name in features:
+        flipped = entity.flip(dist.space.index(name))
+        charge(2)
+        flips[name] = flipped, dist.weight(flipped)
+        if not (own or flips[name][1]):
+            raise ZeroMassEventError.pinned(entity, set(dist.space.names) - {name})
+    got = request.classifier.labels([entity, *(f for f, w in flips.values() if w)])
+    label, out = next(got), {}
+    for name, (_, w) in flips.items():  # a flip of no weight has no label and scores 0
+        out[name] = FeatureScore(name, "counter", Fraction(w and w * (label - next(got)), own + w))
+    return out
 
 
 def resp(
@@ -220,45 +239,38 @@ def _resp_scores(
         pending.difference_update(chosen)
         if not pending:
             break
-    zero = Fraction(0)
-    return {n: scores[n] if n in scores else FeatureScore(n, "resp", zero) for n in features}
+    return {n: scores.get(n) or FeatureScore(n, "resp", Fraction(0)) for n in features}
 
 
 def score_all(
     request: ExplanationRequest, kinds: Iterable[str], charge: Callable | None = None
 ) -> list[FeatureScore]:
     """Scores of every feature for the requested kinds, ranked within each
-    kind by descending value with feature-name tiebreak.  Every kind
-    charges the one `charge`: SHAP its 2^n coalitions, COUNTER each entity
-    it weighs and RESP each flip set whose label it reads.  SHAP's charge
-    and width refusal come before any kind runs."""
+    kind by descending value with feature-name tiebreak.  Each kind is one
+    batch over all the features, and every batch charges the one `charge`:
+    SHAP its 2^n coalitions, COUNTER two units per feature and RESP each
+    flip set whose label it reads.  SHAP's charge and width refusal come
+    before any kind runs."""
     wanted = sorted(set(kinds))
-    for kind in wanted:
-        if kind not in SCORE_KINDS:
-            raise ValueError(f"unknown score kind {kind!r}")
+    if unknown := set(wanted).difference(SCORE_KINDS):
+        raise ValueError(f"unknown score kind {min(unknown)!r}")
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     if "shap" in wanted:
         _check_enumerable(request, charge)
-    names = request.distribution.space.names
+    batches = {"shap": _shap_values, "counter": _counter_scores, "resp": _resp_scores}
     out: list[FeatureScore] = []
     for kind in wanted:
-        if kind == "shap":
-            values = _shap_values(request)
-            batch = [FeatureScore(feature=n, kind="shap", value=values[n]) for n in names]
-        elif kind == "resp":
-            batch = list(_resp_scores(request, names, charge).values())
-        else:
-            batch = [counter(request, n, charge) for n in names]
-        batch.sort(key=lambda s: (-s.value, s.feature))
-        out.extend(batch)
+        scores = batches[kind](request, request.distribution.space.names, charge).values()
+        out.extend(sorted(scores, key=lambda s: (-s.value, s.feature)))
     return out
 
 
 def _shap_values(
-    request: ExplanationRequest, features: Iterable[str] | None = None
-) -> dict[str, Fraction]:
-    """SHAP scores of `features` (default: all, in space order), summed in
-    integers with one `Fraction` per feature.
+    request: ExplanationRequest, features: Sequence[str], charge: Callable | None
+) -> dict[str, FeatureScore]:
+    """SHAP scores of `features`, summed in integers with one `Fraction` per
+    feature.  `charge` is not called: `_check_enumerable` charges the 2^n
+    coalitions before any kind runs.
 
     Feature j's score sums c[|S|] (E[S + j] - E[S]) / n! over the S without
     j, c[k] = k!(n-1-k)!.  Written over L, the lcm of the nonzero den, each
@@ -276,11 +288,10 @@ def _shap_values(
     reported through `ZeroMassSkipWarning`.
     """
     space = request.distribution.space
-    names = space.names if features is None else list(features)
     bits = {name: 1 << j for j, name in enumerate(space.names)}
     num, den = _coalition_counts(request)
     if not request.skip_zero_mass and 0 in den:
-        _raise_first_zero_mass(request, min(names), den, bits)
+        _raise_first_zero_mass(request, min(features), den, bits)
     n, slots = space.width, len(den)
     common = math.lcm(*{d for d in den if d})
     scaled = [a * (common // b) if b else 0 for a, b in zip(num, den)]
@@ -290,8 +301,8 @@ def _shap_values(
     sizes = [s.bit_count() for s in range(slots)]
     joined = [into[k] * z for k, z in zip(sizes, scaled)]
     left = [out[k] * z for k, z in zip(sizes, scaled)]
-    values = {}
-    for name in names:
+    scores = {}
+    for name in features:
         bit = bits[name]
         has = (bytes(bit) + b"\x01" * bit) * (slots // (2 * bit))
         lacks = has[bit:] + has[:bit]
@@ -300,8 +311,8 @@ def _shap_values(
         if skipped := with_mass.count(0):
             message = f"shap({name}): skipped {skipped} zero-mass coalitions"
             warnings.warn(message, ZeroMassSkipWarning, stacklevel=3)
-        values[name] = Fraction(total, math.factorial(n) * common)
-    return values
+        scores[name] = FeatureScore(name, "shap", Fraction(total, math.factorial(n) * common))
+    return scores
 
 
 def _raise_first_zero_mass(request, feature, den, bits) -> None:

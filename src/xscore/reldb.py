@@ -467,15 +467,15 @@ class QueryAnalysis:
 def analyze(query: ConjunctiveQuery) -> QueryAnalysis:
     """Classify the query's variable structure.
 
-    A query is hierarchical when for every two variables x, y the atom
-    sets Atoms(x) and Atoms(y) are nested or disjoint; it is self-join
-    free when no relation name occurs in two atoms.  Both checks are
-    purely syntactic.
+    A query is hierarchical when for every two existential variables x, y
+    (head variables are bound by each answer's Boolean query) the atom sets
+    Atoms(x) and Atoms(y) are nested or disjoint; it is self-join free when
+    no relation name occurs in two atoms.  Both checks are purely syntactic.
     """
     atoms_by_var: dict[str, set[int]] = {}
     for i, atom in enumerate(query.atoms):
         for term in atom.terms:
-            if isinstance(term, Var):
+            if isinstance(term, Var) and term not in query.head:
                 atoms_by_var.setdefault(term.name, set()).add(i)
     names = sorted(atoms_by_var)
     hierarchical = True

@@ -782,6 +782,20 @@ def test_budget_edge_ml_counter_counts_entities(capsys, data_dir):
     _assert_budget_edge(capsys, ml_args(data_dir, "--kinds", "counter"), 5, budget_error(5))
 
 
+def test_budget_edge_ml_counter_charges_flips_outside_the_sample(capsys, data_dir, tmp_path):
+    # The sample holds the entity 011 but none of its flips.  Each feature
+    # still charges its two entities, the entity and its flip, as they are
+    # weighed: 6 units, though only the entity has mass.
+    sample = tmp_path / "sample.csv"
+    sample.write_text("F1,F2,F3\n0,1,1\n1,0,0\n")
+    argv = ml_args(
+        data_dir, "--kinds", "counter", "--distribution", "empirical", "--sample", str(sample)
+    )
+    _assert_budget_edge(capsys, argv, 5, budget_error(5))
+    report = run_json(capsys, *argv)
+    assert [r["value"] for r in report["records"]] == ["0", "0", "0"]
+
+
 def test_budget_is_shared_by_every_ml_kind(capsys, data_dir):
     # 8 coalitions, 6 entities and 6 RESP flip sets.
     argv = ml_args(data_dir, "--kinds", "shap,counter,resp")
@@ -1109,6 +1123,40 @@ def test_ml_scores_shap_asks_the_external_classifier_in_windows(
     assert sum(windows) == 2**width
 
 
+@pytest.mark.parametrize("width, window", [(4, 2), (5, 2), (5, 7), (9, 7)])
+def test_ml_scores_counter_asks_its_flips_in_shared_windows(
+    capsys, monkeypatch, tmp_path, width, window
+):
+    # COUNTER reads the entity and its n flips from one stream, so they go
+    # out in ceil((n + 1) / window) windows, not one window per flip.
+    monkeypatch.setattr(classify, "WINDOW_REQUESTS", window)
+    windows = []
+    answer = classify.ExternalClassifier._label
+
+    def counted(self, requests):
+        windows.append(len(requests))
+        return answer(self, requests)
+
+    monkeypatch.setattr(classify.ExternalClassifier, "_label", counted)
+    names = [f"F{i + 1}" for i in range(width)]
+    table = tmp_path / "table.csv"
+    rows = [",".join(names) + ",label"]
+    for bits in product("01", repeat=width):
+        rows.append(",".join(bits) + f",{int(bits.count('1') >= 2)}")
+    table.write_text("\n".join(rows) + "\n")
+    report = run_json(
+        capsys, "ml-scores", "--classifier-cmd", f"{sys.executable} -m xscore.clfserver {table}",
+        "--features", ",".join(names), "--entity", "1" * (width - 2) + "00", "--kinds", "counter",
+    )
+    assert len(windows) == -(-(width + 1) // window)
+    assert sum(windows) == width + 1
+    local = run_json(
+        capsys, "ml-scores", "--classifier", str(table),
+        "--entity", "1" * (width - 2) + "00", "--kinds", "counter",
+    )
+    assert report["records"] == local["records"]
+
+
 def test_ml_scores_external_matches_local(capsys, data_dir):
     local = run_json(capsys, *ml_args(data_dir, "--kinds", "resp,counter"))
     external = run_json(
@@ -1311,6 +1359,16 @@ def test_analyze_verdicts(capsys, query, hierarchical, sjf, verdict):
     assert record["hierarchical"] is hierarchical
     assert record["self_join_free"] is sjf
     assert record["verdict"] == verdict
+
+
+def test_analyze_tests_the_hierarchy_over_existential_variables(capsys):
+    # The head variable x is fixed in each answer's Boolean query, which is
+    # the second query with the answer A in x's place: both are hierarchical.
+    for query in ("Q(x) :- R(x), S(x,y), T(y)", "Q() :- R(A), S(A,y), T(y)"):
+        (record,) = run_json(capsys, "analyze", "--query", query)["records"]
+        assert record["hierarchical"] is True
+        assert record["verdict"] == "poly-time"
+        assert record["atoms_by_var"] == {"y": [1, 2]}
 
 
 def test_analyze_syntax_error_exit(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from xscore.classify import (
     ZeroMassEventError,
     all_entities,
     condition,
+    conditional_expectation,
     parse_constraint,
 )
 from xscore.mlscores import (
@@ -379,6 +381,61 @@ def test_counter_zero_mass(ex6_space, ex6_classifier):
     )
     with pytest.raises(ZeroMassEventError):
         counter(request, "F1")
+
+
+COUNTER_CASES = ("uniform", "product", "empirical-in", "empirical-out", "conditioned")
+
+
+def _counter_case(rng, space, entity, case):
+    """A distribution for one COUNTER case: product marginals drawn from 0,
+    1/2 and 1, so that the entity or its flips often have no mass; a sample
+    that holds the entity or lacks it; a random conditioned distribution."""
+    if case == "product":
+        marginals = [rng.choice((Fraction(0), Fraction(1, 2), Fraction(1))) for _ in space.names]
+        return ProductDistribution(space, marginals)
+    if case.startswith("empirical"):
+        others = [e for e in all_entities(space.width) if e != entity]
+        sample = rng.sample(others, rng.randint(case == "empirical-out", len(others)))
+        return EmpiricalDistribution(space, sample + [entity] * (case == "empirical-in"))
+    return random_distribution(rng, space, case)
+
+
+@pytest.mark.parametrize("case", COUNTER_CASES)
+@given(st.integers(0, 10**9))
+@settings(max_examples=60, deadline=None)
+def test_counter_scores_match_the_general_expectation(case, seed):
+    # The two-point batch against label(e) - E[L | e on every other feature]
+    # from `conditional_expectation`: each feature gets the same score or
+    # the same ZeroMassEventError, and the batch stops at the first error.
+    rng = random.Random(seed)
+    width = rng.randint(1, 5)
+    space, clf = random_truth_table(rng, width)
+    entity = Entity(tuple(rng.randint(0, 1) for _ in range(width)))
+    try:
+        dist = _counter_case(rng, space, entity, case)
+    except InconsistentConstraintError:
+        return
+    request = ExplanationRequest(entity=entity, classifier=clf, distribution=dist)
+    expected = {}
+    for name in space.names:
+        others = [n for n in space.names if n != name]
+        try:
+            expected[name] = clf.label(entity) - conditional_expectation(dist, clf, entity, others)
+        except ZeroMassEventError as exc:
+            expected[name] = exc
+    for name, value in expected.items():
+        if isinstance(value, ZeroMassEventError):
+            with pytest.raises(ZeroMassEventError, match=re.escape(str(value))):
+                counter(request, name)
+        else:
+            assert counter(request, name).value == value
+    errors = [v for v in expected.values() if isinstance(v, ZeroMassEventError)]
+    if errors:
+        with pytest.raises(ZeroMassEventError, match=re.escape(str(errors[0]))):
+            mlscores._counter_scores(request, space.names, None)
+    else:
+        batch = mlscores._counter_scores(request, space.names, None)
+        assert {name: score.value for name, score in batch.items()} == expected
 
 
 # ---------------------------------------------------------------------------
