@@ -130,8 +130,9 @@ class Entity:
     def width(self) -> int:
         return len(self.bits)
 
-    def flip(self, index: int) -> "Entity":
-        return self.with_bits({index: 1 - self.bits[index]})
+    def flip(self, *indices: int) -> "Entity":
+        """The entity with the bit at each of the distinct `indices` changed."""
+        return self.with_bits({i: 1 - self.bits[i] for i in indices})
 
     def with_bits(self, changes: Mapping[int, int]) -> "Entity":
         bits = list(self.bits)

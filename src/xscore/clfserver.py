@@ -69,7 +69,7 @@ def read_bit_csv(
     path, required: str | None, optional: str | None = None
 ) -> tuple[list[tuple[int, str, int | None]], list[str]]:
     """(line number, feature bits as a '0'/'1' string, bit of the `required`
-    or `optional` column) per row, and the feature column names."""
+    or `optional` column, at most one) per row, and the feature names."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -77,6 +77,8 @@ def read_bit_csv(
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         special = required or optional
+        if special and header.count(special) > 1:
+            raise ValueError(f"{path}: header has more than one {special} column")
         special_col = header.index(special) if special and special in header else None
         if required is not None and special_col is None:
             raise ValueError(f"{path}: missing required column {required!r}")

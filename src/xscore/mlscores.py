@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from collections import deque
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, tee
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import games
@@ -189,8 +188,10 @@ def _resp_scores(
     the sorted names, asking only the sets that hold a feature without a
     witness; the first flipping F that holds i is i's witness, Y = F - {i}.
     Dropping one fixed element keeps lexicographic order, so this is i's
-    least Y of least size.  Each flip set is charged when its label is read,
-    so the budget edge does not depend on how far ahead a classifier asks.
+    least Y of least size.  The walk yields (F, flipped entity) pairs, and
+    one `tee` pairs each with its label from one `labels` stream, as in
+    `_weighed_labels`.  Each flip set is charged when its label is read, so
+    the budget edge does not depend on how far ahead a classifier asks.
     """
     names = request.distribution.space.names
     entity, classifier = request.entity, request.classifier
@@ -205,23 +206,16 @@ def _resp_scores(
     order = sorted(range(len(names)), key=names.__getitem__)
     cap = request.max_contingency
     top = len(names) if cap is None else min(len(names), cap + 1)
-    asked: deque = deque()
 
-    def flip_sets() -> Iterator[Entity]:
+    def flip_sets() -> Iterator[tuple[tuple[int, ...], Entity]]:
         for size in range(1, top + 1):
             for chosen in combinations(order, size):
-                if pending.isdisjoint(chosen):
-                    continue
-                bits = list(entity.bits)
-                for i in chosen:
-                    bits[i] ^= 1
-                flipped = Entity(tuple(bits))
-                asked.append((chosen, flipped))
-                yield flipped
+                if not pending.isdisjoint(chosen):
+                    yield chosen, entity.flip(*chosen)
 
+    pairs, asked = tee(flip_sets())
     scores = {}
-    for got in classifier.labels(flip_sets()):
-        chosen, flipped = asked.popleft()
+    for (chosen, flipped), got in zip(pairs, classifier.labels(x for _, x in asked)):
         charge()
         if got != flipped_label:
             continue

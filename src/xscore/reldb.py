@@ -306,11 +306,9 @@ class Database:
 
 def evaluate(db: Database, query: ConjunctiveQuery) -> bool:
     """True iff some assignment of constants to variables satisfies every
-    atom of the query in `db`."""
-    _check_query_against(db, query)
-    for _ in _matches(db, query):
-        return True
-    return False
+    atom of the query in `db`.  `_matches` checks the query's arities, and
+    `next` stops the join at its first valuation."""
+    return next(_matches(db, query), None) is not None
 
 
 @record
@@ -331,16 +329,11 @@ class Lineage:
 
 
 def compile_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
-    """Instantiate the query on `db` as a DNF over tuple ids.
-
-    One disjunct per satisfying valuation, conjoining the ids of the
-    matched tuples; duplicate disjuncts are merged and disjuncts are
-    ordered lexicographically by their sorted id lists.
-    """
-    _check_query_against(db, query)
-    disjunct_ids: set[tuple[str, ...]] = set()
-    for _, used in _matches(db, query):
-        disjunct_ids.add(tuple(sorted(set(used))))
+    """Instantiate the query on `db` as a DNF over tuple ids: each valuation
+    of `_matches` (which checks the query's arities) gives the conjunction of
+    its matched ids; duplicate disjuncts are merged and disjuncts are
+    ordered lexicographically by their sorted id lists."""
+    disjunct_ids = {tuple(sorted(set(used))) for used in _matches(db, query)}
     if not disjunct_ids:
         return Lineage(root=formula.FALSE)
     var = {t: formula.Var(t) for t in set().union(*disjunct_ids)}
@@ -401,11 +394,11 @@ def _getter(slots: Sequence[int]):
     return itemgetter(*slots) if slots else itemgetter(slice(0))
 
 
-def _matches(
-    db: Database, query: ConjunctiveQuery
-) -> Iterator[tuple[dict[Var, str], tuple[str, ...]]]:
-    """All satisfying valuations as (binding, matched tuple ids), the ids in
-    query-atom order.
+def _matches(db: Database, query: ConjunctiveQuery) -> Iterator[tuple[str, ...]]:
+    """The matched tuple ids of every satisfying valuation, in query-atom
+    order; every variable occurs in some atom, so the ids fix the valuation.
+    As the join's one entry point, it refuses an unknown relation or an atom
+    of the wrong arity before it reads any row.
 
     Each atom's rows are read once, in query order, and `_plan` picks the
     join order.  A partial valuation is one tuple, the query's constants
@@ -418,6 +411,7 @@ def _matches(
     by the largest level; the last streams, so `evaluate` stops at the
     first full valuation.
     """
+    _check_query_against(db, query)
     atoms = query.atoms
     rows = [db.rows(atom.relation) for atom in atoms]
     constants = [t for atom in atoms for t in atom.terms if isinstance(t, Const)]
@@ -440,14 +434,11 @@ def _matches(
         steps.append((_getter([slots[terms[p]] for p in keyed]), index))
         slots.update((term, width + 1 + p) for term, p in first.items())
         id_slots[i], width = width, width + 1 + len(terms)
-    variables = query.variables()
-    binding_of, ids_of = _getter([slots[v] for v in variables]), _getter(id_slots)
-    level = [tuple(c.value for c in constants)]
+    ids_of, level = _getter(id_slots), [tuple(c.value for c in constants)]
     for key_of, index in steps[:-1]:
         level = [val + row for val in level for row in index.get(key_of(val), ())]
     key_of, index = steps[-1]
-    for full in (val + row for val in level for row in index.get(key_of(val), ())):
-        yield dict(zip(variables, binding_of(full))), ids_of(full)
+    yield from (ids_of(val + row) for val in level for row in index.get(key_of(val), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +503,8 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
     """Load one CSV file per relation into a database.
 
     The header row names the columns; an optional leading or trailing
-    `_id` column, at most one, supplies explicit tuple ids, otherwise ids
-    are assigned as `<relation>:<row-index>`.
+    `_id` column, at most one, supplies explicit tuple ids, none of them
+    blank, otherwise ids are assigned as `<relation>:<row-index>`.
     """
     db = Database()
     for relation in sorted(paths):
@@ -534,5 +525,7 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
                         f"{path}: row {row_number + 2} has {len(row)} fields, expected {len(header)}"
                     )
                 tuple_id = None if id_col is None else row.pop(id_col)
+                if tuple_id is not None and not tuple_id.strip():
+                    raise DatabaseError(f"{path}: row {row_number + 2} has an empty _id")
                 db.add(relation, row, tuple_id)
     return db

@@ -59,6 +59,17 @@ def test_entity_basics():
         Entity.from_bits("01x")
 
 
+@given(st.data())
+@settings(max_examples=100)
+def test_flip_changes_exactly_the_given_bits(data):
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=12)))
+    indices = data.draw(st.lists(st.integers(0, len(bits) - 1), unique=True))
+    entity = Entity(bits)
+    assert entity.flip(*indices) == entity.with_bits({i: 1 - bits[i] for i in indices})
+    i = data.draw(st.integers(0, len(bits) - 1))
+    assert entity.flip(i).bits == bits[:i] + (1 - bits[i],) + bits[i + 1 :]
+
+
 @pytest.mark.parametrize("text", ["", "01x", "0 1", None])
 def test_entity_from_bits_refuses_other_text(text):
     with pytest.raises(ValueError) as caught:

@@ -86,3 +86,12 @@ def test_bad_table_gives_the_loader_message(tmp_path, text):
         load_truth_table_csv(table)
     with pytest.raises(ValueError, match=f"^{re.escape(str(loader.value))}$"):
         serve(table, "")
+
+
+def test_main_refuses_a_repeated_label_column(tmp_path, capsys):
+    # Read as a feature, the repeat would leave the table short of 2^2 rows.
+    table = tmp_path / "table.csv"
+    table.write_text("F1,label,label\n0,1,1\n1,0,0\n")
+    assert clfserver.main([str(table)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {table}: header has more than one label column\n")

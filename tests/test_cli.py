@@ -276,6 +276,18 @@ def test_repeated_id_column_exits_1_naming_the_file(capsys, tmp_path):
     assert out.err == f"xscore: error: {t}: header has more than one _id column\n"
 
 
+def test_empty_id_cell_exits_1_naming_the_file_and_row(capsys, tmp_path):
+    # Left in, the empty `_id` would be reported as the tuple id "".
+    r = tmp_path / "R.csv"
+    r.write_text("_id,a,b\nr one,x,y\n,y,z\n")
+    code, out = run(
+        capsys, "db-scores", "--relation", f"R={r}", "--query", "Q() :- R(x,y)",
+        "--kinds", "shapley",
+    )
+    assert code == cli.EXIT_PARSE
+    assert (out.out, out.err) == ("", f"xscore: error: {r}: row 3 has an empty _id\n")
+
+
 def test_db_scores_unknown_tuple_filter(capsys, data_dir):
     code, out = run(capsys, *db_args(data_dir, "--tuple", "nope"))
     assert code == cli.EXIT_PARSE
@@ -753,6 +765,40 @@ def ml_args(data_dir, *extra):
         "--entity",
         "011",
         *extra,
+    )
+
+
+# Features F1, F2 and `_label`; the label is F1 & F2.
+LABEL_FEATURE_TABLE = "F1,F2,_label,label\n" + "".join(
+    f"{a},{b},{c},{a & b}\n" for a, b, c in product((0, 1), repeat=3)
+)
+
+
+@pytest.mark.parametrize(
+    "table, sample, column",
+    [
+        # Read as a feature, the repeat would leave the table short of 2^2 rows.
+        ("F1,label,label\n0,1,1\n1,0,0\n", None, "label"),
+        # Read as a feature named `_label`, the repeat would be scored.
+        (LABEL_FEATURE_TABLE, "F1,F2,_label,_label\n0,0,1,1\n1,1,0,0\n", "_label"),
+    ],
+    ids=["classifier", "sample"],
+)
+def test_repeated_label_column_exits_1_naming_the_file(capsys, tmp_path, table, sample, column):
+    t, s = tmp_path / "t.csv", tmp_path / "s.csv"
+    t.write_text(table)
+    argv = ["ml-scores", "--classifier", str(t)]
+    if sample is None:
+        bad = t
+        argv += ["--entity", "1"]
+    else:
+        bad = s
+        s.write_text(sample)
+        argv += ["--entity", "110", "--sample", str(s), "--distribution", "empirical"]
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert (out.out, out.err) == (
+        "", f"xscore: error: {bad}: header has more than one {column} column\n"
     )
 
 
