@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
-from itertools import chain, product, tee
+from itertools import chain, compress, product, tee
 from math import prod
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -104,9 +104,6 @@ class FeatureSpace:
         except ValueError:
             raise UnknownFeatureError(f"unknown feature {name!r}") from None
 
-    def true_names(self, entity: "Entity") -> frozenset[str]:
-        return frozenset(n for n, b in zip(self.names, entity.bits) if b)
-
 
 @record
 class Entity:
@@ -161,16 +158,15 @@ class Classifier:
     Every label is read through `labels`, which caches it by bit vector
     (a table classifier's cache is its table) and has `_label` answer the
     uncached entities in windows of up to `_window`: one in process, so
-    each entity is drawn just before its label is asked.
+    each entity is drawn just before its label is asked.  `close` is a
+    no-op in process, and a `with` block calls it on exit.
     """
+
+    _window = 1
 
     def __init__(self, width: int):
         self.width = width
         self._cache: dict[tuple[int, ...], int] = {}
-
-    @property
-    def _window(self) -> int:
-        return 1
 
     def label(self, entity: Entity) -> int:
         return next(self.labels((entity,)))
@@ -198,6 +194,15 @@ class Classifier:
     def _label(self, requests: Mapping[tuple[int, ...], Entity]) -> Iterable[int]:
         """The labels, in order, of a window's distinct uncached bit vectors."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "Classifier":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class TableClassifier(Classifier):
@@ -245,12 +250,14 @@ class ExternalClassifier(Classifier):
     * response: a single '0' or '1' line per request, in request order;
       anything else is an error.
 
-    Every kind's label stream asks in windows of up to `WINDOW_REQUESTS`
-    requests and at most `PIPE_CAPACITY` bytes; `_label` writes a window in
-    one write and reads every answer to it.  The handshake and each
-    response must arrive within `RESPONSE_DEADLINE_S`, and no line may run
-    past `MAX_LINE_BYTES`; a child that stays silent longer, or writes a
-    longer line, is killed.
+    Every kind's label stream asks in windows of `_window` requests, set
+    from the handshake width: at most `WINDOW_REQUESTS` requests and
+    `PIPE_CAPACITY` bytes.  `_label` writes a window in one write and reads
+    every answer to it.  The handshake and each response must arrive within
+    `RESPONSE_DEADLINE_S`, and no line may run past `MAX_LINE_BYTES`; a
+    child that stays silent longer, or writes a longer line, is killed.  A
+    refused handshake closes the child before the constructor raises;
+    otherwise `close` (or the end of a `with` block) ends the child.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -264,27 +271,26 @@ class ExternalClassifier(Classifier):
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
         self._pending = b""
-        super().__init__(self._read_handshake())
+        try:
+            width = self._read_handshake()
+        except ClassifierProtocolError:
+            self.close()
+            raise
+        super().__init__(width)
+        self._window = min(WINDOW_REQUESTS, PIPE_CAPACITY // (width + 1))
 
     def _read_handshake(self) -> int:
         line = self._read_line()
         prefix = PROTOCOL_HANDSHAKE + " n="
         if not line.startswith(prefix):
-            self.close()
             raise ClassifierProtocolError(f"bad handshake {line!r}")
         try:
             width = int(line[len(prefix) :].strip())
         except ValueError:
-            self.close()
             raise ClassifierProtocolError(f"bad handshake width in {line!r}") from None
         if width < 1:
-            self.close()
             raise ClassifierProtocolError(f"bad handshake width {width}")
         return width
-
-    @property
-    def _window(self) -> int:
-        return min(WINDOW_REQUESTS, PIPE_CAPACITY // (self.width + 1))
 
     def _label(self, requests) -> list[int]:
         """Write one window of requests at once, then read each answer."""
@@ -347,12 +353,6 @@ class ExternalClassifier(Classifier):
                 self._proc.wait()
         self._proc.stdout.close()
 
-    def __enter__(self) -> "ExternalClassifier":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 # ---------------------------------------------------------------------------
 # Constraints
@@ -397,7 +397,8 @@ class Constraint:
     def satisfied_by(self, entity: Entity) -> bool:
         if entity.width != self.space.width:
             raise ValueError("entity width does not match the constraint's feature space")
-        return self._formula.evaluate(self.root, self.space.true_names(entity))
+        true_names = frozenset(compress(self.space.names, entity.bits))
+        return self._formula.evaluate(self.root, true_names)
 
     def is_satisfiable(self) -> bool:
         return any(self.satisfied_by(e) for e in all_entities(self.space.width))
@@ -663,7 +664,7 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     Duplicate entities are an error unless `dedupe` is set (repetitions
     carry no extra mass under the empirical distribution anyway).
     """
-    rows, names = read_bit_csv(path, required=None, optional="_label")
+    rows, names = read_bit_csv(path, "_label", required=False)
     space = FeatureSpace(tuple(names))
     if not rows:
         raise ValueError(f"{path}: sample has no rows")

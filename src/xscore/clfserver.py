@@ -42,7 +42,7 @@ def read_truth_table(path) -> tuple[list[str], dict[str, int]]:
     """Feature names and {bit string: label} of a truth-table CSV: feature
     columns plus a `label` column, one row per entity, all 2^n entities
     present."""
-    rows, names = read_bit_csv(path, required="label")
+    rows, names = read_bit_csv(path, "label", required=True)
     check_feature_names(names)
     table: dict[str, int] = {}
     for line_no, bits, label in rows:
@@ -66,22 +66,23 @@ def check_total(rows: int, width: int) -> None:
 
 
 def read_bit_csv(
-    path, required: str | None, optional: str | None = None
+    path, column: str, required: bool
 ) -> tuple[list[tuple[int, str, int | None]], list[str]]:
-    """(line number, feature bits as a '0'/'1' string, bit of the `required`
-    or `optional` column, at most one) per row, and the feature names."""
+    """(line number, feature bits as a '0'/'1' string, bit of the special
+    `column`, None where the header lacks it) per row, and the feature
+    names.  The header may hold `column` at most once, and must when
+    `required`."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        special = required or optional
-        if special and header.count(special) > 1:
-            raise ValueError(f"{path}: header has more than one {special} column")
-        special_col = header.index(special) if special and special in header else None
-        if required is not None and special_col is None:
-            raise ValueError(f"{path}: missing required column {required!r}")
+        if header.count(column) > 1:
+            raise ValueError(f"{path}: header has more than one {column} column")
+        special_col = header.index(column) if column in header else None
+        if required and special_col is None:
+            raise ValueError(f"{path}: missing required column {column!r}")
         names = [h for i, h in enumerate(header) if i != special_col]
         out = []
         for line_no, row in enumerate(reader, 2):

@@ -56,20 +56,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed for approximate modes")
     common.add_argument("--output", type=Path, default=None, help="write the report to this path")
     common.add_argument("--format", choices=("json", "table"), default="json")
+    # Shared by db-scores and lineage; `_load_relations` refuses an empty list.
+    relations = argparse.ArgumentParser(add_help=False)
+    relations.add_argument(
+        "--relation",
+        action="append",
+        default=[],
+        metavar="NAME=CSV",
+        help="relation CSV file (repeatable)",
+    )
 
     parser = _Parser(prog="xscore", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"xscore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     db = sub.add_parser(
-        "db-scores", parents=[common], help="tuple-level scores over a database"
-    )
-    db.add_argument(
-        "--relation",
-        action="append",
-        default=[],
-        metavar="NAME=CSV",
-        help="relation CSV file (repeatable)",
+        "db-scores", parents=[common, relations], help="tuple-level scores over a database"
     )
     db.add_argument("--query", help="query text, e.g. 'Q() :- S(x), R(x,y), S(y)'")
     db.add_argument("--query-file", type=Path, help="file containing the query text")
@@ -129,10 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--query", required=True, help="query text")
     an.set_defaults(handler=_cmd_analyze)
 
-    lin = sub.add_parser("lineage", parents=[common], help="print a compiled lineage")
-    lin.add_argument(
-        "--relation", action="append", default=[], metavar="NAME=CSV", required=True
-    )
+    lin = sub.add_parser("lineage", parents=[common, relations], help="print a compiled lineage")
     lin.add_argument("--query", required=True, help="query text")
     lin.set_defaults(handler=_cmd_lineage)
 
@@ -268,7 +267,7 @@ def _cmd_ml_scores(args) -> list[dict]:
     charge = games.meter(_budget(args))
     kinds = _split_kinds(args.kinds, mlscores.SCORE_KINDS)
     space, classifier, sample = _resolve_classifier(args)
-    try:
+    with classifier:
         entity = classify.Entity.from_bits(args.entity)
         if entity.width != space.width:
             raise ValueError(
@@ -285,9 +284,6 @@ def _cmd_ml_scores(args) -> list[dict]:
             skip_zero_mass=args.skip_zero_mass,
         )
         scores = mlscores.score_all(request, kinds, charge)
-    finally:
-        if isinstance(classifier, classify.ExternalClassifier):
-            classifier.close()
     return [_feature_record(s) for s in scores]
 
 

@@ -366,15 +366,6 @@ def parse_lineage(text: str, db: Database) -> Lineage:
     return Lineage(root=root)
 
 
-def _check_query_against(db: Database, query: ConjunctiveQuery) -> None:
-    for atom in query.atoms:
-        arity = db.arity(atom.relation)
-        if arity != len(atom.terms):
-            raise ArityMismatchError(
-                f"atom {atom.relation}/{len(atom.terms)} does not match relation arity {arity}"
-            )
-
-
 def _plan(atoms: Sequence[Atom], sizes: Sequence[int]) -> tuple[int, ...]:
     """Join order as query positions: next the smallest atom that shares a
     bound variable, else the smallest atom; ties go to the earlier atom."""
@@ -398,7 +389,7 @@ def _matches(db: Database, query: ConjunctiveQuery) -> Iterator[tuple[str, ...]]
     """The matched tuple ids of every satisfying valuation, in query-atom
     order; every variable occurs in some atom, so the ids fix the valuation.
     As the join's one entry point, it refuses an unknown relation or an atom
-    of the wrong arity before it reads any row.
+    of the wrong arity, in query order, before it reads any row.
 
     Each atom's rows are read once, in query order, and `_plan` picks the
     join order.  A partial valuation is one tuple, the query's constants
@@ -411,8 +402,12 @@ def _matches(db: Database, query: ConjunctiveQuery) -> Iterator[tuple[str, ...]]
     by the largest level; the last streams, so `evaluate` stops at the
     first full valuation.
     """
-    _check_query_against(db, query)
     atoms = query.atoms
+    for atom in atoms:
+        if (arity := db.arity(atom.relation)) != len(atom.terms):
+            raise ArityMismatchError(
+                f"atom {atom.relation}/{len(atom.terms)} does not match relation arity {arity}"
+            )
     rows = [db.rows(atom.relation) for atom in atoms]
     constants = [t for atom in atoms for t in atom.terms if isinstance(t, Const)]
     slots: dict[Term, int] = {t: s for s, t in enumerate(constants)}

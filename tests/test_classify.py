@@ -1,3 +1,4 @@
+import os
 import random
 import re
 import sys
@@ -570,6 +571,26 @@ def test_external_bad_handshake_width(width, message):
     code = f"print('xscore-clf v1 n={width}', flush=True)"
     with pytest.raises(ClassifierProtocolError, match=f"^{re.escape(message)}$"):
         ExternalClassifier([sys.executable, "-c", code])
+
+
+@pytest.mark.parametrize(
+    "line", ["hello there", "xscore-clf v1 n=abc", "xscore-clf v1 n=0"],
+    ids=["bad prefix", "non-integer width", "width 0"],
+)
+def test_external_refused_handshake_reaps_the_child(tmp_path, line):
+    # The child would block on its input forever: the refusal must close
+    # the pipe and wait for it before the constructor raises.
+    pid_file = tmp_path / "pid"
+    code = (
+        "import os, sys\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        f"print({line!r}, flush=True)\n"
+        "sys.stdin.read()"
+    )
+    with pytest.raises(ClassifierProtocolError, match="^bad handshake"):
+        ExternalClassifier([sys.executable, "-c", code])
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_external_empty_command():

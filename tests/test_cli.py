@@ -222,6 +222,12 @@ def test_db_scores_input_checks_exit_1(capsys, data_dir, tmp_path, case):
     assert out.err == f"xscore: error: {message.format(**paths)}\n"
 
 
+def test_lineage_without_a_relation_is_one_error_line(capsys):
+    code, out = run(capsys, "lineage", "--query", "Q() :- R(x)")
+    assert code == cli.EXIT_PARSE
+    assert out.err == "xscore: error: at least one --relation NAME=CSV is required\n"
+
+
 def path_lineage_args(data_dir, text, *extra):
     return ("db-scores", "--relation", f"E={data_dir / 'path_E.csv'}", "--lineage", text, *extra)
 
