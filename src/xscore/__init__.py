@@ -9,7 +9,43 @@ Modules:
 * classify  - entities, classifiers, constraints, distributions
 * clfserver - the reference external classifier and its bit-CSV readers
 * mlscores  - SHAP, COUNTER and RESP feature scores
-* cli       - the `xscore` command-line interface
+* cli       - the `xscore` command-line interface: its parser and reports
+* dbcli     - the `db-scores`, `analyze` and `lineage` subcommands
+* mlcli     - the `ml-scores` subcommand
 """
+import os
+import sys
 
 __version__ = "0.1.0"
+
+
+def text_lines(path):
+    """The lines of a UTF-8 input file, less a leading byte-order mark, with
+    their newlines as written (as `csv.reader` takes them).  A byte that is
+    not UTF-8 is refused in one line naming the file and its line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            # The decoder reads ahead, so find the line in the raw bytes.
+            fh.buffer.seek(0)
+            for number, line in enumerate(fh.buffer, 1):
+                try:
+                    line.decode()
+                except UnicodeDecodeError as exc:
+                    bad = f"invalid UTF-8 byte 0x{line[exc.start]:02x} at line {number}"
+                    raise ValueError(f"{path}: {bad}") from None
+            raise
+
+
+def exit_process(code: int) -> None:
+    """End a request process with `code` after its `atexit` handlers and
+    flushes, skipping teardown; a failed flush exits as `sys.exit` does."""
+    import atexit
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # noqa: BLE001 - sys.exit reports it
+        sys.exit(code)
+    os._exit(code)

@@ -9,11 +9,12 @@ table that is missing or bad, after one ``error:`` line on stderr.
 
 A server start pays for this module, `csv` and `sys` only: a request is
 one lookup in the {bit string: label} table of `read_truth_table`.  Run
-as a process, it exits as `python -m xscore` does, with the heap frozen.
+as a process, it exits as `python -m xscore` does, through `exit_process`.
 """
 import csv
-import gc
 import sys
+
+from . import exit_process, text_lines
 
 PROTOCOL_HANDSHAKE = "xscore-clf v1"
 
@@ -72,32 +73,31 @@ def read_bit_csv(
     `column`, None where the header lacks it) per row, and the feature
     names.  The header may hold `column` at most once, and must when
     `required`."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header.count(column) > 1:
-            raise ValueError(f"{path}: header has more than one {column} column")
-        special_col = header.index(column) if column in header else None
-        if required and special_col is None:
-            raise ValueError(f"{path}: missing required column {column!r}")
-        names = [h for i, h in enumerate(header) if i != special_col]
-        out = []
-        for line_no, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row at line {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            cells = row  # strip only a row whose raw cells are not all bits
-            if not _BITS.issuperset(row):
-                cells = [cell.strip() for cell in row]
-                if not _BITS.issuperset(cells):
-                    bad = next(cell for cell in row if cell.strip() not in _BITS)
-                    raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
-            extra = None if special_col is None else int(cells.pop(special_col))
-            out.append((line_no, "".join(cells), extra))
+    reader = csv.reader(text_lines(path))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected a header row") from None
+    if header.count(column) > 1:
+        raise ValueError(f"{path}: header has more than one {column} column")
+    special_col = header.index(column) if column in header else None
+    if required and special_col is None:
+        raise ValueError(f"{path}: missing required column {column!r}")
+    names = [h for i, h in enumerate(header) if i != special_col]
+    out = []
+    for line_no, row in enumerate(reader, 2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row at line {line_no} has {len(row)} fields, expected {len(header)}"
+            )
+        cells = row  # strip only a row whose raw cells are not all bits
+        if not _BITS.issuperset(row):
+            cells = [cell.strip() for cell in row]
+            if not _BITS.issuperset(cells):
+                bad = next(cell for cell in row if cell.strip() not in _BITS)
+                raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
+        extra = None if special_col is None else int(cells.pop(special_col))
+        out.append((line_no, "".join(cells), extra))
     return out, names
 
 
@@ -114,6 +114,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    exit_process(main())

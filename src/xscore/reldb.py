@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import formula
+from . import formula, text_lines
 from .formula import ParseError, TokenStream, tokenize
 from ._record import record
 
@@ -504,23 +504,22 @@ def load_csv(paths: Mapping[str, str | Path]) -> Database:
     db = Database()
     for relation in sorted(paths):
         path = Path(paths[relation])
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise DatabaseError(f"{path}: empty file, expected a header row") from None
-            if header.count("_id") > 1:
-                raise DatabaseError(f"{path}: header has more than one _id column")
-            id_col = header.index("_id") if "_id" in header else None
-            db.add_relation(relation, len(header) - header.count("_id"))
-            for row_number, row in enumerate(reader):
-                if len(row) != len(header):
-                    raise DatabaseError(
-                        f"{path}: row {row_number + 2} has {len(row)} fields, expected {len(header)}"
-                    )
-                tuple_id = None if id_col is None else row.pop(id_col)
-                if tuple_id is not None and not tuple_id.strip():
-                    raise DatabaseError(f"{path}: row {row_number + 2} has an empty _id")
-                db.add(relation, row, tuple_id)
+        reader = csv.reader(text_lines(path))
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DatabaseError(f"{path}: empty file, expected a header row") from None
+        if header.count("_id") > 1:
+            raise DatabaseError(f"{path}: header has more than one _id column")
+        id_col = header.index("_id") if "_id" in header else None
+        db.add_relation(relation, len(header) - header.count("_id"))
+        for row_number, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DatabaseError(
+                    f"{path}: row {row_number + 2} has {len(row)} fields, expected {len(header)}"
+                )
+            tuple_id = None if id_col is None else row.pop(id_col)
+            if tuple_id is not None and not tuple_id.strip():
+                raise DatabaseError(f"{path}: row {row_number + 2} has an empty _id")
+            db.add(relation, row, tuple_id)
     return db

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from xscore import classify, cli, dbscores, formula, games, reldb
+from xscore import classify, cli, dbcli, dbscores, formula, games, reldb
 
 
 def run(capsys, *argv):
@@ -159,6 +159,38 @@ def test_text_files_drop_a_byte_order_mark(capsys, data_dir, tmp_path, flag, tex
     marked.write_text("\ufeff" + text + "\n", encoding="utf-8")
     expected = run_json(capsys, *base, flag, str(plain))["records"]
     assert run_json(capsys, *base, flag, str(marked))["records"] == expected
+
+
+# Each reader's text with one byte that is not UTF-8.
+UNDECODABLE = {
+    "relation": b"_id,a,b\nr1,a,b\nr2,\xffa,b\n",
+    "truth-table": b"F1,label\n0,0\n1,\xff\n",
+    "sample": b"F1,F2\n0,1\n1,\xff\n",
+    "query-file": b"Q() :- S(x),\n R(x,y),\n S(\xff)\n",
+    "lineage-file": b"t1 |\n t2 |\n \xff\n",
+    "constraint-file": b"F1 | F2\n# \xff\n",
+}
+
+
+@pytest.mark.parametrize("reader", UNDECODABLE)
+def test_undecodable_input_names_its_file_and_line(capsys, data_dir, tmp_path, reader):
+    # Each file starts with a byte-order mark, which the line count skips.
+    text, bad = UNDECODABLE[reader], tmp_path / "bad.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + text)
+    line = text.count(b"\n", 0, text.index(b"\xff")) + 1
+    argv = {
+        "relation": db_args(data_dir)[:2] + (f"R={bad}",) + db_args(data_dir)[3:],
+        "truth-table": ("ml-scores", "--classifier", str(bad), "--entity", "0"),
+        "sample": ml_args(data_dir, "--distribution", "empirical", "--sample", str(bad)),
+        "query-file": db_args(data_dir)[:-2] + ("--query-file", str(bad)),
+        "lineage-file": (
+            "db-scores", "--relation", f"E={data_dir / 'path_E.csv'}", "--lineage-file", str(bad),
+        ),
+        "constraint-file": ml_args(data_dir, "--constraint-file", str(bad)),
+    }[reader]
+    code, out = run(capsys, *argv)
+    assert (code, out.out) == (cli.EXIT_PARSE, "")
+    assert out.err == f"xscore: error: {bad}: invalid UTF-8 byte 0xff at line {line}\n"
 
 
 @pytest.mark.parametrize("command", ["", "   "])
@@ -495,7 +527,7 @@ def test_chain_responsibility_work_is_pinned(tmp_path):
     # Chain |R| = 800, support 14: the count takes 4,769 units and the
     # witness searches test 1,589 candidates, each charged the lineage's
     # 20 tuple occurrences.
-    db = cli._load_relations(_random_instance(tmp_path, 800)[1::2])
+    db = dbcli._load_relations(_random_instance(tmp_path, 800)[1::2])
     lineage = dbscores.query_lineage(db, reldb.parse_query("Q() :- S(x), R(x,y), S(y)"))
     count, search = _Tally(), _Tally()
     swings = dbscores.swing_counts(lineage, count)

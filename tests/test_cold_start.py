@@ -6,7 +6,7 @@ test process has imported leaks in.  The loaded `xscore.*` modules (and
 a few heavy stdlib ones) are a deterministic count of what a start pays
 for, so an import regression shows here without timing.
 """
-import gc
+import atexit
 import importlib
 import io
 import json
@@ -35,12 +35,14 @@ EX6 = "ml-scores --classifier tests/data/ex6_table.csv --entity 011"
 ALL = "--kinds responsibility,causal_effect,shapley,banzhaf"
 APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 
+# Each subcommand loads its own handler module, `dbcli` or `mlcli`, and
+# never the other one.
 FORMULA = {"xscore._record", "xscore.formula"}
-REL = {"xscore.cli", "xscore.reldb"} | FORMULA
+REL = {"xscore.cli", "xscore.dbcli", "xscore.reldb"} | FORMULA
 DB = REL | {"xscore.dbscores", "xscore.games"}
 ML = {
-    "xscore.cli", "xscore._record", "xscore.classify", "xscore.clfserver", "xscore.mlscores",
-    "xscore.games",
+    "xscore.cli", "xscore.mlcli", "xscore._record", "xscore.classify", "xscore.clfserver",
+    "xscore.mlscores", "xscore.games",
 }
 # No start loads `dataclasses` or `inspect`; only the scoring ones make
 # rationals, and only a start that writes a JSON report loads `json`.
@@ -167,8 +169,10 @@ def test_monte_carlo_shapley_honours_budget():
 
 
 # ---------------------------------------------------------------------------
-# Exits: the process entries freeze the heap so that shutdown collects no
-# cycles; output, exit codes and children must come out as before.
+# Exits: the process entries leave through `xscore.exit_process`, which runs
+# the `atexit` handlers and flushes stdout and stderr, then skips the
+# interpreter's teardown; output, exit codes and children must come out as
+# before.
 
 TABLE = "tests/data/ex6_table.csv"
 
@@ -244,9 +248,11 @@ def test_no_classifier_outlives_the_cli(tmp_path):
         os.kill(pid, 0)
 
 
-def test_only_the_process_entries_freeze_the_heap(monkeypatch, capsys):
+def test_only_the_process_entries_exit_through_exit_process(monkeypatch, capsys):
+    # The handlers are the test process's own, so they are recorded, not run.
     events = []
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(f"exit {code}"))
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("XSCORE_BUDGET", raising=False)
 
@@ -262,19 +268,68 @@ def test_only_the_process_entries_freeze_the_heap(monkeypatch, capsys):
 
     monkeypatch.setattr(entry, "main", main)
     monkeypatch.setattr(sys, "argv", ["xscore", *shlex.split(f"analyze {Q}")])
-    with pytest.raises(SystemExit) as exit_:
-        entry.run()
-    assert exit_.value.code == 0
-    assert events == ["main returned", "freeze"]
+    entry.run()
+    assert events == ["main returned", "atexit", "exit 0"]
 
     events.clear()
     monkeypatch.setattr(sys, "argv", ["clfserver", TABLE])
     monkeypatch.setattr(sys, "stdin", io.StringIO("011\n"))
-    with pytest.raises(SystemExit) as exit_:
-        runpy.run_path(clfserver.__file__, run_name="__main__")
-    assert exit_.value.code == 0
-    assert events == ["freeze"]
+    monkeypatch.delitem(sys.modules, "xscore.clfserver")  # as `python -m` finds it
+    runpy.run_module("xscore.clfserver", run_name="__main__")
+    assert events == ["atexit", "exit 0"]
     assert capsys.readouterr().out.endswith("xscore-clf v1 n=3\n1\n")
+
+
+def test_exit_runs_atexit_handlers_registered_before_and_during_main():
+    code = """
+import atexit, sys
+from xscore import __main__ as entry
+atexit.register(print, "registered before run")
+main = entry.main
+def registering_main():
+    atexit.register(print, "registered during main")
+    return main()
+entry.main = registering_main
+sys.argv = ["xscore", "--version"]
+entry.run()
+print("not reached")
+"""
+    proc = cold("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "xscore 0.1.0\nregistered during main\nregistered before run\n"
+
+
+def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    rows = 6000
+    relation = tmp_path / "R.csv"
+    relation.write_text("a,b\n" + "".join(f"{i},{i % 7}\n" for i in range(rows)))
+    proc = cold("-m", "xscore", "lineage", "--relation", f"R={relation}",
+                "--query", "Q() :- R(x,y)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.encode()) > 1 << 16
+    [record] = json.loads(proc.stdout)["records"]
+    assert record["support"] == sorted(f"R:{i}" for i in range(rows))
+
+
+def test_a_closed_stdout_exits_120_as_a_plain_interpreter_does():
+    # The report stays buffered until the flush at exit meets the closed
+    # pipe; that flush must fail as the interpreter's own would.
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+
+    def closed_stdout(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, stdout=write,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+
+    plain = closed_stdout("-c", "print('xscore')")
+    assert plain.returncode == 120 and "BrokenPipeError" in plain.stderr
+    for argv in (["--version"], shlex.split(f"analyze {Q}")):
+        proc = closed_stdout("-m", "xscore", *argv)
+        assert (proc.returncode, proc.stderr) == (120, plain.stderr)
 
 
 def test_installed_command_is_the_process_entry():
