@@ -12,11 +12,52 @@ Modules:
 * cli       - the `xscore` command-line interface: its parser and reports
 * dbcli     - the `db-scores`, `analyze` and `lineage` subcommands
 * mlcli     - the `ml-scores` subcommand
+
+The root holds what starts share, so none compiles a module it does not
+run: the work `meter`, the classifier handshake, input text and the exit.
 """
 import os
 import sys
 
 __version__ = "0.1.0"
+
+#: Default cap on the units of work one run may charge to its `meter`.
+DEFAULT_BUDGET = 2**25
+
+PROTOCOL_HANDSHAKE = "xscore-clf v1"
+
+
+class GameError(Exception):
+    """Base class for game-engine failures."""
+
+
+class BudgetExceededError(GameError):
+    """A computation charged its `meter` past the budget."""
+
+
+def meter(budget: int):
+    """A charge for `units` (default 1) of work; the call that takes the
+    running sum past `budget` raises `BudgetExceededError`.  One meter
+    shared by several computations caps their sum.  Every `charge`
+    parameter defaults to a fresh `meter(DEFAULT_BUDGET)`."""
+    spent = 0
+
+    def charge(units: int = 1) -> None:
+        nonlocal spent
+        spent += units
+        if spent > budget:
+            raise BudgetExceededError(
+                f"needs more than {budget} units of work, budget is {budget}"
+            )
+
+    return charge
+
+
+def check_feature_names(names) -> None:
+    if not names:
+        raise ValueError("a feature space needs at least one feature")
+    if len(set(names)) != len(names):
+        raise ValueError("feature names must be unique")
 
 
 def text_lines(path):

@@ -18,14 +18,8 @@ from math import prod
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import PROTOCOL_HANDSHAKE, check_feature_names
 from ._record import record
-from .clfserver import (
-    PROTOCOL_HANDSHAKE,
-    check_feature_names,
-    check_total,
-    read_bit_csv,
-    read_truth_table,
-)
 
 #: Widths above this refuse full entity-space enumeration; larger spaces
 #: need a finite-support (empirical) distribution.
@@ -220,6 +214,7 @@ class TableClassifier(Classifier):
             bad = next(v for v in self._cache.values() if v not in (0, 1))
             raise ValueError(f"truth table label {bad!r} is not 0 or 1")
         if total:
+            from .clfserver import check_total
             check_total(len(self._cache), width)
 
     def _label(self, requests):
@@ -652,6 +647,7 @@ class Sample:
 def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifier]:
     """Load a total classifier: feature columns plus a `label` column, one
     row per entity, all 2^n entities present."""
+    from .clfserver import read_truth_table
     names, table = read_truth_table(path)
     space = FeatureSpace(tuple(names))
     bit_table = {_bit_tuple(bits): label for bits, label in table.items()}
@@ -664,6 +660,7 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     Duplicate entities are an error unless `dedupe` is set (repetitions
     carry no extra mass under the empirical distribution anyway).
     """
+    from .clfserver import read_bit_csv
     rows, names = read_bit_csv(path, "_label", required=False)
     space = FeatureSpace(tuple(names))
     if not rows:

@@ -10,13 +10,13 @@ table that is missing or bad, after one ``error:`` line on stderr.
 A server start pays for this module, `csv` and `sys` only: a request is
 one lookup in the {bit string: label} table of `read_truth_table`.  Run
 as a process, it exits as `python -m xscore` does, through `exit_process`.
+Its handshake and names check are the package root's; `classify` loads
+this module only to read a truth-table or sample CSV.
 """
 import csv
 import sys
 
-from . import exit_process, text_lines
-
-PROTOCOL_HANDSHAKE = "xscore-clf v1"
+from . import PROTOCOL_HANDSHAKE, check_feature_names, exit_process, text_lines
 
 _BITS = frozenset(("0", "1"))
 
@@ -52,13 +52,6 @@ def read_truth_table(path) -> tuple[list[str], dict[str, int]]:
         table[bits] = label
     check_total(len(table), len(names))
     return names, table
-
-
-def check_feature_names(names) -> None:
-    if not names:
-        raise ValueError("a feature space needs at least one feature")
-    if len(set(names)) != len(names):
-        raise ValueError("feature names must be unique")
 
 
 def check_total(rows: int, width: int) -> None:

@@ -24,7 +24,7 @@ import time
 import warnings
 from pathlib import Path
 
-from . import __version__
+from . import DEFAULT_BUDGET, __version__
 
 SCHEMA = "xscore/1"
 
@@ -104,20 +104,24 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+# Each error class's exit code, first match wins.  A class is read only from
+# a loaded module (an unloaded one cannot have raised), so mapping loads none.
+EXIT_CODES = (
+    (f"{__package__}.dbscores", "NothingToExplainError", EXIT_QUERY_FALSE),
+    (__package__, "BudgetExceededError", EXIT_BUDGET),
+    (f"{__package__}.classify", "WidthLimitError", EXIT_BUDGET),
+    (f"{__package__}.classify", "ClassifierProtocolError", EXIT_PROTOCOL),
+    (f"{__package__}.classify", "ZeroMassEventError", EXIT_ZERO_MASS),
+    (f"{__package__}.classify", "InconsistentConstraintError", EXIT_ZERO_MASS),
+    ("builtins", "OSError", EXIT_PARSE),
+    ("builtins", "ValueError", EXIT_PARSE),
+)
+
+
 def _exit_code(exc: Exception) -> int | None:
     """The exit code of the first error class `exc` belongs to, or None."""
-    from . import classify, dbscores, games
-    codes = (
-        (dbscores.NothingToExplainError, EXIT_QUERY_FALSE),
-        (games.BudgetExceededError, EXIT_BUDGET),
-        (classify.WidthLimitError, EXIT_BUDGET),
-        (classify.ClassifierProtocolError, EXIT_PROTOCOL),
-        (classify.ZeroMassEventError, EXIT_ZERO_MASS),
-        (classify.InconsistentConstraintError, EXIT_ZERO_MASS),
-        (OSError, EXIT_PARSE),
-        (ValueError, EXIT_PARSE),
-    )
-    return next((code for kind, code in codes if isinstance(exc, kind)), None)
+    return next((code for module, name, code in EXIT_CODES if module in sys.modules
+                 and isinstance(exc, getattr(sys.modules[module], name))), None)
 
 
 def _config_echo(args) -> dict:
@@ -152,12 +156,11 @@ def add_common_arguments(parser, scoring: bool) -> None:
 
 
 def work_budget(args) -> int:
-    from . import games
     budget = args.budget
     if budget is None:
         env = os.environ.get("XSCORE_BUDGET")
         try:
-            budget = int(env) if env else games.DEFAULT_BUDGET
+            budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise ValueError(
                 f"$XSCORE_BUDGET expects a non-negative integer, got {env!r}"
@@ -203,6 +206,8 @@ def _emit(report: dict, args) -> None:
     else:
         text = _format_table(report)
     if args.output is None:
+        if sys.stdout is None:  # file descriptor 1 was closed at start
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
         return
     import tempfile

@@ -4,6 +4,8 @@ A game is a set of players plus a value oracle over coalitions (subsets of
 players).  The engine computes exact Shapley and Banzhaf values with
 arbitrary-precision rational arithmetic, and a seeded Monte Carlo Shapley
 estimate for games too large to enumerate.
+
+The work `meter` and its errors are the package root's, re-exported here.
 """
 from __future__ import annotations
 
@@ -13,26 +15,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from . import DEFAULT_BUDGET, BudgetExceededError, GameError, meter
 from ._record import record
 
 Player = Hashable
 Coalition = frozenset
 
-#: Default cap on the units of work one run may charge to its `meter`; past
-#: it the run raises instead of truncating.
-DEFAULT_BUDGET = 2**25
-
-
-class GameError(Exception):
-    """Base class for game-engine failures."""
-
 
 class PlayerNotInGameError(GameError):
     pass
-
-
-class BudgetExceededError(GameError):
-    """A computation charged its `meter` past the budget."""
 
 
 @record
@@ -207,24 +198,6 @@ def _derived_seed(seed: int, index: int) -> int:
 def _check_player(game: Game, player: Player) -> None:
     if player not in game.players:
         raise PlayerNotInGameError(f"player {player!r} is not in the game")
-
-
-def meter(budget: int) -> Callable[..., None]:
-    """A charge for `units` (default 1) of work; the call that takes the
-    running sum past `budget` raises `BudgetExceededError`.  One meter
-    shared by several computations caps their sum.  Every `charge`
-    parameter defaults to a fresh `meter(DEFAULT_BUDGET)`."""
-    spent = 0
-
-    def charge(units: int = 1) -> None:
-        nonlocal spent
-        spent += units
-        if spent > budget:
-            raise BudgetExceededError(
-                f"needs more than {budget} units of work, budget is {budget}"
-            )
-
-    return charge
 
 
 def least_contingency(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import classify, cli, games, mlscores, text_lines
+from . import classify, cli, meter, mlscores, text_lines
 
 
 def declare_ml_scores(parser) -> None:
@@ -29,7 +29,7 @@ def declare_ml_scores(parser) -> None:
 
 
 def _cmd_ml_scores(args) -> list[dict]:
-    charge = games.meter(cli.work_budget(args))
+    charge = meter(cli.work_budget(args))
     kinds = cli.split_kinds(args.kinds, mlscores.SCORE_KINDS)
     space, classifier, sample = _resolve_classifier(args)
     with classifier:

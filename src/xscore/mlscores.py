@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, compress, tee
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import games
+from . import DEFAULT_BUDGET, meter
 from ._record import record
 from .classify import (
     Classifier,
@@ -119,7 +119,7 @@ def shap(
     up front.
     """
     request.distribution.space.index(feature)
-    _check_enumerable(request, charge or games.meter(games.DEFAULT_BUDGET))
+    _check_enumerable(request, charge or meter(DEFAULT_BUDGET))
     return _shap_values(request, [feature], charge)[feature]
 
 
@@ -144,7 +144,7 @@ def _counter_scores(
     One `labels` stream then reads e and every flip of positive weight.
     """
     dist, entity = request.distribution, request.entity
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    charge = charge or meter(DEFAULT_BUDGET)
     own, flips = dist.weight(entity), {}
     for name in features:
         flipped = entity.flip(dist.space.index(name))
@@ -200,7 +200,7 @@ def _resp_scores(
         raise LabelMismatchError(
             f"entity has label {label}, request explains label {request.target_label}"
         )
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    charge = charge or meter(DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
     pending = {names.index(n) for n in features}
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -248,7 +248,7 @@ def score_all(
     wanted = sorted(set(kinds))
     if unknown := set(wanted).difference(SCORE_KINDS):
         raise ValueError(f"unknown score kind {min(unknown)!r}")
-    charge = charge or games.meter(games.DEFAULT_BUDGET)
+    charge = charge or meter(DEFAULT_BUDGET)
     if "shap" in wanted:
         _check_enumerable(request, charge)
     batches = {"shap": _shap_values, "counter": _counter_scores, "resp": _resp_scores}
@@ -312,6 +312,7 @@ def _shap_values(
 def _raise_first_zero_mass(request, feature, den, bits) -> None:
     # Zero mass is upward closed, so the first term to reach a zero-mass
     # coalition does so through S + feature.
+    from . import games
     chosen = games.least_contingency(
         sorted(n for n in request.distribution.space.names if n != feature),
         lambda s: den[bits[feature] + sum(bits[n] for n in s)] == 0,

@@ -21,9 +21,11 @@ from pathlib import Path
 
 import pytest
 
+import xscore
 from xscore import __main__ as entry
-from xscore import cli, clfserver
+from xscore import cli, clfserver, games
 from xscore.classify import Entity, load_truth_table_csv
+from xscore.dbscores import NothingToExplainError
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -31,23 +33,29 @@ ENV.pop("XSCORE_BUDGET", None)
 
 EX1 = "--relation R=tests/data/ex1_R.csv --relation S=tests/data/ex1_S.csv"
 Q = "--query 'Q() :- S(x), R(x,y), S(y)'"
-EX6 = "ml-scores --classifier tests/data/ex6_table.csv --entity 011"
+TABLE = "tests/data/ex6_table.csv"
+EX6 = f"ml-scores --classifier {TABLE} --entity 011"
+CMD = f"ml-scores --classifier-cmd '{sys.executable} -m xscore.clfserver {TABLE}' --entity 011"
 ALL = "--kinds responsibility,causal_effect,shapley,banzhaf"
 APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 
 # Each subcommand loads its own handler module, `dbcli` or `mlcli`, and
-# never the other one.
+# never the other one.  `ml-scores` meters its work with the package
+# root's `meter`, so it loads no `games`, and loads `clfserver` (and `csv`)
+# only to read a truth-table or sample CSV.
 FORMULA = {"xscore._record", "xscore.formula"}
 REL = {"xscore.cli", "xscore.dbcli", "xscore.reldb"} | FORMULA
 DB = REL | {"xscore.dbscores", "xscore.games"}
-ML = {
-    "xscore.cli", "xscore.mlcli", "xscore._record", "xscore.classify", "xscore.clfserver",
-    "xscore.mlscores", "xscore.games",
-}
+ML = {"xscore.cli", "xscore.mlcli", "xscore._record", "xscore.classify", "xscore.mlscores"}
+ML_CSV = ML | {"xscore.clfserver"}
 # No start loads `dataclasses` or `inspect`; only the scoring ones make
-# rationals, and only a start that writes a JSON report loads `json`.
-WATCHED = ("hashlib", "subprocess", "select", "dataclasses", "inspect", "fractions", "json")
+# rationals, only a start that writes a JSON report loads `json`, and only
+# one that reads a CSV loads `csv`.
+WATCHED = (
+    "hashlib", "subprocess", "select", "dataclasses", "inspect", "fractions", "json", "csv",
+)
 JSON = {"json"}
+CSV = {"csv"}
 SCORES = {"fractions"} | JSON
 
 # A fresh process runs `xscore.clfserver` (first argument "clfserver") or
@@ -81,17 +89,18 @@ def cold(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     "command, modules, stdlib",
     [
         ("--version", {"xscore.cli"}, set()),
-        (f"analyze {Q}", REL, JSON),
-        (f"lineage {EX1} {Q}", REL, JSON),
-        (f"db-scores {EX1} {Q} {ALL}", DB, SCORES),
-        (f"db-scores {EX1} {Q} {APPROX}", DB, SCORES | {"hashlib"}),
-        (EX6, ML, SCORES),
-        (f"{EX6} --constraint '!(F1 & ~F2)'", ML | FORMULA, SCORES),
-        ("clfserver tests/data/ex6_table.csv", {"xscore.clfserver"}, set()),
+        (f"analyze {Q}", REL, JSON | CSV),
+        (f"lineage {EX1} {Q}", REL, JSON | CSV),
+        (f"db-scores {EX1} {Q} {ALL}", DB, SCORES | CSV),
+        (f"db-scores {EX1} {Q} {APPROX}", DB, SCORES | CSV | {"hashlib"}),
+        (EX6, ML_CSV, SCORES | CSV),
+        (f"{EX6} --constraint '!(F1 & ~F2)'", ML_CSV | FORMULA, SCORES | CSV),
+        (CMD, ML, SCORES | {"subprocess", "select"}),
+        (f"clfserver {TABLE}", {"xscore.clfserver"}, CSV),
     ],
     ids=[
         "version", "analyze", "lineage", "db-exact", "db-approx", "ml-scores",
-        "ml-scores-constraint", "clfserver",
+        "ml-scores-constraint", "ml-scores-cmd", "clfserver",
     ],
 )
 def test_entry_point_loads_only_its_modules(command, modules, stdlib):
@@ -102,6 +111,45 @@ def test_entry_point_loads_only_its_modules(command, modules, stdlib):
     loaded = set(result["loaded"])
     assert {m for m in loaded if m.startswith("xscore.")} == modules
     assert loaded & set(WATCHED) == stdlib
+
+
+@pytest.mark.parametrize(
+    "command, code, modules",
+    [
+        ("analyze --query 'Q() :- S(x'", cli.EXIT_PARSE, REL),
+        (f"{EX6} --budget 1", cli.EXIT_BUDGET, ML_CSV),
+        (f"{EX6} --constraint 'F1 & ~F1'", cli.EXIT_ZERO_MASS, ML_CSV | FORMULA),
+        (f"{CMD} --features A,B", cli.EXIT_PARSE, ML),
+    ],
+    ids=["analyze-parse", "ml-budget", "ml-zero-mass", "ml-cmd-features"],
+)
+def test_an_error_maps_to_its_exit_code_loading_no_module(command, code, modules):
+    # The exit-code table reads each class from its module only once that
+    # module is loaded, so no start loads `dbscores` or `games` to exit 3.
+    proc = cold("-c", CHILD, *shlex.split(command))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == code, proc.stderr
+    assert {m for m in result["loaded"] if m.startswith("xscore.")} == modules
+
+
+def test_exit_code_table_names_classes_of_its_modules():
+    for module, name, code in cli.EXIT_CODES:
+        assert issubclass(getattr(importlib.import_module(module), name), Exception), name
+    assert cli._exit_code(games.BudgetExceededError("over")) == cli.EXIT_BUDGET
+    assert cli._exit_code(NothingToExplainError("false")) == cli.EXIT_QUERY_FALSE
+    assert cli._exit_code(KeyError("k")) is None
+
+
+def test_games_reexports_the_root_meter_and_errors():
+    assert games.meter is xscore.meter
+    assert games.BudgetExceededError is xscore.BudgetExceededError
+    assert games.GameError is xscore.GameError
+    assert games.DEFAULT_BUDGET == xscore.DEFAULT_BUDGET
+    assert issubclass(games.BudgetExceededError, games.GameError)
+    assert issubclass(games.PlayerNotInGameError, games.GameError)
+    assert clfserver.PROTOCOL_HANDSHAKE is xscore.PROTOCOL_HANDSHAKE
+    assert clfserver.check_feature_names is xscore.check_feature_names
 
 
 def report_without_timing(text: str) -> dict:
@@ -147,7 +195,7 @@ def test_python_m_xscore_matches_in_process(command, capsys, monkeypatch):
 )
 def test_exit_codes_from_a_cold_process(command, code, message):
     # The error is raised while only the subcommand's own modules are
-    # loaded, so the exit code comes from the CLI's lazily imported table.
+    # loaded, so the exit code comes from the CLI's table of loaded classes.
     proc = cold("-m", "xscore", *shlex.split(command))
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
@@ -173,8 +221,6 @@ def test_monte_carlo_shapley_honours_budget():
 # the `atexit` handlers and flushes stdout and stderr, then skips the
 # interpreter's teardown; output, exit codes and children must come out as
 # before.
-
-TABLE = "tests/data/ex6_table.csv"
 
 
 def test_clfserver_process_answers_then_exits_0():
@@ -330,6 +376,20 @@ def test_a_closed_stdout_exits_120_as_a_plain_interpreter_does():
     for argv in (["--version"], shlex.split(f"analyze {Q}")):
         proc = closed_stdout("-m", "xscore", *argv)
         assert (proc.returncode, proc.stderr) == (120, plain.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"analyze {Q}", f"db-scores {EX1} {Q} {ALL} --format table"],
+    ids=["analyze-json", "db-scores-table"],
+)
+def test_a_closed_stdout_descriptor_is_refused_in_one_line(argv):
+    # With descriptor 1 closed before start, `sys.stdout` is None: the
+    # report is refused through the OSError exit code, not a traceback.
+    command = shlex.join([sys.executable, "-m", "xscore", *shlex.split(argv)])
+    proc = subprocess.run(["sh", "-c", f"exec {command} >&-"], cwd=ROOT, env=ENV,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "xscore: error: standard output is closed\n")
 
 
 def test_installed_command_is_the_process_entry():
