@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, product, tee
 from math import prod
 from pathlib import Path
@@ -491,12 +492,12 @@ class EmpiricalDistribution(Distribution):
         super().__init__(space, len(entities))
         if not entities:
             raise ValueError("an empirical distribution needs a non-empty sample")
-        if len(set(entities)) != len(entities):
+        self._members = frozenset(entities)
+        if len(self._members) != len(entities):
             raise DuplicateSampleError("sample contains duplicate entities")
         for e in entities:
             self._check(e)
         self.sample = entities
-        self._members = frozenset(entities)
 
     def weight(self, entity: Entity) -> int:
         return int(entity in self._members)
@@ -541,9 +542,10 @@ class ConditionedDistribution(Distribution):
     """A base distribution restricted to a constraint's satisfying set.
 
     Violating entities weigh 0; survivors keep their base weight, over the
-    survivors' total.  Construction fails when that total is 0 (the
-    conditional is undefined).  A base with a finite support is filtered
-    once, here.
+    survivors' total.  Construction fails when no survivor has mass (the
+    conditional is undefined); it scans only up to the first one that has.
+    A base with a finite support is filtered once, here.  The total is
+    summed only when `prob` reads it.
     """
 
     def __init__(self, base: Distribution, constraint: Constraint):
@@ -554,14 +556,18 @@ class ConditionedDistribution(Distribution):
             survivors = (e for e in all_entities(base.space.width) if constraint.satisfied_by(e))
         else:
             survivors = support = tuple(e for e in support if constraint.satisfied_by(e))
-        super().__init__(base.space, sum(map(base.weight, survivors)))
-        if self.total == 0:
+        if not any(map(base.weight, survivors)):
             raise InconsistentConstraintError(
                 f"constraint {constraint} has zero mass under the base distribution"
             )
+        self.space = base.space  # no Distribution.__init__: `total` is lazy
         self.base = base
         self.constraint = constraint
         self._support = support
+
+    @cached_property
+    def total(self) -> int:
+        return sum(map(self.weight, self._support or all_entities(self.space.width)))
 
     def weight(self, entity: Entity) -> int:
         return self.base.weight(entity) if self.constraint.satisfied_by(entity) else 0

@@ -145,12 +145,11 @@ def _config_echo(args) -> dict:
 
 
 def add_common_arguments(parser, scoring: bool) -> None:
-    """The options of every subcommand, and a scoring one's --budget and --seed."""
+    """The options of every subcommand, and a scoring one's --budget."""
     add = parser.add_argument
     if scoring:
         add("--budget", type=int, help="cap on the units of work one run charges over all its "
             "kinds (default: $XSCORE_BUDGET or 2^25)")
-        add("--seed", type=int, default=0, help="RNG seed for approximate modes")
     add("--output", type=Path, help="write the report to this path")
     add("--format", choices=("json", "table"), default="json")
 

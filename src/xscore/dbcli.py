@@ -23,6 +23,7 @@ def declare_db_scores(parser) -> None:
     add("--mode", choices=("exact", "approx"), default="exact")
     add("--epsilon", type=float, default=None, help="approx mode: additive error")
     add("--delta", type=float, default=None, help="approx mode: failure probability")
+    add("--seed", type=int, default=0, help="approx mode: RNG seed")
     add("--probability", metavar="P",
         help="tuple presence probability for causal effect (default 1/2)")
     parser.set_defaults(handler=_cmd_db_scores)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -83,7 +84,8 @@ def shapley_monte_carlo(
 ) -> float:
     """Monte Carlo Shapley estimate of one player: its entry of
     `shapley_monte_carlo_all`."""
-    _check_player(game, player)
+    if player not in game.players:
+        raise PlayerNotInGameError(f"player {player!r} is not in the game")
     return shapley_monte_carlo_all(game, epsilon, delta, seed)[player]
 
 
@@ -101,16 +103,14 @@ def shapley_monte_carlo_all(
     """
     m = sample_count(epsilon, delta)
     players = list(game.players)
-    value = _memoized(game)
+    value = cache(lambda coalition: Fraction(game.value(coalition)))
     totals = dict.fromkeys(players, Fraction(0))
     for order in sample_orders(players, epsilon, delta, seed, charge):
         before = frozenset()
-        previous = value(before)
         for player in order:
-            before = before | {player}
-            current = value(before)
-            totals[player] += current - previous
-            previous = current
+            after = before | {player}
+            totals[player] += value(after) - value(before)
+            before = after
     return {p: float(totals[p] / m) for p in players}
 
 
@@ -157,7 +157,7 @@ def _marginal_sums(game: Game, kind: str, charge: Callable | None) -> dict:
     2^n coalitions are charged up front.
     """
     (charge or meter(DEFAULT_BUDGET))(2 ** len(game.players))
-    value = _memoized(game)
+    value = cache(lambda coalition: Fraction(game.value(coalition)))
     weights = size_weights(kind, len(game.players))
     out = {}
     for player in game.players:
@@ -173,31 +173,11 @@ def _marginal_sums(game: Game, kind: str, charge: Callable | None) -> dict:
     return out
 
 
-def _memoized(game: Game) -> Callable[[Coalition], Fraction]:
-    # Write-once cache; safe because the oracle is deterministic by contract.
-    cache: dict[Coalition, Fraction] = {}
-
-    def value(coalition: Coalition) -> Fraction:
-        key = frozenset(coalition)
-        got = cache.get(key)
-        if got is None:
-            got = Fraction(game.value(key))
-            cache[key] = got
-        return got
-
-    return value
-
-
 def _derived_seed(seed: int, index: int) -> int:
     import hashlib
     # hash() is randomized per process; use a stable digest instead.
     digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _check_player(game: Game, player: Player) -> None:
-    if player not in game.players:
-        raise PlayerNotInGameError(f"player {player!r} is not in the game")
 
 
 def least_contingency(

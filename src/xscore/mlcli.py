@@ -98,6 +98,8 @@ def _resolve_classifier(args):
 
 
 def _resolve_distribution(args, space, sample):
+    if args.marginals is not None and args.distribution != "product":
+        raise ValueError("--marginals is only valid with --distribution product")
     if args.distribution == "uniform":
         return classify.UniformDistribution(space)
     if args.distribution == "empirical":

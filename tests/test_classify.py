@@ -290,7 +290,8 @@ def test_condition_singleton_conjunction_equals_single(ex6_space):
 
 def test_condition_zero_mass_rejected(ex6_space):
     base = UniformDistribution(ex6_space)
-    with pytest.raises(InconsistentConstraintError):
+    message = "^constraint false has zero mass under the base distribution$"
+    with pytest.raises(InconsistentConstraintError, match=message):
         condition(base, parse_constraint("false", ex6_space))
     # two denials that jointly forbid both values of F1
     theta = [
@@ -303,6 +304,20 @@ def test_condition_zero_mass_rejected(ex6_space):
     sample = EmpiricalDistribution(ex6_space, [Entity.from_bits("100")])
     with pytest.raises(InconsistentConstraintError):
         condition(sample, parse_constraint("!(F1)", ex6_space))
+
+
+def test_conditioning_stops_at_the_first_survivor_with_mass(monkeypatch):
+    space = FeatureSpace(tuple(f"F{i}" for i in range(1, 17)))
+    constraint = parse_constraint("!(F1 & ~F2)", space)
+    tested = []
+    satisfied_by = Constraint.satisfied_by
+    monkeypatch.setattr(
+        Constraint, "satisfied_by", lambda self, e: tested.append(e) or satisfied_by(self, e)
+    )
+    dist = condition(UniformDistribution(space), constraint)
+    assert tested == [Entity((0,) * 16)]
+    # `prob` sums the survivors' total when it first reads it.
+    assert dist.prob(Entity((0,) * 16)) == Fraction(1, 3 * 2**14)
 
 
 def test_nested_conditioning(ex6_space):
@@ -458,6 +473,9 @@ def test_width_limit_guard():
         conditional_expectation(dist, clf, entity, [])
     with pytest.raises(WidthLimitError):
         list(all_entities(24))
+    # Without a sample, conditioning seeks its first survivor over all 2^24.
+    with pytest.raises(WidthLimitError):
+        condition(dist, parse_constraint("F1", space))
 
 
 # ---------------------------------------------------------------------------

@@ -1040,6 +1040,15 @@ def test_ml_scores_product_marginals(capsys, data_dir):
     assert values["F2"] == "1/2"  # matches the uniform value
 
 
+def test_only_db_scores_takes_a_seed(capsys, data_dir):
+    code, out = run(capsys, *ml_args(data_dir, "--seed", "1"))
+    assert code == cli.EXIT_PARSE
+    assert out.err.startswith("usage: xscore ")
+    assert out.err.endswith("xscore: error: unrecognized arguments: --seed 1\n")
+    assert "seed" not in run_json(capsys, *ml_args(data_dir))["config"]
+    assert run_json(capsys, *db_args(data_dir))["config"]["seed"] == 0
+
+
 def test_ml_scores_sample_labels_mode(capsys, tmp_path):
     sample = tmp_path / "s.csv"
     sample.write_text("A,B,_label\n1,1,1\n1,0,1\n0,1,0\n0,0,0\n")
@@ -1326,6 +1335,10 @@ ML_INPUT_ERRORS = {
     "empty-features-with-cmd": (
         ("--classifier-cmd", "{server}", "--features", ""),
         "--features expects comma-separated names, got ''",
+    ),
+    "marginals-without-product": (
+        ("--classifier", "{table}", "--kinds", "shap", "--marginals", "1/3,1/2,1/5"),
+        "--marginals is only valid with --distribution product",
     ),
     "empty-marginals": (
         ("--classifier", "{table}", "--distribution", "product", "--marginals", ""),
