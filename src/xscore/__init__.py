@@ -56,6 +56,8 @@ def meter(budget: int):
 def check_feature_names(names) -> None:
     if not names:
         raise ValueError("a feature space needs at least one feature")
+    if "" in names:
+        raise ValueError("feature names must be non-empty")
     if len(set(names)) != len(names):
         raise ValueError("feature names must be unique")
 

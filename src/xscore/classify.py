@@ -201,10 +201,10 @@ class Classifier:
 
 
 class TableClassifier(Classifier):
-    """Classifier backed by an explicit (usually total) truth table, held
-    as the label cache: only an entity the table lacks reaches `_label`."""
+    """Classifier over a (usually total) truth table, from a mapping or (bits,
+    label) pairs, held as the label cache: only entities it lacks reach `_label`."""
 
-    def __init__(self, width: int, table: Mapping[tuple[int, ...], int], total: bool = True):
+    def __init__(self, width: int, table: Mapping | Iterable[tuple], total: bool = True):
         super().__init__(width)
         self._cache.update(table)
         keys = self._cache.keys()  # checked in C; a bad table is walked to name its key
@@ -656,8 +656,7 @@ def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifie
     from .clfserver import read_truth_table
     names, table = read_truth_table(path)
     space = FeatureSpace(tuple(names))
-    bit_table = {_bit_tuple(bits): label for bits, label in table.items()}
-    return space, TableClassifier(space.width, bit_table)
+    return space, TableClassifier(space.width, zip(map(_bit_tuple, table), table.values()))
 
 
 def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
@@ -667,10 +666,8 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
     carry no extra mass under the empirical distribution anyway).
     """
     from .clfserver import read_bit_csv
-    rows, names = read_bit_csv(path, "_label", required=False)
-    space = FeatureSpace(tuple(names))
-    if not rows:
-        raise ValueError(f"{path}: sample has no rows")
+    rows = read_bit_csv(path, "_label")
+    names, labelled = next(rows)
     labels: dict[Entity, int | None] = {}  # in file order; None without `_label`
     for line_no, bits, label in rows:
         e = Entity(_bit_tuple(bits))
@@ -679,7 +676,9 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
                 continue
             raise DuplicateSampleError(f"{path}: duplicate sample entity at line {line_no}")
         labels[e] = label
-    return Sample(space, tuple(labels), labels if rows[0][2] is not None else None)
+    if not labels:
+        raise ValueError(f"{path}: sample has no rows")
+    return Sample(FeatureSpace(tuple(names)), tuple(labels), labels if labelled else None)
 
 
 _BIT_VALUES = {"0": 0, "1": 1}

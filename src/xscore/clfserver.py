@@ -43,8 +43,10 @@ def read_truth_table(path) -> tuple[list[str], dict[str, int]]:
     """Feature names and {bit string: label} of a truth-table CSV: feature
     columns plus a `label` column, one row per entity, all 2^n entities
     present."""
-    rows, names = read_bit_csv(path, "label", required=True)
-    check_feature_names(names)
+    rows = read_bit_csv(path, "label")
+    names, labelled = next(rows)
+    if not labelled:
+        raise ValueError(f"{path}: missing required column 'label'")
     table: dict[str, int] = {}
     for line_no, bits, label in rows:
         if bits in table:
@@ -59,13 +61,11 @@ def check_total(rows: int, width: int) -> None:
         raise ValueError(f"truth table has {rows} rows, needs all {2 ** width}")
 
 
-def read_bit_csv(
-    path, column: str, required: bool
-) -> tuple[list[tuple[int, str, int | None]], list[str]]:
-    """(line number, feature bits as a '0'/'1' string, bit of the special
-    `column`, None where the header lacks it) per row, and the feature
-    names.  The header may hold `column` at most once, and must when
-    `required`."""
+def read_bit_csv(path, column: str):
+    """A bit CSV as a stream: first its feature names and whether the header
+    holds the special `column` (at most once), then per row the line number,
+    the feature bits as a '0'/'1' string and the bit of `column` (None where
+    the header lacks it).  So the first fault in file order is refused."""
     reader = csv.reader(text_lines(path))
     try:
         header = [h.strip() for h in next(reader)]
@@ -74,10 +74,12 @@ def read_bit_csv(
     if header.count(column) > 1:
         raise ValueError(f"{path}: header has more than one {column} column")
     special_col = header.index(column) if column in header else None
-    if required and special_col is None:
-        raise ValueError(f"{path}: missing required column {column!r}")
     names = [h for i, h in enumerate(header) if i != special_col]
-    out = []
+    try:
+        check_feature_names(names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    yield names, special_col is not None
     for line_no, row in enumerate(reader, 2):
         if len(row) != len(header):
             raise ValueError(
@@ -90,8 +92,7 @@ def read_bit_csv(
                 bad = next(cell for cell in row if cell.strip() not in _BITS)
                 raise ValueError(f"{path}: non-bit value {bad!r} at line {line_no}")
         extra = None if special_col is None else int(cells.pop(special_col))
-        out.append((line_no, "".join(cells), extra))
-    return out, names
+        yield line_no, "".join(cells), extra
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -68,6 +68,8 @@ def _cmd_db_scores(args) -> list[dict]:
     if args.probability is not None:
         probability = cli.rational_arg("--probability", args.probability)
         dbscores.check_probability(probability)
+        if "causal_effect" not in kinds:
+            raise ValueError("--probability is only valid with --kinds causal_effect")
 
     # The reported tuples; a --tuple filter spares the others' counts and searches.
     ids = sorted(set(args.tuple)) if args.tuple else db.tuple_ids()

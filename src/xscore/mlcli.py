@@ -31,8 +31,21 @@ def declare_ml_scores(parser) -> None:
 def _cmd_ml_scores(args) -> list[dict]:
     charge = meter(cli.work_budget(args))
     kinds = cli.split_kinds(args.kinds, mlscores.SCORE_KINDS)
-    space, classifier, sample = _resolve_classifier(args)
-    with classifier:
+    space, clf, sample = _resolve_classifier(args)
+    with clf:
+        if space is None:  # a command classifier: --features names it, or F1..Fn
+            names = [f"F{i + 1}" for i in range(clf.width)]
+            if args.features is not None:
+                names = [n.strip() for n in args.features.split(",")]
+                if not all(names):
+                    raise ValueError(
+                        f"--features expects comma-separated names, got {args.features!r}"
+                    )
+            space = classify.FeatureSpace(tuple(names))
+            if space.width != clf.width:
+                raise ValueError(
+                    f"--features names {space.width} features, classifier serves {clf.width}"
+                )
         entity = classify.Entity.from_bits(args.entity)
         if entity.width != space.width:
             raise ValueError(
@@ -42,7 +55,7 @@ def _cmd_ml_scores(args) -> list[dict]:
         distribution = _apply_constraints(args, space, distribution)
         request = mlscores.ExplanationRequest(
             entity=entity,
-            classifier=classifier,
+            classifier=clf,
             distribution=distribution,
             target_label=args.target_label,
             max_contingency=args.max_contingency,
@@ -65,25 +78,7 @@ def _resolve_classifier(args):
         return space, clf, sample
     if args.classifier_cmd is not None:
         import shlex
-        clf = classify.ExternalClassifier(shlex.split(args.classifier_cmd))
-        try:
-            if args.features is None:
-                names = tuple(f"F{i + 1}" for i in range(clf.width))
-            else:
-                names = tuple(n.strip() for n in args.features.split(","))
-                if not all(names):
-                    raise ValueError(
-                        f"--features expects comma-separated names, got {args.features!r}"
-                    )
-            space = classify.FeatureSpace(names)
-            if space.width != clf.width:
-                raise ValueError(
-                    f"--features names {space.width} features, classifier serves {clf.width}"
-                )
-        except BaseException:
-            clf.close()
-            raise
-        return space, clf, sample
+        return None, classify.ExternalClassifier(shlex.split(args.classifier_cmd)), sample
     # No classifier: labels must come from the sample itself.
     if sample is None or sample.labels is None:
         raise ValueError(
@@ -92,9 +87,8 @@ def _resolve_classifier(args):
         )
     if args.distribution != "empirical":
         raise ValueError("sample-labeled scoring needs --distribution empirical")
-    table = {e.bits: label for e, label in sample.labels.items()}
-    clf = classify.TableClassifier(sample.space.width, table, total=False)
-    return sample.space, clf, sample
+    table = ((e.bits, label) for e, label in sample.labels.items())
+    return sample.space, classify.TableClassifier(sample.space.width, table, total=False), sample
 
 
 def _resolve_distribution(args, space, sample):

@@ -161,6 +161,22 @@ def test_table_key_other_than_a_bit_tuple_of_its_width_is_refused(table, key, to
         TableClassifier(2, table, total=total)
 
 
+def test_table_given_as_pairs_is_checked_as_a_mapping_is():
+    table = {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}
+    clf = TableClassifier(2, zip(table, table.values()))
+    assert [clf.label(Entity(bits)) for bits in table] == list(table.values())
+    bad_tables = [
+        {**table, (1, 1): 2},  # a non-bit label
+        {**table, (1, 2): 0},  # a key that is not a 0/1 pair
+        dict(list(table.items())[:3]),  # a missing row
+    ]
+    for bad in bad_tables:
+        with pytest.raises(ValueError) as as_mapping:
+            TableClassifier(2, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(as_mapping.value))}$"):
+            TableClassifier(2, iter(bad.items()))
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -752,3 +768,26 @@ def test_load_sample_rejects_non_bits(tmp_path):
     f.write_text("A,B\n0,7\n")
     with pytest.raises(ValueError, match="non-bit"):
         load_sample_csv(f)
+
+
+# Each file has two faults; the reader streams it, so the first in file
+# order is the one refused, and a header fault comes before any row fault.
+FIRST_FAULTS = {
+    "table-row": ("A,B,label\n0,0,1\n0,0,0\n0,1,1\n1,x,0\n", "duplicate entity row at line 3"),
+    "table-header": ("A,A,label\n0,x,1\n", "feature names must be unique"),
+    "sample-row": ("A,B\n0,0\n0,0\n0,1\n1,x\n", "duplicate sample entity at line 3"),
+    "sample-header": ("A,A\n0,x\n", "feature names must be unique"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_FAULTS))
+def test_bit_csv_refuses_its_first_fault_in_file_order(tmp_path, case):
+    text, fault = FIRST_FAULTS[case]
+    f = tmp_path / "f.csv"
+    f.write_text(text)
+    loaders = [load_sample_csv]
+    if case.startswith("table"):
+        loaders = [load_truth_table_csv, clfserver.read_truth_table]
+    for load in loaders:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{f}: {fault}')}$"):
+            load(f)

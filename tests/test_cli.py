@@ -579,6 +579,15 @@ def test_out_of_range_probability_exits_1_whatever_the_kinds(capsys, data_dir):
         assert out.err == "xscore: error: tuple probability 2 outside [0, 1]\n"
 
 
+def test_probability_without_causal_effect_exits_1(capsys, data_dir):
+    # Only the causal effect reads the coin bias; any other kind would
+    # echo a P that no score used.
+    for kinds in ("shapley", "banzhaf,responsibility"):
+        code, out = run(capsys, *db_args(data_dir, "--kinds", kinds, "--probability", "1/3"))
+        assert (code, out.out) == (cli.EXIT_PARSE, "")
+        assert out.err == "xscore: error: --probability is only valid with --kinds causal_effect\n"
+
+
 def test_exit_code_usage_error(capsys, data_dir):
     code, _ = run(capsys, "ml-scores", "--classifier", str(data_dir / "ex6_table.csv"))
     assert code == cli.EXIT_PARSE  # missing --entity
@@ -838,6 +847,20 @@ def test_repeated_label_column_exits_1_naming_the_file(capsys, tmp_path, table, 
     assert (out.out, out.err) == (
         "", f"xscore: error: {bad}: header has more than one {column} column\n"
     )
+
+
+@pytest.mark.parametrize("flag", ["--classifier", "--sample"])
+def test_blank_feature_name_in_a_header_exits_1_naming_the_file(capsys, tmp_path, flag):
+    bad = tmp_path / "bad.csv"
+    if flag == "--classifier":
+        bad.write_text("F1,,label\n0,0,0\n0,1,0\n1,0,0\n1,1,1\n")
+        extra = ()
+    else:  # scored from its own labels
+        bad.write_text("F1,,_label\n0,1,0\n1,1,1\n")
+        extra = ("--distribution", "empirical")
+    code, out = run(capsys, "ml-scores", flag, str(bad), "--entity", "11", *extra)
+    assert (code, out.out) == (cli.EXIT_PARSE, "")
+    assert out.err == f"xscore: error: {bad}: feature names must be non-empty\n"
 
 
 @pytest.mark.parametrize("skip", [(), ("--skip-zero-mass",)])

@@ -154,8 +154,12 @@ def test_defaults_hold():
         ),
         (lambda: Entity((0, 2)), ValueError, "entity bits must be 0/1"),
         (lambda: FeatureSpace(("F1", "F1")), ValueError, "feature names must be unique"),
+        (lambda: FeatureSpace(("F1", "")), ValueError, "feature names must be non-empty"),
     ],
-    ids=["empty-query", "head-variable", "game-players", "max-contingency", "bits", "names"],
+    ids=[
+        "empty-query", "head-variable", "game-players", "max-contingency", "bits", "names",
+        "blank-name",
+    ],
 )
 def test_post_init_refusals_still_raise(make, error, message):
     with pytest.raises(error, match=message):
