@@ -6,7 +6,8 @@ Modules:
 * games     - exact / Monte Carlo Shapley and Banzhaf for oracle games
 * reldb     - relational instances, conjunctive queries, lineage
 * dbscores  - responsibility, causal effect, tuple Shapley / Banzhaf
-* classify  - entities, classifiers, constraints, distributions
+* classify  - entities, classifiers, the uniform distribution
+* knowledge - constraints, samples, and the distributions built from them
 * clfserver - the reference external classifier and its bit-CSV readers
 * mlscores  - SHAP, COUNTER and RESP feature scores
 * cli       - the `xscore` command-line interface: its parser and reports

@@ -3,19 +3,15 @@
 Entities are fixed-width bit vectors over a named feature space.  A
 classifier is any total function from entities to {0, 1}; it may live
 in-process (truth table, Python callable) or behind a child process
-speaking a line protocol.  Distributions over the entity space come in
-four variants: uniform, empirical (sample-backed), product-of-marginals,
-and any of those conditioned on denial-style or general propositional
-constraints.
+speaking a line protocol.  A distribution over the entity space gives
+each entity an integer weight; the uniform one lives here, and the
+empirical, product and conditioned ones, with constraints and samples, in
+`knowledge`, which only the requests that use them load.
 """
 from __future__ import annotations
 
-import os
-import time
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, product, tee
-from math import prod
+from itertools import chain, product, tee
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,6 +38,10 @@ WINDOW_REQUESTS = 64
 #: is read before the next is written, so a window no longer than this fits
 #: in the child's empty input pipe and the write cannot block.
 PIPE_CAPACITY = 4096
+
+#: Seconds `ExternalClassifier.close` waits for the child to exit before
+#: it kills the child.
+CLOSE_WAIT_S = 5.0
 
 #: Turns the bits of an entity, as bytes 0 and 1, into its request text.
 _REQUEST_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -244,11 +244,12 @@ class ExternalClassifier(Classifier):
     * startup: the child emits ``xscore-clf v1 n=<width>``;
     * request: <width> characters '0'/'1' followed by a newline;
     * response: a single '0' or '1' line per request, in request order;
-      anything else is an error.
+      anything else is an error, and so is output no request asked for.
 
-    Every kind's label stream asks in windows of `_window` requests, set
-    from the handshake width: at most `WINDOW_REQUESTS` requests and
-    `PIPE_CAPACITY` bytes.  `_label` writes a window in one write and reads
+    The child runs as an `_child.Child`, which only this class loads.  Every
+    kind's label stream asks in windows of `_window` requests, set from the
+    handshake width: at most `WINDOW_REQUESTS` requests and `PIPE_CAPACITY`
+    bytes.  `_label` writes a window in one write and reads until it holds
     every answer to it.  The handshake and each response must arrive within
     `RESPONSE_DEADLINE_S`, and no line may run past `MAX_LINE_BYTES`; a
     child that stays silent longer, or writes a longer line, is killed.  A
@@ -256,27 +257,31 @@ class ExternalClassifier(Classifier):
     otherwise `close` (or the end of a `with` block) ends the child.
     """
 
+    #: True while output from the child may be owed rather than unsolicited:
+    #: until its handshake is read, while a window is out, and after any
+    #: error, so that `close` does not fail on what an error left unread.
+    _owed = True
+
     def __init__(self, command: Sequence[str]):
-        import subprocess
         if not command:
             raise ValueError("empty classifier command")
+        from ._child import Child
         try:
-            self._proc = subprocess.Popen(
-                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
+            self._child = Child(list(command))
         except OSError as exc:
             raise ClassifierProtocolError(f"cannot start classifier {command!r}: {exc}") from exc
-        self._pending = b""
         try:
             width = self._read_handshake()
         except ClassifierProtocolError:
             self.close()
             raise
+        self._owed = False
         super().__init__(width)
         self._window = min(WINDOW_REQUESTS, PIPE_CAPACITY // (width + 1))
 
     def _read_handshake(self) -> int:
-        line = self._read_line()
+        [line], rest = self._read_lines(1)
+        line = line.decode(errors="replace")
         prefix = PROTOCOL_HANDSHAKE + " n="
         if not line.startswith(prefix):
             raise ClassifierProtocolError(f"bad handshake {line!r}")
@@ -286,155 +291,56 @@ class ExternalClassifier(Classifier):
             raise ClassifierProtocolError(f"bad handshake width in {line!r}") from None
         if width < 1:
             raise ClassifierProtocolError(f"bad handshake width {width}")
+        if rest:
+            raise self._unsolicited(rest)
         return width
 
     def _label(self, requests) -> list[int]:
-        """Write one window of requests at once, then read each answer."""
-        if self._proc.poll() is not None:
+        """Write one window of requests at once, then read every answer to
+        it and check each, in order."""
+        if (early := self._child.pending()) is not None:  # before this window was asked
+            if early:
+                raise self._unsolicited(early)
             raise ClassifierProtocolError("external classifier process has exited")
         text = b"\n".join(map(bytes, requests)).translate(_REQUEST_TEXT) + b"\n"
+        self._owed = True
         try:
-            self._proc.stdin.write(text)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            self._child.write(text)
+        except OSError as exc:
             raise ClassifierProtocolError("external classifier pipe is closed") from exc
-        out = []
-        for _ in requests:
-            line = self._read_line()
-            if line.strip() not in ("0", "1"):
-                raise ClassifierProtocolError(f"bad response {line!r}")
-            out.append(int(line))
-        return out
+        lines, rest = self._read_lines(len(requests))
+        for line in lines:
+            if line.strip() not in (b"0", b"1"):
+                raise ClassifierProtocolError(f"bad response {line.decode(errors='replace')!r}")
+        if rest:
+            raise self._unsolicited(rest)
+        self._owed = False
+        return list(map(int, lines))
 
-    def _read_line(self) -> str:
-        """The child's next output line ("" at end of file, as `readline`
-        gives).  Past `RESPONSE_DEADLINE_S` without a full line, or past
-        `MAX_LINE_BYTES` without a newline, the child is killed and the
-        read fails."""
-        import select
-        fd = self._proc.stdout.fileno()
-        deadline = time.monotonic() + RESPONSE_DEADLINE_S
-        while b"\n" not in self._pending:
-            if len(self._pending) > MAX_LINE_BYTES:
-                self._kill(f"a line longer than {MAX_LINE_BYTES} bytes")
-            left = max(0.0, deadline - time.monotonic())
-            if not select.select([fd], [], [], left)[0]:
-                self._kill(f"no line within {RESPONSE_DEADLINE_S} s")
-            chunk = os.read(fd, 4096)
-            if not chunk:
-                break
-            self._pending += chunk
-        line, newline, self._pending = self._pending.partition(b"\n")
-        return (line + newline).decode(errors="replace")
+    def _read_lines(self, count: int) -> tuple[list[bytes], bytes]:
+        try:
+            return self._child.read_lines(count, RESPONSE_DEADLINE_S, MAX_LINE_BYTES)
+        except (TimeoutError, ValueError) as exc:  # the child is killed
+            raise ClassifierProtocolError(f"external classifier sent {exc}") from None
 
-    def _kill(self, problem: str) -> None:
-        self._proc.kill()
-        self.close()
-        raise ClassifierProtocolError(f"external classifier sent {problem}")
+    def _unsolicited(self, data: bytes) -> ClassifierProtocolError:
+        self._owed = True
+        shown = data[:32].decode(errors="replace")
+        return ClassifierProtocolError(f"external classifier sent unsolicited output {shown!r}")
 
     def close(self) -> None:
-        """End the child's input, wait for it to exit, then close its
-        output: a child still answering a window that a protocol error cut
-        short writes into the open pipe, never a closed one."""
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass
-        if self._proc.poll() is None:
-            import subprocess
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        self._proc.stdout.close()
+        """End the child as `Child.close` does, killing it past
+        `CLOSE_WAIT_S`.  A child still answering a window that an error cut
+        short writes into an open pipe, never a closed one.  Output that no
+        request asked for, after a run no error cut short, fails once the
+        child is reaped."""
+        if (first := self._child.close(CLOSE_WAIT_S)) and not self._owed:
+            raise self._unsolicited(first)
 
-
-# ---------------------------------------------------------------------------
-# Constraints
-
-
-@record
-class Constraint:
-    """A propositional condition evaluated on a single entity.
-
-    The denial form forbids one combination of feature literals; general
-    formulas with negation, conjunction and disjunction are also accepted.
-    """
-
-    space: FeatureSpace
-    root: formula.Node
-
-    def __post_init__(self):
-        # `formula` loads on the constraint path only.  It is bound once per
-        # constraint, so no per-entity test runs an import.
-        from . import formula
-        object.__setattr__(self, "_formula", formula)
-
-    @classmethod
-    def denial(
-        cls, space: FeatureSpace, positive: Iterable[str], negative: Iterable[str]
-    ) -> "Constraint":
-        """Forbid "all of `positive` are 1 and all of `negative` are 0"."""
-        from . import formula
-        pos = tuple(sorted(set(positive)))
-        neg = tuple(sorted(set(negative)))
-        if set(pos) & set(neg):
-            raise ValueError(f"positive and negative features overlap: {set(pos) & set(neg)}")
-        for name in pos + neg:
-            space.index(name)
-        literals: list[formula.Node] = [formula.Var(n) for n in pos]
-        literals += [formula.Not(formula.Var(n)) for n in neg]
-        if not literals:
-            raise ValueError("a denial constraint needs at least one literal")
-        body = literals[0] if len(literals) == 1 else formula.And(tuple(literals))
-        return cls(space=space, root=formula.Not(body))
-
-    def satisfied_by(self, entity: Entity) -> bool:
-        if entity.width != self.space.width:
-            raise ValueError("entity width does not match the constraint's feature space")
-        true_names = frozenset(compress(self.space.names, entity.bits))
-        return self._formula.evaluate(self.root, true_names)
-
-    def is_satisfiable(self) -> bool:
-        return any(self.satisfied_by(e) for e in all_entities(self.space.width))
-
-    def __str__(self) -> str:
-        return self._formula.to_text(self.root)
-
-
-def conjoin(constraints: Sequence[Constraint]) -> Constraint:
-    """Conjunction of a non-empty set of constraints over one space."""
-    from . import formula
-    if not constraints:
-        raise ValueError("cannot conjoin zero constraints")
-    space = constraints[0].space
-    if any(c.space != space for c in constraints):
-        raise ValueError("constraints range over different feature spaces")
-    if len(constraints) == 1:
-        return constraints[0]
-    return Constraint(space=space, root=formula.And(tuple(c.root for c in constraints)))
-
-
-def parse_constraint(text: str, space: FeatureSpace) -> Constraint:
-    """Parse constraint text over the space's feature names.
-
-    Grammar: `!` / `~` negate, `&` binds tighter than `|`, parentheses
-    group, and `true` / `false` are constants.  The denial form is written
-    `!(F1 & ~F2)`.
-    """
-    from . import formula
-
-    def resolve(tok) -> formula.Node:
-        if tok.text == "true":
-            return formula.TRUE
-        if tok.text == "false":
-            return formula.FALSE
-        if tok.text not in space.names:
-            raise formula.ParseError(f"unknown feature {tok.text!r}", tok.line, tok.column)
-        return formula.Var(tok.text)
-
-    return Constraint(space=space, root=formula.parse(text, resolve, "feature name"))
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:  # not replaced by an error about unread output
+            self._owed = True
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -484,101 +390,40 @@ class UniformDistribution(Distribution):
         return 1
 
 
-class EmpiricalDistribution(Distribution):
-    """Weight 1 on each entity of a duplicate-free sample, 0 elsewhere."""
-
-    def __init__(self, space: FeatureSpace, sample: Iterable[Entity]):
-        entities = tuple(sample)
-        super().__init__(space, len(entities))
-        if not entities:
-            raise ValueError("an empirical distribution needs a non-empty sample")
-        self._members = frozenset(entities)
-        if len(self._members) != len(entities):
-            raise DuplicateSampleError("sample contains duplicate entities")
-        for e in entities:
-            self._check(e)
-        self.sample = entities
-
-    def weight(self, entity: Entity) -> int:
-        return int(entity in self._members)
-
-    @property
-    def finite_support(self) -> tuple[Entity, ...] | None:
-        return self.sample
+# ---------------------------------------------------------------------------
+# Constraints and conditioning: the classes live in `knowledge`, which only
+# these entries load, so a uniform request compiles none of them.  The
+# entries stay here, where the benchmark's per-layer metrics name them
+# (`classify.parse_constraint.s`), so `knowledge` is imported when called.
 
 
-class ProductDistribution(Distribution):
-    """Independent per-feature marginals p/q: a feature weighs p where the
-    entity's bit is 1 and q - p where it is 0, over a total of the
-    product of the q."""
+def parse_constraint(text: str, space: FeatureSpace) -> knowledge.Constraint:
+    """Parse constraint text over the space's feature names.
 
-    def __init__(self, space: FeatureSpace, marginals: Sequence[Fraction]):
-        self.marginals = tuple(Fraction(m) for m in marginals)
-        super().__init__(space, prod(m.denominator for m in self.marginals))
-        if len(self.marginals) != space.width:
-            raise ValueError(
-                f"{len(self.marginals)} marginals for a width-{space.width} space"
-            )
-        if any(not 0 <= m <= 1 for m in self.marginals):
-            raise ValueError("marginals must lie in [0, 1]")
-        self._factors = tuple((m.denominator - m.numerator, m.numerator) for m in self.marginals)
-
-    @classmethod
-    def from_sample(cls, space: FeatureSpace, sample: Sequence[Entity]) -> "ProductDistribution":
-        """Estimate each marginal as the sample frequency of the feature."""
-        if not sample:
-            raise ValueError("cannot estimate marginals from an empty sample")
-        counts = [0] * space.width
-        for e in sample:
-            for i, b in enumerate(e.bits):
-                counts[i] += b
-        return cls(space, [Fraction(c, len(sample)) for c in counts])
-
-    def weight(self, entity: Entity) -> int:
-        return prod(f[b] for f, b in zip(self._factors, entity.bits))
-
-
-class ConditionedDistribution(Distribution):
-    """A base distribution restricted to a constraint's satisfying set.
-
-    Violating entities weigh 0; survivors keep their base weight, over the
-    survivors' total.  Construction fails when no survivor has mass (the
-    conditional is undefined); it scans only up to the first one that has.
-    A base with a finite support is filtered once, here.  The total is
-    summed only when `prob` reads it.
+    Grammar: `!` / `~` negate, `&` binds tighter than `|`, parentheses
+    group, and `true` / `false` are constants.  The denial form is written
+    `!(F1 & ~F2)`.
     """
+    from . import formula
+    from .knowledge import Constraint
 
-    def __init__(self, base: Distribution, constraint: Constraint):
-        if constraint.space != base.space:
-            raise ValueError("constraint and distribution range over different spaces")
-        support = base.finite_support
-        if support is None:
-            survivors = (e for e in all_entities(base.space.width) if constraint.satisfied_by(e))
-        else:
-            survivors = support = tuple(e for e in support if constraint.satisfied_by(e))
-        if not any(map(base.weight, survivors)):
-            raise InconsistentConstraintError(
-                f"constraint {constraint} has zero mass under the base distribution"
-            )
-        self.space = base.space  # no Distribution.__init__: `total` is lazy
-        self.base = base
-        self.constraint = constraint
-        self._support = support
+    def resolve(tok) -> formula.Node:
+        if tok.text == "true":
+            return formula.TRUE
+        if tok.text == "false":
+            return formula.FALSE
+        if tok.text not in space.names:
+            raise formula.ParseError(f"unknown feature {tok.text!r}", tok.line, tok.column)
+        return formula.Var(tok.text)
 
-    @cached_property
-    def total(self) -> int:
-        return sum(map(self.weight, self._support or all_entities(self.space.width)))
-
-    def weight(self, entity: Entity) -> int:
-        return self.base.weight(entity) if self.constraint.satisfied_by(entity) else 0
-
-    @property
-    def finite_support(self) -> tuple[Entity, ...] | None:
-        return self._support
+    return Constraint(space=space, root=formula.parse(text, resolve, "feature name"))
 
 
-def condition(dist: Distribution, constraints: Constraint | Sequence[Constraint]) -> Distribution:
+def condition(
+    dist: Distribution, constraints: knowledge.Constraint | Sequence[knowledge.Constraint]
+) -> Distribution:
     """Condition a distribution on one constraint or a conjunction of several."""
+    from .knowledge import ConditionedDistribution, Constraint, conjoin
     if isinstance(constraints, Constraint):
         constraint = constraints
     else:
@@ -641,15 +486,6 @@ def check_free_width(free: int) -> None:
 # File formats
 
 
-@record
-class Sample:
-    """Entities loaded from a sample CSV, with recorded labels if present."""
-
-    space: FeatureSpace
-    entities: tuple[Entity, ...]
-    labels: Mapping[Entity, int] | None
-
-
 def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifier]:
     """Load a total classifier: feature columns plus a `label` column, one
     row per entity, all 2^n entities present."""
@@ -659,13 +495,14 @@ def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifie
     return space, TableClassifier(space.width, zip(map(_bit_tuple, table), table.values()))
 
 
-def load_sample_csv(path: str | Path, dedupe: bool = False) -> Sample:
+def load_sample_csv(path: str | Path, dedupe: bool = False) -> knowledge.Sample:
     """Load a sample: feature columns, optional `_label` column.
 
     Duplicate entities are an error unless `dedupe` is set (repetitions
     carry no extra mass under the empirical distribution anyway).
     """
     from .clfserver import read_bit_csv
+    from .knowledge import Sample
     rows = read_bit_csv(path, "_label")
     names, labelled = next(rows)
     labels: dict[Entity, int | None] = {}  # in file order; None without `_label`

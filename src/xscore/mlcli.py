@@ -96,18 +96,19 @@ def _resolve_distribution(args, space, sample):
         raise ValueError("--marginals is only valid with --distribution product")
     if args.distribution == "uniform":
         return classify.UniformDistribution(space)
+    from .knowledge import EmpiricalDistribution, ProductDistribution
     if args.distribution == "empirical":
         if sample is None:
             raise ValueError("--distribution empirical needs --sample")
         _check_sample_space(space, sample)
-        return classify.EmpiricalDistribution(space, sample.entities)
+        return EmpiricalDistribution(space, sample.entities)
     if args.marginals is not None:
         marginals = [cli.rational_arg("--marginals", m) for m in args.marginals.split(",")]
-        return classify.ProductDistribution(space, marginals)
+        return ProductDistribution(space, marginals)
     if sample is None:
         raise ValueError("--distribution product needs --marginals or --sample")
     _check_sample_space(space, sample)
-    return classify.ProductDistribution.from_sample(space, sample.entities)
+    return ProductDistribution.from_sample(space, sample.entities)
 
 
 def _check_sample_space(space, sample):

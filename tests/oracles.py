@@ -32,18 +32,20 @@ from itertools import combinations, permutations, product
 
 from xscore import formula, reldb
 from xscore.classify import (
-    ConditionedDistribution,
-    Constraint,
-    EmpiricalDistribution,
     Entity,
     FeatureSpace,
-    ProductDistribution,
     TableClassifier,
     UniformDistribution,
     ZeroMassEventError,
     all_entities,
     condition,
     conditional_expectation,
+)
+from xscore.knowledge import (
+    ConditionedDistribution,
+    Constraint,
+    EmpiricalDistribution,
+    ProductDistribution,
 )
 from xscore.dbscores import CauseReport
 from xscore.formula import ParseError, Token

@@ -26,17 +26,15 @@ from oracles import (
 )
 from xscore import cli, dbscores, games, mlscores, reldb
 from xscore.classify import (
-    Constraint,
-    EmpiricalDistribution,
     Entity,
     FeatureSpace,
     InconsistentConstraintError,
-    ProductDistribution,
     UniformDistribution,
     all_entities,
     condition,
     parse_constraint,
 )
+from xscore.knowledge import Constraint, EmpiricalDistribution, ProductDistribution
 from xscore.mlscores import ExplanationRequest, counter, resp, shap
 
 

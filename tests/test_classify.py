@@ -1,10 +1,14 @@
 import os
 import random
 import re
+import select
+import signal
 import sys
 import time
+import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +24,13 @@ from oracles import (
 )
 from xscore import classify, clfserver
 from xscore.classify import (
-    Constraint,
     ClassifierProtocolError,
     DuplicateSampleError,
-    EmpiricalDistribution,
     Entity,
     ExternalClassifier,
     FeatureSpace,
     FunctionClassifier,
     InconsistentConstraintError,
-    ProductDistribution,
     TableClassifier,
     UniformDistribution,
     UnknownFeatureError,
@@ -38,10 +39,15 @@ from xscore.classify import (
     all_entities,
     condition,
     conditional_expectation,
-    conjoin,
     load_sample_csv,
     load_truth_table_csv,
     parse_constraint,
+)
+from xscore.knowledge import (
+    Constraint,
+    EmpiricalDistribution,
+    ProductDistribution,
+    conjoin,
 )
 from xscore.formula import ParseError
 
@@ -589,7 +595,7 @@ def test_external_close_lets_the_child_answer_what_is_outstanding():
     clf = ExternalClassifier([sys.executable, "-c", code])
     assert next(clf.labels(all_entities(2))) == 1
     clf.close()
-    assert clf._proc.returncode == 0
+    assert clf._child.returncode == 0
 
 
 def test_external_bad_handshake():
@@ -651,7 +657,8 @@ def test_external_bad_response():
 def test_external_process_death():
     code = "print('xscore-clf v1 n=2', flush=True)"
     with ExternalClassifier([sys.executable, "-c", code]) as clf:
-        clf._proc.wait(timeout=5)
+        # Wait for the child's exit and leave it for `close` to reap.
+        os.waitid(os.P_PID, clf._child.pid, os.WEXITED | os.WNOWAIT)
         with pytest.raises(ClassifierProtocolError):
             clf.label(Entity.from_bits("01"))
 
@@ -671,6 +678,168 @@ def test_external_silent_child_hits_deadline(monkeypatch, code):
             clf.label(Entity.from_bits("01"))
     # The child is killed, not waited for: closing waits up to 5 s.
     assert time.monotonic() - start < 2.0
+
+
+def test_external_output_after_the_handshake_fails_the_start():
+    # One write, so the extra line is read with the handshake.
+    code = "import os; os.write(1, b'xscore-clf v1 n=2\\n0\\n'); input()"
+    message = "^external classifier sent unsolicited output '0\\\\n'$"
+    with pytest.raises(ClassifierProtocolError, match=message):
+        ExternalClassifier([sys.executable, "-c", code])
+
+
+def test_external_output_past_a_window_fails_it():
+    code = (
+        "import os, sys; print('xscore-clf v1 n=2', flush=True)\n"
+        "for line in sys.stdin:\n    os.write(1, b'1\\n0\\n')"
+    )
+    with ExternalClassifier([sys.executable, "-c", code]) as clf:
+        with pytest.raises(ClassifierProtocolError, match="unsolicited output '0"):
+            clf.label(Entity.from_bits("01"))
+    assert clf._child.returncode == 0
+
+
+def test_external_output_between_windows_fails_the_next(tmp_path):
+    # The child sends its extra line only once the first answer is read.
+    flag = tmp_path / "flag"
+    code = (
+        "import os, sys, time; print('xscore-clf v1 n=2', flush=True)\n"
+        "input(); print(1, flush=True)\n"
+        f"while not os.path.exists({str(flag)!r}): time.sleep(0.01)\n"
+        "print(0, flush=True); sys.stdin.read()"
+    )
+    with ExternalClassifier([sys.executable, "-c", code]) as clf:
+        assert clf.label(Entity.from_bits("01")) == 1
+        flag.touch()
+        assert select.select([clf._child._stdout], [], [], 10)[0]
+        with pytest.raises(ClassifierProtocolError, match="unsolicited output '0"):
+            clf.label(Entity.from_bits("10"))
+    assert clf._child.returncode == 0
+
+
+CLOSING_CHATTER = (
+    "import sys; print('xscore-clf v1 n=2', flush=True)\n"
+    "for line in sys.stdin:\n    print(1, flush=True)\n"
+    "print('bye', flush=True)"
+)
+
+
+def test_external_output_at_close_fails_the_close():
+    clf = ExternalClassifier([sys.executable, "-c", CLOSING_CHATTER])
+    assert clf.label(Entity.from_bits("01")) == 1
+    with pytest.raises(ClassifierProtocolError, match="unsolicited output 'bye"):
+        clf.close()
+    assert clf._child.returncode == 0
+    clf.close()  # reaped once; a second close does nothing
+
+
+def test_external_output_at_close_keeps_an_error_already_raised():
+    with pytest.raises(KeyError, match="first"):
+        with ExternalClassifier([sys.executable, "-c", CLOSING_CHATTER]) as clf:
+            clf.label(Entity.from_bits("01"))
+            raise KeyError("first")
+    assert clf._child.returncode == 0
+
+
+def test_unclosed_external_classifier_warns_and_closes_its_pipes(data_dir, monkeypatch):
+    # Under `-W error::ResourceWarning` the warning is raised in `__del__`,
+    # so it reaches the unraisable hook, which the test run turns into a
+    # failure; the pipes are closed before it is raised.
+    clf = external_for(data_dir / "ex6_table.csv")
+    pid, fds = clf._child.pid, (clf._child._stdin, clf._child._stdout)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        del clf
+    [hook] = unraisable
+    assert isinstance(hook.exc_value, ResourceWarning)
+    assert str(hook.exc_value) == f"subprocess {pid} is still running"
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert os.waitpid(pid, 0)[0] == pid  # its input closed, the child ends
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_external_child_starts_with_default_sigpipe_and_sigxfsz(tmp_path):
+    # Python ignores both signals; the child must not inherit that.
+    status = tmp_path / "status"
+    script = 'grep "^SigIgn:" "/proc/$$/status" > "$0"; echo "xscore-clf v1 n=1"; cat > /dev/null'
+    with ExternalClassifier(["sh", "-c", script, str(status)]):
+        pass
+    ignored = int(status.read_text().split()[1], 16)
+    assert ignored & (1 << (signal.SIGPIPE - 1)) == 0
+    assert ignored & (1 << (signal.SIGXFSZ - 1)) == 0
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_external_close_cut_short_then_dropped_closes_each_pipe_once(monkeypatch):
+    # The child holds its output open past the end of its input, and the
+    # wait for its output is interrupted, after its input is closed.
+    code = (
+        "import sys, time; print('xscore-clf v1 n=1', flush=True)\n"
+        "sys.stdin.read(); time.sleep(30)"
+    )
+    clf = ExternalClassifier([sys.executable, "-c", code])
+    pid = clf._child.pid
+
+    def interrupted(*args):
+        raise _Interrupted
+
+    monkeypatch.setattr(select, "select", interrupted)
+    try:
+        clf.close()
+    except _Interrupted:
+        pass
+    monkeypatch.undo()
+    assert clf._child.returncode is None
+    reused = os.pipe()  # may take the number of the input end just closed
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del clf
+        assert unraisable == []
+        assert [str(w.message) for w in caught] == [f"subprocess {pid} is still running"]
+        for fd in reused:
+            os.fstat(fd)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        for fd in reused:
+            os.close(fd)
+
+
+def test_external_close_counts_a_child_reaped_elsewhere_as_exit_0(data_dir):
+    # With SIGCHLD ignored the system reaps the child, and `waitpid` finds none.
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        clf = external_for(data_dir / "ex6_table.csv")
+        assert clf.label(Entity.from_bits("011")) == 1
+        clf.close()
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert clf._child.returncode == 0
+
+
+def test_external_close_does_not_wait_on_output_a_process_left_open(tmp_path):
+    # The child ends with its input, but the `sleep` it started in the
+    # background holds its output open.
+    pid_file = tmp_path / "pid"
+    script = 'echo "xscore-clf v1 n=1"; sleep 30 & echo $! > "$0"; exec cat > /dev/null'
+    clf = ExternalClassifier(["sh", "-c", script, str(pid_file)])
+    start = time.monotonic()
+    try:
+        clf.close()
+        assert time.monotonic() - start < 2.0
+        assert clf._child.returncode == 0
+    finally:
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

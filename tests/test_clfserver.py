@@ -68,6 +68,16 @@ def test_blank_lines_are_skipped(data_dir):
         0, "xscore-clf v1 n=3\n1\n0\n")
 
 
+def test_malformed_request_mid_batch_follows_the_answers_before_it(data_dir, capsys):
+    code, out = serve(data_dir / "ex6_table.csv", "011\n001\n01\n011\n")
+    assert (code, out) == (1, "xscore-clf v1 n=3\n1\n0\n")
+    assert capsys.readouterr().err == "malformed request '01'\n"
+
+
+def test_last_line_without_newline_is_answered(data_dir):
+    assert serve(data_dir / "ex6_table.csv", "011\n001") == (0, "xscore-clf v1 n=3\n1\n0\n")
+
+
 BAD_TABLES = {
     "no label column": "A,B\n0,0\n0,1\n1,0\n1,1\n",
     "duplicate row": "A,label\n0,1\n0,0\n",

@@ -1185,6 +1185,41 @@ def test_ml_scores_garbage_past_what_the_walk_reads_exits_4(capsys, tmp_path):
     assert out.err == "xscore: error: bad response 'maybe\\n'\n"
 
 
+def test_ml_scores_unsolicited_classifier_output_exits_4(capsys, tmp_path):
+    # A majority-of-3 child that also prints the opposite label after each
+    # answer: read out of step, it would give wrong scores and exit 0.
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import sys\n"
+        "print('xscore-clf v1 n=3', flush=True)\n"
+        "for line in sys.stdin:\n"
+        "    label = int(line.count('1') >= 2)\n"
+        "    print(label, flush=True)\n"
+        "    print(1 - label, flush=True)\n"
+    )
+    command = f"{sys.executable} {child}"
+    exit_code, out = run(capsys, "ml-scores", "--classifier-cmd", command, "--entity", "011",
+                         "--kinds", "counter,resp")
+    assert exit_code == cli.EXIT_PROTOCOL
+    assert out.out == ""
+    assert out.err.startswith("xscore: error: external classifier sent unsolicited output ")
+
+
+def test_ml_scores_unstartable_classifier_exits_4(capsys, tmp_path):
+    # The messages are the ones `subprocess.Popen` gave.
+    missing, plain = "/no/such/binary-xyz", tmp_path / "plain.txt"
+    plain.write_text("not a program\n")
+    plain.chmod(0o644)
+    for command, error in [
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+        ("no-such-command-xyz", "[Errno 2] No such file or directory: 'no-such-command-xyz'"),
+        (str(plain), f"[Errno 13] Permission denied: '{plain}'"),
+    ]:
+        exit_code, out = run(capsys, "ml-scores", "--classifier-cmd", command, "--entity", "011")
+        assert exit_code == cli.EXIT_PROTOCOL
+        assert out.err == f"xscore: error: cannot start classifier {[command]!r}: {error}\n"
+
+
 @pytest.mark.parametrize("window", [1, 2, 7])
 def test_ml_scores_external_matches_local_across_windows(capsys, monkeypatch, tmp_path, window):
     # Small windows split the walk's size levels across writes.
@@ -1304,7 +1339,7 @@ def started(monkeypatch):
     monkeypatch.setattr(classify.ExternalClassifier, "__init__", spy)
     yield classifiers
     for clf in classifiers:
-        if clf._proc.returncode is None:
+        if clf._child.returncode is None:
             clf.close()
 
 
@@ -1318,7 +1353,7 @@ def test_ml_scores_reaps_classifier_on_bad_features(capsys, data_dir, started):
     )
     assert code == cli.EXIT_PARSE
     assert out.err == "xscore: error: feature names must be unique\n"
-    assert [clf._proc.returncode for clf in started] == [0]
+    assert [clf._child.returncode for clf in started] == [0]
 
 
 ML_INPUT_ERRORS = {
@@ -1401,7 +1436,7 @@ def test_ml_scores_input_checks_exit_1(capsys, data_dir, tmp_path, started, case
     assert code == cli.EXIT_PARSE
     assert out.err == f"xscore: error: {message.format(**paths)}\n"
     reaped = [0] if case in ML_SERVER_STARTED else []
-    assert [clf._proc.returncode for clf in started] == reaped
+    assert [clf._child.returncode for clf in started] == reaped
 
 
 def test_ml_scores_product_sample_equals_its_frequencies(capsys, data_dir, tmp_path):

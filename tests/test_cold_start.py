@@ -34,6 +34,7 @@ ENV.pop("XSCORE_BUDGET", None)
 EX1 = "--relation R=tests/data/ex1_R.csv --relation S=tests/data/ex1_S.csv"
 Q = "--query 'Q() :- S(x), R(x,y), S(y)'"
 TABLE = "tests/data/ex6_table.csv"
+SAMPLE = "tests/data/ex6_sample.csv"
 EX6 = f"ml-scores --classifier {TABLE} --entity 011"
 CMD = f"ml-scores --classifier-cmd '{sys.executable} -m xscore.clfserver {TABLE}' --entity 011"
 ALL = "--kinds responsibility,causal_effect,shapley,banzhaf"
@@ -41,13 +42,17 @@ APPROX = "--kinds shapley --mode approx --epsilon 0.2 --delta 0.1 --seed 7"
 
 # Each subcommand loads its own handler module, `dbcli` or `mlcli`, and
 # never the other one.  `ml-scores` meters its work with the package
-# root's `meter`, so it loads no `games`, and loads `clfserver` (and `csv`)
-# only to read a truth-table or sample CSV.
+# root's `meter`, so it loads no `games`, loads `clfserver` (and `csv`)
+# only to read a truth-table or sample CSV, `knowledge` only for a
+# constraint, a sample or a non-uniform distribution, and `_child` (and
+# `select`) only to run a classifier child.
 FORMULA = {"xscore._record", "xscore.formula"}
 REL = {"xscore.cli", "xscore.dbcli", "xscore.reldb"} | FORMULA
 DB = REL | {"xscore.dbscores", "xscore.games"}
 ML = {"xscore.cli", "xscore.mlcli", "xscore._record", "xscore.classify", "xscore.mlscores"}
 ML_CSV = ML | {"xscore.clfserver"}
+ML_CMD = ML | {"xscore._child"}
+KNOWLEDGE = {"xscore.knowledge"}
 # No start loads `dataclasses` or `inspect`; only the scoring ones make
 # rationals, only a start that writes a JSON report loads `json`, and only
 # one that reads a CSV loads `csv`.
@@ -94,13 +99,17 @@ def cold(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
         (f"db-scores {EX1} {Q} {ALL}", DB, SCORES | CSV),
         (f"db-scores {EX1} {Q} {APPROX}", DB, SCORES | CSV | {"hashlib"}),
         (EX6, ML_CSV, SCORES | CSV),
-        (f"{EX6} --constraint '!(F1 & ~F2)'", ML_CSV | FORMULA, SCORES | CSV),
-        (CMD, ML, SCORES | {"subprocess", "select"}),
+        (f"{EX6} --constraint '!(F1 & ~F2)'", ML_CSV | FORMULA | KNOWLEDGE, SCORES | CSV),
+        (f"{EX6} --distribution empirical --sample {SAMPLE}", ML_CSV | KNOWLEDGE, SCORES | CSV),
+        (f"{EX6} --distribution product --marginals 1/2,1/3,3/4", ML_CSV | KNOWLEDGE,
+         SCORES | CSV),
+        (CMD, ML_CMD, SCORES | {"select"}),
         (f"clfserver {TABLE}", {"xscore.clfserver"}, CSV),
     ],
     ids=[
         "version", "analyze", "lineage", "db-exact", "db-approx", "ml-scores",
-        "ml-scores-constraint", "ml-scores-cmd", "clfserver",
+        "ml-scores-constraint", "ml-scores-empirical", "ml-scores-product", "ml-scores-cmd",
+        "clfserver",
     ],
 )
 def test_entry_point_loads_only_its_modules(command, modules, stdlib):
@@ -118,8 +127,8 @@ def test_entry_point_loads_only_its_modules(command, modules, stdlib):
     [
         ("analyze --query 'Q() :- S(x'", cli.EXIT_PARSE, REL),
         (f"{EX6} --budget 1", cli.EXIT_BUDGET, ML_CSV),
-        (f"{EX6} --constraint 'F1 & ~F1'", cli.EXIT_ZERO_MASS, ML_CSV | FORMULA),
-        (f"{CMD} --features A,B", cli.EXIT_PARSE, ML),
+        (f"{EX6} --constraint 'F1 & ~F1'", cli.EXIT_ZERO_MASS, ML_CSV | FORMULA | KNOWLEDGE),
+        (f"{CMD} --features A,B", cli.EXIT_PARSE, ML_CMD),
     ],
     ids=["analyze-parse", "ml-budget", "ml-zero-mass", "ml-cmd-features"],
 )

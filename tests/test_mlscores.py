@@ -19,12 +19,10 @@ from oracles import (
 )
 from xscore import games, mlscores
 from xscore.classify import (
-    EmpiricalDistribution,
     Entity,
     FeatureSpace,
     FunctionClassifier,
     InconsistentConstraintError,
-    ProductDistribution,
     TableClassifier,
     UniformDistribution,
     WidthLimitError,
@@ -34,6 +32,7 @@ from xscore.classify import (
     conditional_expectation,
     parse_constraint,
 )
+from xscore.knowledge import EmpiricalDistribution, ProductDistribution
 from xscore.mlscores import (
     ExplanationRequest,
     LabelMismatchError,

@@ -12,13 +12,12 @@ import pytest
 
 from xscore import formula, games, reldb
 from xscore.classify import (
-    Constraint,
     Entity,
     FeatureSpace,
     FunctionClassifier,
-    Sample,
     UniformDistribution,
 )
+from xscore.knowledge import Constraint, Sample
 from xscore.dbscores import CauseReport
 from xscore.mlscores import ExplanationRequest, FeatureScore, RespWitness
 
