@@ -1,17 +1,19 @@
 """Binary entities, black-box classifiers and entity-space distributions.
 
-Entities are fixed-width bit vectors over a named feature space.  A
+Entities are fixed-width bit vectors over a named feature space, known
+inside the package by their index: the bits in binary, F1 first.  A
 classifier is any total function from entities to {0, 1}; it may live
 in-process (truth table, Python callable) or behind a child process
-speaking a line protocol.  A distribution over the entity space gives
-each entity an integer weight; the uniform one lives here, and the
-empirical, product and conditioned ones, with constraints and samples, in
-`knowledge`, which only the requests that use them load.
+speaking a line protocol.  A distribution gives each index an integer
+weight; the uniform one lives here, and the empirical, product and
+conditioned ones, with constraints and samples, in `knowledge`, which only
+the requests that use them load.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product, tee
+from functools import cached_property
+from itertools import chain, tee
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,8 +45,9 @@ PIPE_CAPACITY = 4096
 #: it kills the child.
 CLOSE_WAIT_S = 5.0
 
-#: Turns the bits of an entity, as bytes 0 and 1, into its request text.
-_REQUEST_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+#: Turn bits as bytes 0 and 1 into the text '0'/'1', and back.
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ZeroMassEventError(ValueError):
@@ -99,6 +102,10 @@ class FeatureSpace:
         except ValueError:
             raise UnknownFeatureError(f"unknown feature {name!r}") from None
 
+    def bit(self, name: str) -> int:
+        """The feature's bit in an entity index, F1's the most significant."""
+        return 1 << (self.width - 1 - self.index(name))
+
 
 @record
 class Entity:
@@ -113,34 +120,31 @@ class Entity:
 
     @classmethod
     def from_bits(cls, text: str) -> "Entity":
-        try:
-            return cls(_bit_tuple(text or "?"))  # "" and None fail as a non-bit would
-        except KeyError:
-            raise ValueError(f"entity must be a non-empty string of 0/1, got {text!r}") from None
+        if not text or text.strip("01"):
+            raise ValueError(f"entity must be a non-empty string of 0/1, got {text!r}")
+        return cls(tuple(text.encode().translate(_BIT_BYTES)))
+
+    @classmethod
+    def at(cls, index: int, width: int) -> "Entity":
+        """The entity of the given width whose `index` is `index`."""
+        return cls(tuple(index_bits(index, width)))
 
     @property
     def width(self) -> int:
         return len(self.bits)
 
-    def flip(self, *indices: int) -> "Entity":
-        """The entity with the bit at each of the distinct `indices` changed."""
-        return self.with_bits({i: 1 - self.bits[i] for i in indices})
-
-    def with_bits(self, changes: Mapping[int, int]) -> "Entity":
-        bits = list(self.bits)
-        for index, bit in changes.items():
-            bits[index] = bit
-        return Entity(tuple(bits))
+    @property
+    def index(self) -> int:
+        """The bits read as a binary number, F1 most significant."""
+        return int(bytes(self.bits).translate(_BIT_TEXT), 2)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_BIT_TEXT).decode()
 
 
-def all_entities(width: int) -> Iterator[Entity]:
-    """Every entity of the given width, in binary counting order."""
-    check_free_width(width)
-    for bits in product((0, 1), repeat=width):
-        yield Entity(bits)
+def index_bits(index: int, width: int) -> bytes:
+    """The bits of the entity of the width at `index`, F1 first, as bytes."""
+    return format(index, f"0{width}b").encode().translate(_BIT_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +154,23 @@ def all_entities(width: int) -> Iterator[Entity]:
 class Classifier:
     """Deterministic total function from entities to {0, 1}.
 
-    Every label is read through `labels`, which caches it by bit vector
-    (a table classifier's cache is its table) and has `_label` answer the
-    uncached entities in windows of up to `_window`: one in process, so
-    each entity is drawn just before its label is asked.  `close` is a
-    no-op in process, and a `with` block calls it on exit.
+    Every label is read through `labels`, which takes entity indices
+    (`Entity.index`) of the classifier's width; `label` is its one-entity
+    form for an `Entity` of any width.  `close` is a no-op in process, and a
+    `with` block calls it on exit.
     """
-
-    _window = 1
 
     def __init__(self, width: int):
         self.width = width
-        self._cache: dict[tuple[int, ...], int] = {}
+        self._cache: dict[int, int] | bytearray = {}  # labels by index; a table's is its table
 
     def label(self, entity: Entity) -> int:
-        return next(self.labels((entity,)))
+        if entity.width != self.width:
+            raise ValueError(f"entity width {entity.width} != classifier width {self.width}")
+        return next(self.labels((entity.index,)))
 
-    def labels(self, entities: Iterable[Entity]) -> Iterator[int]:
-        """The label of each entity, lazily and in order.  A window is cached
-        whole before its first label is yielded, so streams may interleave."""
-        cache, width, window = self._cache, self.width, self._window
-        source = iter(entities)
-        for entity in source:
-            if (hit := cache.get(entity.bits)) is not None:  # a cached key has the right width
-                yield hit
-                continue
-            drawn, asked = [entity.bits], {entity.bits: entity}
-            while len(asked) < window and (entity := next(source, None)) is not None:
-                drawn.append(entity.bits)
-                if entity.bits not in cache:
-                    asked[entity.bits] = entity
-            for entity in asked.values():
-                if entity.width != width:
-                    raise ValueError(f"entity width {entity.width} != classifier width {width}")
-            cache.update(zip(asked, self._label(asked)))
-            yield from map(cache.__getitem__, drawn)
-
-    def _label(self, requests: Mapping[tuple[int, ...], Entity]) -> Iterable[int]:
-        """The labels, in order, of a window's distinct uncached bit vectors."""
+    def labels(self, indices: Iterable[int]) -> Iterator[int]:
+        """The label of each entity index, lazily and in order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -201,38 +184,52 @@ class Classifier:
 
 
 class TableClassifier(Classifier):
-    """Classifier over a (usually total) truth table, from a mapping or (bits,
-    label) pairs, held as the label cache: only entities it lacks reach `_label`."""
+    """Classifier over a truth table: the byte table of `read_truth_table` as
+    it is, or a mapping or (bits, label) pairs, checked, as {index: label}."""
 
-    def __init__(self, width: int, table: Mapping | Iterable[tuple], total: bool = True):
+    def __init__(self, width: int, table: bytearray | Mapping | Iterable, total: bool = True):
         super().__init__(width)
-        self._cache.update(table)
-        keys = self._cache.keys()  # checked in C; a bad table is walked to name its key
+        if isinstance(table, bytearray):
+            self._cache = table
+            return
+        table = dict(table)
+        keys = table.keys()  # checked in C; a bad table is walked to name its key
         if set(map(len, keys)) - {width} or not {0, 1}.issuperset(chain.from_iterable(keys)):
             bad = next(k for k in keys if len(k) != width or not {0, 1}.issuperset(k))
             raise ValueError(f"truth table key {bad!r} is not a 0/1 tuple of width {width}")
-        if not {0, 1}.issuperset(self._cache.values()):
-            bad = next(v for v in self._cache.values() if v not in (0, 1))
+        if not {0, 1}.issuperset(table.values()):
+            bad = next(v for v in table.values() if v not in (0, 1))
             raise ValueError(f"truth table label {bad!r} is not 0 or 1")
         if total:
             from .clfserver import check_total
-            check_total(len(self._cache), width)
+            check_total(len(table), width)
+        self._cache = {Entity(bits).index: label for bits, label in table.items()}
 
-    def _label(self, requests):
-        raise ValueError(f"no label recorded for entity {next(iter(requests.values()))}")
+    def labels(self, indices):
+        try:
+            yield from map(self._cache.__getitem__, indices)
+        except KeyError as miss:
+            self._label(miss.args[0])
+
+    def _label(self, index: int):
+        """Refuse an entity that a partial table lacks."""
+        raise ValueError(f"no label recorded for entity {Entity.at(index, self.width)}")
 
 
 class FunctionClassifier(Classifier):
-    """Classifier wrapping an arbitrary Python callable."""
+    """Classifier wrapping an arbitrary Python callable, cached by index."""
 
     def __init__(self, width: int, fn):
         super().__init__(width)
         self._fn = fn
 
-    def _label(self, requests):
-        for entity in requests.values():
-            if (out := self._fn(entity)) not in (0, 1):
-                raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
+    def labels(self, indices):
+        cache, fn, width = self._cache, self._fn, self.width
+        for index in indices:
+            if (out := cache.get(index)) is None:
+                if (out := fn(Entity.at(index, width))) not in (0, 1):
+                    raise ValueError(f"classifier returned {out!r}, expected 0 or 1")
+                cache[index] = out
             yield out
 
 
@@ -295,14 +292,31 @@ class ExternalClassifier(Classifier):
             raise self._unsolicited(rest)
         return width
 
-    def _label(self, requests) -> list[int]:
-        """Write one window of requests at once, then read every answer to
-        it and check each, in order."""
+    def labels(self, indices):
+        """The labels, cached by index.  A window is cached whole before its
+        first label is yielded, so streams may interleave."""
+        cache, window = self._cache, self._window
+        source = iter(indices)
+        for index in source:
+            if (hit := cache.get(index)) is not None:
+                yield hit
+                continue
+            drawn, asked = [index], {index: None}
+            while len(asked) < window and (index := next(source, None)) is not None:
+                drawn.append(index)
+                if index not in cache:
+                    asked[index] = None
+            cache.update(zip(asked, self._label(list(asked))))
+            yield from map(cache.__getitem__, drawn)
+
+    def _label(self, requests: list[int]) -> list[int]:
+        """Write one window of distinct entity indices at once, then read
+        every answer to it and check each, in order."""
         if (early := self._child.pending()) is not None:  # before this window was asked
             if early:
                 raise self._unsolicited(early)
             raise ClassifierProtocolError("external classifier process has exited")
-        text = b"\n".join(map(bytes, requests)).translate(_REQUEST_TEXT) + b"\n"
+        text = "".join(map(f"{{:0{self.width}b}}\n".format, requests)).encode()
         self._owed = True
         try:
             self._child.write(text)
@@ -350,28 +364,31 @@ class ExternalClassifier(Classifier):
 class Distribution:
     """Probability measure over the entity space of a feature space.
 
-    Each variant gives every entity an integer `weight`; its probability
-    is that weight over the integer `total`, the sum of all weights.
+    Each variant gives every entity index an integer `weight`, over the
+    integer `total` of all weights.  `support` holds the indices that may
+    carry mass when that set is explicit (the empirical variant), else None.
     """
+
+    support: tuple[int, ...] | None = None
 
     def __init__(self, space: FeatureSpace, total: int):
         self.space = space
         self.total = total
 
-    def weight(self, entity: Entity) -> int:
-        """Unnormalized mass of an entity of the space's width (`prob`
-        checks the width)."""
+    def weight(self, index: int) -> int:
+        """Unnormalized mass of the entity at `index`."""
         raise NotImplementedError
 
     def prob(self, entity: Entity) -> Fraction:
         self._check(entity)
-        return Fraction(self.weight(entity), self.total)
+        return Fraction(self.weight(entity.index), self.total)
 
-    @property
+    @cached_property
     def finite_support(self) -> tuple[Entity, ...] | None:
-        """Entities that may carry mass, when that set is explicit (the
-        empirical variant); None means "potentially the whole space"."""
-        return None
+        """The entities of `support`, or None."""
+        if self.support is None:
+            return None
+        return tuple(Entity.at(index, self.space.width) for index in self.support)
 
     def _check(self, entity: Entity) -> None:
         if entity.width != self.space.width:
@@ -386,7 +403,7 @@ class UniformDistribution(Distribution):
     def __init__(self, space: FeatureSpace):
         super().__init__(space, 2**space.width)
 
-    def weight(self, entity: Entity) -> int:
+    def weight(self, index: int) -> int:
         return 1
 
 
@@ -443,21 +460,20 @@ def conditional_expectation(
 
     Exact rational; raises `ZeroMassEventError` when the conditioning
     event has no mass (possible under empirical and conditioned variants).
-    The entities of positive weight are labelled through one `labels`
-    stream.  No scorer calls this general form: it is the reference the
-    tests' oracles take SHAP's and COUNTER's expectations from.
+    No scorer calls this general form: it is the reference the tests'
+    oracles take SHAP's and COUNTER's expectations from.
     """
     space = dist.space
     if classifier.width != space.width:
         raise ValueError("classifier and distribution widths differ")
     dist._check(entity)
-    pinned = sorted({space.index(name) for name in fixed})
-    support = dist.finite_support
-    if support is not None:
-        candidates = (x for x in support if all(x.bits[i] == entity.bits[i] for i in pinned))
-    else:
-        free = [i for i in range(entity.width) if i not in pinned]
-        candidates = (entity.with_bits(dict(zip(free, c.bits))) for c in all_entities(len(free)))
+    n, support = space.width, dist.support
+    pinned = sum({space.bit(name) for name in fixed})
+    if support is None:
+        check_free_width(n - pinned.bit_count())
+        support = range(1 << n)
+    target = entity.index & pinned
+    candidates = (x for x in support if x & pinned == target)
     numerator = mass = 0
     for (_, w), label in _weighed_labels(dist, classifier, candidates):
         mass += w
@@ -468,10 +484,10 @@ def conditional_expectation(
     return Fraction(numerator, mass)
 
 
-def _weighed_labels(dist, classifier, entities) -> Iterator[tuple[tuple, int]]:
-    """((entity, weight), label) of each entity of positive weight, in order,
-    from one `labels` stream."""
-    pairs, asked = tee((x, w) for x in entities if (w := dist.weight(x)))
+def _weighed_labels(dist, classifier, indices) -> Iterator[tuple[tuple, int]]:
+    """((index, weight), label) of each entity index of positive weight, in
+    order, from one `labels` stream."""
+    pairs, asked = tee((x, w) for x in indices if (w := dist.weight(x)))
     return zip(pairs, classifier.labels(x for x, _ in asked))
 
 
@@ -487,12 +503,12 @@ def check_free_width(free: int) -> None:
 
 
 def load_truth_table_csv(path: str | Path) -> tuple[FeatureSpace, TableClassifier]:
-    """Load a total classifier: feature columns plus a `label` column, one
-    row per entity, all 2^n entities present."""
+    """Load a total classifier over the byte table of a truth-table CSV:
+    feature columns plus a `label` column, all 2^n entities present."""
     from .clfserver import read_truth_table
     names, table = read_truth_table(path)
     space = FeatureSpace(tuple(names))
-    return space, TableClassifier(space.width, zip(map(_bit_tuple, table), table.values()))
+    return space, TableClassifier(space.width, table)
 
 
 def load_sample_csv(path: str | Path, dedupe: bool = False) -> knowledge.Sample:
@@ -507,7 +523,7 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> knowledge.Sample:
     names, labelled = next(rows)
     labels: dict[Entity, int | None] = {}  # in file order; None without `_label`
     for line_no, bits, label in rows:
-        e = Entity(_bit_tuple(bits))
+        e = Entity.from_bits(bits)
         if e in labels:
             if dedupe:
                 continue
@@ -516,11 +532,3 @@ def load_sample_csv(path: str | Path, dedupe: bool = False) -> knowledge.Sample:
     if not labels:
         raise ValueError(f"{path}: sample has no rows")
     return Sample(FeatureSpace(tuple(names)), tuple(labels), labels if labelled else None)
-
-
-_BIT_VALUES = {"0": 0, "1": 1}
-
-
-def _bit_tuple(bits: str) -> tuple[int, ...]:
-    """The bits of a '0'/'1' string, as `read_bit_csv` gives them."""
-    return tuple(map(_BIT_VALUES.__getitem__, bits))

@@ -2,16 +2,16 @@
 `classify`.
 
 Usage: ``python -m xscore.clfserver TABLE.csv``.  Emits the handshake
-``xscore-clf v1 n=<width>``, then answers each request line of <width>
-'0'/'1' characters with a single '0' or '1' line.  Blank lines are
-skipped; any other request ends the server with exit 1, as does a
-table that is missing or bad, after one ``error:`` line on stderr.
+``xscore-clf v1 n=<width>``, then answers each request line r of <width>
+'0'/'1' characters with a '0' or '1' line, byte int(r, 2) of the table of
+`read_truth_table`, and the requests of one read in one write.  Blank
+lines are skipped; any other request ends the server with exit 1 after the
+answers before it, as does a bad table, after one ``error:`` line.
 
-A server start pays for this module, `csv` and `sys` only: a request is
-one lookup in the {bit string: label} table of `read_truth_table`.  Run
-as a process, it exits as `python -m xscore` does, through `exit_process`.
-Its handshake and names check are the package root's; `classify` loads
-this module only to read a truth-table or sample CSV.
+A server start pays for this module, `csv` and `sys` only.  It exits as
+`python -m xscore` does, through `exit_process`.  Its handshake and names
+check are the package root's; `classify` loads this module only to read a
+truth-table or sample CSV.
 """
 import csv
 import sys
@@ -20,39 +20,55 @@ from . import PROTOCOL_HANDSHAKE, check_feature_names, exit_process, text_lines
 
 _BITS = frozenset(("0", "1"))
 
+#: Most features a truth table may have: its byte table then takes 64 MiB.
+TABLE_WIDTH_LIMIT = 26
+
 
 def serve(table_path, stdin, stdout) -> int:
+    """Serve the table at `table_path` on the binary `stdin` and `stdout`."""
     names, table = read_truth_table(table_path)
-    stdout.write(f"{PROTOCOL_HANDSHAKE} n={len(names)}\n")
+    width = len(names)
+    stdout.write(f"{PROTOCOL_HANDSHAKE} n={width}\n".encode())
     stdout.flush()
-    for line in stdin:
-        request = line.strip()
-        if not request:
-            continue
-        # The table is total, so a miss is a wrong width or a non-bit.
-        label = table.get(request)
-        if label is None:
-            print(f"malformed request {request!r}", file=sys.stderr)
+    tail, more = b"", True
+    while more:
+        more = stdin.read1()
+        # At the end of the input, the last line needs no newline.
+        *lines, tail = (tail + more).split(b"\n") if more else (tail, b"")
+        out, bad = bytearray(), None
+        for request in filter(None, map(bytes.strip, lines)):
+            if len(request) != width or request.translate(None, b"01"):
+                bad = request.decode(errors="replace")
+                break
+            out += (b"0\n", b"1\n")[table[int(request, 2)]]
+        if out:
+            stdout.write(out)
+            stdout.flush()
+        if bad is not None:
+            print(f"malformed request {bad!r}", file=sys.stderr)
             return 1
-        stdout.write(f"{label}\n")
-        stdout.flush()
     return 0
 
 
-def read_truth_table(path) -> tuple[list[str], dict[str, int]]:
-    """Feature names and {bit string: label} of a truth-table CSV: feature
-    columns plus a `label` column, one row per entity, all 2^n entities
-    present."""
+def read_truth_table(path) -> tuple[list[str], bytearray]:
+    """Feature names and the labels of a truth-table CSV, all 2^n entities
+    present: byte i is the label of the entity of index i.  A header of more
+    than `TABLE_WIDTH_LIMIT` features is refused before any row is read."""
     rows = read_bit_csv(path, "label")
     names, labelled = next(rows)
     if not labelled:
         raise ValueError(f"{path}: missing required column 'label'")
-    table: dict[str, int] = {}
+    if len(names) > TABLE_WIDTH_LIMIT:
+        raise ValueError(
+            f"{path}: {len(names)} features exceed the truth-table limit {TABLE_WIDTH_LIMIT}"
+        )
+    table = bytearray(b"\x02") * 2 ** len(names)  # 2: no row yet
     for line_no, bits, label in rows:
-        if bits in table:
+        index = int(bits, 2)
+        if table[index] != 2:
             raise ValueError(f"{path}: duplicate entity row at line {line_no}")
-        table[bits] = label
-    check_total(len(table), len(names))
+        table[index] = label
+    check_total(len(table) - table.count(2), len(names))
     return names, table
 
 
@@ -101,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python -m xscore.clfserver TABLE.csv", file=sys.stderr)
         return 2
     try:
-        return serve(argv[0], sys.stdin, sys.stdout)
+        return serve(argv[0], sys.stdin.buffer, sys.stdout.buffer)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,8 @@ from .classify import (
     Entity,
     FeatureSpace,
     InconsistentConstraintError,
-    all_entities,
+    check_free_width,
+    index_bits,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,33 +46,15 @@ class Constraint:
         from . import formula
         object.__setattr__(self, "_formula", formula)
 
-    @classmethod
-    def denial(
-        cls, space: FeatureSpace, positive: Iterable[str], negative: Iterable[str]
-    ) -> "Constraint":
-        """Forbid "all of `positive` are 1 and all of `negative` are 0"."""
-        from . import formula
-        pos = tuple(sorted(set(positive)))
-        neg = tuple(sorted(set(negative)))
-        if set(pos) & set(neg):
-            raise ValueError(f"positive and negative features overlap: {set(pos) & set(neg)}")
-        for name in pos + neg:
-            space.index(name)
-        literals: list[formula.Node] = [formula.Var(n) for n in pos]
-        literals += [formula.Not(formula.Var(n)) for n in neg]
-        if not literals:
-            raise ValueError("a denial constraint needs at least one literal")
-        body = literals[0] if len(literals) == 1 else formula.And(tuple(literals))
-        return cls(space=space, root=formula.Not(body))
-
     def satisfied_by(self, entity: Entity) -> bool:
         if entity.width != self.space.width:
             raise ValueError("entity width does not match the constraint's feature space")
-        true_names = frozenset(compress(self.space.names, entity.bits))
-        return self._formula.evaluate(self.root, true_names)
+        return self.holds(entity.index)
 
-    def is_satisfiable(self) -> bool:
-        return any(self.satisfied_by(e) for e in all_entities(self.space.width))
+    def holds(self, index: int) -> bool:
+        """Whether the entity at `index` satisfies the constraint."""
+        true_names = frozenset(compress(self.space.names, index_bits(index, self.space.width)))
+        return self._formula.evaluate(self.root, true_names)
 
     def __str__(self) -> str:
         return self._formula.to_text(self.root)
@@ -102,19 +85,16 @@ class EmpiricalDistribution(Distribution):
         super().__init__(space, len(entities))
         if not entities:
             raise ValueError("an empirical distribution needs a non-empty sample")
-        self._members = frozenset(entities)
-        if len(self._members) != len(entities):
+        if len(frozenset(entities)) != len(entities):
             raise DuplicateSampleError("sample contains duplicate entities")
         for e in entities:
             self._check(e)
         self.sample = entities
+        self.support = tuple(e.index for e in entities)
+        self._members = frozenset(self.support)
 
-    def weight(self, entity: Entity) -> int:
-        return int(entity in self._members)
-
-    @property
-    def finite_support(self) -> tuple[Entity, ...] | None:
-        return self.sample
+    def weight(self, index: int) -> int:
+        return int(index in self._members)
 
 
 class ProductDistribution(Distribution):
@@ -144,8 +124,8 @@ class ProductDistribution(Distribution):
                 counts[i] += b
         return cls(space, [Fraction(c, len(sample)) for c in counts])
 
-    def weight(self, entity: Entity) -> int:
-        return prod(f[b] for f, b in zip(self._factors, entity.bits))
+    def weight(self, index: int) -> int:
+        return prod(f[b] for f, b in zip(self._factors, index_bits(index, self.space.width)))
 
 
 class ConditionedDistribution(Distribution):
@@ -161,11 +141,12 @@ class ConditionedDistribution(Distribution):
     def __init__(self, base: Distribution, constraint: Constraint):
         if constraint.space != base.space:
             raise ValueError("constraint and distribution range over different spaces")
-        support = base.finite_support
+        support = base.support
         if support is None:
-            survivors = (e for e in all_entities(base.space.width) if constraint.satisfied_by(e))
+            check_free_width(base.space.width)
+            survivors = filter(constraint.holds, range(1 << base.space.width))
         else:
-            survivors = support = tuple(e for e in support if constraint.satisfied_by(e))
+            survivors = support = tuple(filter(constraint.holds, support))
         if not any(map(base.weight, survivors)):
             raise InconsistentConstraintError(
                 f"constraint {constraint} has zero mass under the base distribution"
@@ -173,18 +154,14 @@ class ConditionedDistribution(Distribution):
         self.space = base.space  # no Distribution.__init__: `total` is lazy
         self.base = base
         self.constraint = constraint
-        self._support = support
+        self.support = support
 
     @cached_property
     def total(self) -> int:
-        return sum(map(self.weight, self._support or all_entities(self.space.width)))
+        return sum(map(self.weight, self.support or range(1 << self.space.width)))
 
-    def weight(self, entity: Entity) -> int:
-        return self.base.weight(entity) if self.constraint.satisfied_by(entity) else 0
-
-    @property
-    def finite_support(self) -> tuple[Entity, ...] | None:
-        return self._support
+    def weight(self, index: int) -> int:
+        return self.base.weight(index) if self.constraint.holds(index) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Three scores for "why did this entity get label 1":
 shap and counter take their expectations under a configurable
 distribution; resp intervenes with raw 0/1 replacements regardless of the
 distribution, since it is defined by label equalities rather than
-expectations.
+expectations.  All three walk entity indices (see `classify`), and only a
+RESP witness becomes an `Entity`.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .classify import (
     Entity,
     ZeroMassEventError,
     _weighed_labels,
-    all_entities,
     check_free_width,
 )
 
@@ -126,8 +126,7 @@ def shap(
 def counter(
     request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
-    """COUNTER score of one feature value: the batch of `_counter_scores`
-    for that feature alone."""
+    """COUNTER score of one feature value, as `_counter_scores` gives it."""
     return _counter_scores(request, [feature], charge)[feature]
 
 
@@ -145,14 +144,15 @@ def _counter_scores(
     """
     dist, entity = request.distribution, request.entity
     charge = charge or meter(DEFAULT_BUDGET)
-    own, flips = dist.weight(entity), {}
+    e = entity.index
+    own, flips = dist.weight(e), {}
     for name in features:
-        flipped = entity.flip(dist.space.index(name))
+        flipped = e ^ dist.space.bit(name)
         charge(2)
         flips[name] = flipped, dist.weight(flipped)
         if not (own or flips[name][1]):
             raise ZeroMassEventError.pinned(entity, set(dist.space.names) - {name})
-    got = request.classifier.labels([entity, *(f for f, w in flips.values() if w)])
+    got = request.classifier.labels([e, *(f for f, w in flips.values() if w)])
     label, out = next(got), {}
     for name, (_, w) in flips.items():  # a flip of no weight has no label and scores 0
         out[name] = FeatureScore(name, "counter", Fraction(w and w * (label - next(got)), own + w))
@@ -163,9 +163,7 @@ def resp(
     request: ExplanationRequest, feature: str, charge: Callable | None = None
 ) -> FeatureScore:
     """Responsibility of one feature value for the explained label: the
-    walk of `_resp_scores`, stopped at the feature's witness.  It asks the
-    flip sets that hold the feature, which are its contingency sets Y in
-    `combinations` order by size."""
+    walk of `_resp_scores`, which stops at the feature's witness."""
     request.distribution.space.index(feature)
     return _resp_scores(request, [feature], charge)[feature]
 
@@ -181,17 +179,17 @@ def _resp_scores(
     1 / (1 + |Y|) for the smallest such Y, with the lexicographically least
     witness; 0 when no contingency within the cap works.
 
-    Each Y of feature i is tried once, as its flip set F = Y + {i}: the
-    entity with every feature of F changed.  A replacement that keeps some
-    original value is the entity of a smaller flip set.  The walk goes by
-    size (up to `max_contingency` + 1), then in `combinations` order over
-    the sorted names, asking only the sets that hold a feature without a
-    witness; the first flipping F that holds i is i's witness, Y = F - {i}.
-    Dropping one fixed element keeps lexicographic order, so this is i's
-    least Y of least size.  The walk yields (F, flipped entity) pairs, and
-    one `tee` pairs each with its label from one `labels` stream, as in
-    `_weighed_labels`.  Each flip set is charged when its label is read, so
-    the budget edge does not depend on how far ahead a classifier asks.
+    Each Y of feature i is tried once, as its flip set F = Y + {i}, the
+    entity's index XOR F's bits: a replacement that keeps some original
+    value is the entity of a smaller flip set.  The walk goes by size (up to
+    `max_contingency` + 1), then in `combinations` order over the sorted
+    names, asking only the sets that hold a `pending` feature; the first
+    flipping F that holds i is i's witness, Y = F - {i}.  Dropping one fixed
+    element keeps lexicographic order, so this is i's least Y of least size.
+    One `tee` pairs each flipped index with its label from one `labels`
+    stream, as in `_weighed_labels`.  Each flip set is charged when its
+    label is read, so the budget edge does not depend on how far ahead a
+    classifier asks.
     """
     names = request.distribution.space.names
     entity, classifier = request.entity, request.classifier
@@ -202,38 +200,43 @@ def _resp_scores(
         )
     charge = charge or meter(DEFAULT_BUDGET)
     flipped_label = 0 if request.target_label == 1 else 1
-    pending = {names.index(n) for n in features}
-    order = sorted(range(len(names)), key=names.__getitem__)
+    n, e = len(names), entity.index
+    bit = list(map(request.distribution.space.bit, names))
+    order = sorted(range(n), key=names.__getitem__)
+    ordered_bits = [bit[j] for j in order]
+    pending = sum({bit[names.index(name)] for name in features})
     cap = request.max_contingency
-    top = len(names) if cap is None else min(len(names), cap + 1)
+    top = n if cap is None else min(n, cap + 1)
 
-    def flip_sets() -> Iterator[tuple[tuple[int, ...], Entity]]:
+    def flip_sets() -> Iterator[int]:
         for size in range(1, top + 1):
-            for chosen in combinations(order, size):
-                if not pending.isdisjoint(chosen):
-                    yield chosen, entity.flip(*chosen)
+            for chosen in combinations(ordered_bits, size):
+                if (mask := sum(chosen)) & pending:
+                    yield e ^ mask
 
-    pairs, asked = tee(flip_sets())
+    flips, asked = tee(flip_sets())
     scores = {}
-    for (chosen, flipped), got in zip(pairs, classifier.labels(x for _, x in asked)):
+    for flipped, got in zip(flips, classifier.labels(asked)):
         charge()
         if got != flipped_label:
             continue
-        for i in pending.intersection(chosen):
+        mask, witness_entity = flipped ^ e, Entity.at(flipped, n)
+        chosen = [j for j in order if bit[j] & mask]
+        for i in (j for j in chosen if bit[j] & pending):
             y = [j for j in chosen if j != i]
             witness = RespWitness(
                 contingency=tuple(names[j] for j in y),
-                contingency_values=tuple(1 - entity.bits[j] for j in y),
-                replacement=1 - entity.bits[i],
-                entity=flipped,
+                contingency_values=tuple(witness_entity.bits[j] for j in y),
+                replacement=witness_entity.bits[i],
+                entity=witness_entity,
             )
             kind = "actual" if y else "counterfactual"
             value = Fraction(1, len(chosen))
             scores[names[i]] = FeatureScore(names[i], "resp", value, kind, witness)
-        pending.difference_update(chosen)
+        pending &= ~mask
         if not pending:
             break
-    return {n: scores.get(n) or FeatureScore(n, "resp", Fraction(0)) for n in features}
+    return {f: scores.get(f) or FeatureScore(f, "resp", Fraction(0)) for f in features}
 
 
 def score_all(
@@ -270,7 +273,7 @@ def _shap_values(
     j, c[k] = k!(n-1-k)!.  Written over L, the lcm of the nonzero den, each
     E[S] = num[S] / den[S] is Z[S] / L, so the score is (sum over T with j
     of c[|T|-1] Z[T] - sum over S without j of c[|S|] Z[S]) / (n! L).  The
-    slots with bit j set come in blocks of 2^j at stride 2^(j+1), each just
+    slots with j's bit b set come in blocks of b at stride 2b, each just
     after the block of the same sets without j, so `compress` picks either
     side, in aligned order, by a byte pattern and `sum` adds it in C.
 
@@ -281,12 +284,12 @@ def _shap_values(
     den[S] = 0, and Z is 0 there); each feature's count of dropped terms is
     reported through `ZeroMassSkipWarning`.
     """
-    space = request.distribution.space
-    bits = {name: 1 << j for j, name in enumerate(space.names)}
+    space, n = request.distribution.space, request.entity.width
+    bits = {name: space.bit(name) for name in space.names}
     num, den = _coalition_counts(request)
     if not request.skip_zero_mass and 0 in den:
         _raise_first_zero_mass(request, min(features), den, bits)
-    n, slots = space.width, len(den)
+    slots = len(den)
     common = math.lcm(*{d for d in den if d})
     scaled = [a * (common // b) if b else 0 for a, b in zip(num, den)]
     c = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
@@ -332,37 +335,33 @@ def _check_enumerable(request: ExplanationRequest, charge: Callable) -> None:
 def _coalition_counts(request: ExplanationRequest) -> tuple[list[int], list[int]]:
     """The label-1 weight num[S] and the total weight den[S] of the entities
     agreeing with the request's entity e on S, for every feature set S
-    (feature j is bit j of the slot index): E[L | e on S] = num[S] / den[S],
-    and den[S] is 0 where the event has no mass.
+    (feature j is bit n-1-j, as in an entity index): E[L | e on S] =
+    num[S] / den[S], and den[S] is 0 where the event has no mass.
 
-    Each entity x of positive weight, labelled through one `labels`
-    stream, is filed under its agreement mask with e (the features where x
-    and e agree); distinct entities have distinct masks.  Adding slot
-    S | {j} into slot S for each feature j (O(n 2^n) integer additions)
-    turns the slots into the sums over the entities agreeing with e on S.
-    The slots without bit j lie in runs of 2^j at a stride of 2^(j+1), each
-    just below its partners, so each addition pass is C-level slice
-    arithmetic: 2^j strided slices while those are the fewer, else one
-    slice per run.  The caller has passed `_check_enumerable`.
+    Each entity index x of positive weight, labelled through one `labels`
+    stream, is filed under its agreement mask full & ~(x ^ e); distinct
+    entities have distinct masks.  Adding slot S | {j} into slot S for each
+    feature j (O(n 2^n) integer additions) turns the slots into the sums
+    over the entities agreeing with e on S.  The slots without bit b lie in
+    runs of b at a stride of 2b, each just below its partners, so each pass
+    is C-level slice arithmetic: b strided slices while those are the fewer,
+    else one slice per run.  The caller has passed `_check_enumerable`.
     """
-    dist, entity = request.distribution, request.entity
-    n = entity.width
-    candidates = dist.finite_support
-    if candidates is None:
-        candidates = all_entities(n)
-    place = [1 << j for j in range(n)]
+    dist = request.distribution
+    n = request.entity.width
     full = (1 << n) - 1
-    target = sum(compress(place, entity.bits))
+    candidates = range(full + 1) if dist.support is None else dist.support
+    disagree = full ^ request.entity.index  # x ^ disagree == full & ~(x ^ e)
     num = [0] * (full + 1)
     den = [0] * (full + 1)
     for (x, w), label in _weighed_labels(dist, request.classifier, candidates):
-        agree = full & ~(sum(compress(place, x.bits)) ^ target)
+        agree = x ^ disagree
         den[agree] = w
         if label == 1:
             num[agree] = w
     add = operator.add
     for table in (num, den):
-        for bit in place:
+        for bit in (1 << j for j in range(n)):
             step = 2 * bit
             if bit <= (full + 1) // step:  # bit strided runs of 2^n / step slots
                 for low in range(bit):

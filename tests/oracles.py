@@ -20,7 +20,9 @@ node in a second walk instead of in the same pass; the mass oracle gives
 each entity its probability from the variant's rational formula instead of
 an integer weight over a total, and takes conditional expectations as
 ratios of those rationals over the whole space; the tokenizer oracle walks
-the text one character at a time instead of matching a pattern per token.
+the text one character at a time instead of matching a pattern per token;
+the truth-table oracle reads a whole CSV with the `csv` module into a
+{bits: label} dict instead of streaming it into a byte table.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from xscore.classify import (
     TableClassifier,
     UniformDistribution,
     ZeroMassEventError,
-    all_entities,
+    check_free_width,
     condition,
     conditional_expectation,
 )
@@ -240,7 +242,7 @@ def resp_by_exhaustion(classifier, space: FeatureSpace, entity: Entity, feature:
             for values in product((0, 1), repeat=size):
                 changes = dict(zip(chosen, values))
                 changes[index] = 1 - entity.bits[index]
-                if classifier.label(entity.with_bits(changes)) == 0:
+                if classifier.label(with_bits(entity, changes)) == 0:
                     return Fraction(1, size + 1)
     return Fraction(0)
 
@@ -274,7 +276,7 @@ def resp_by_replacement_search(request, feature: str) -> FeatureScore:
             for values in product((0, 1), repeat=size):
                 changes = dict(zip(indices, values))
                 changes[index] = replacement
-                candidate = entity.with_bits(changes)
+                candidate = with_bits(entity, changes)
                 if request.classifier.label(candidate) == flipped_label:
                     return FeatureScore(
                         feature=feature,
@@ -439,6 +441,70 @@ def tokenize_by_characters(text: str, extra_name_chars: str = "") -> list[Token]
 
     tokens.append(Token("end", "", line, col))
     return tokens
+
+
+def all_entities(width: int):
+    """Every entity of the given width, in index order (binary counting),
+    refused past the enumeration limit."""
+    check_free_width(width)
+    for bits in product((0, 1), repeat=width):
+        yield Entity(bits)
+
+
+def with_bits(entity: Entity, changes) -> Entity:
+    """The entity with bit i set to `changes[i]` for each i in `changes`."""
+    bits = list(entity.bits)
+    for index, bit in changes.items():
+        bits[index] = bit
+    return Entity(tuple(bits))
+
+
+def flip(entity: Entity, *indices: int) -> Entity:
+    """The entity with the bit at each of the distinct `indices` changed."""
+    return with_bits(entity, {i: 1 - entity.bits[i] for i in indices})
+
+
+def truth_table_by_csv(path) -> tuple[list[str], dict[tuple[int, ...], int]]:
+    """Feature names and {bits: label} of a well-formed truth-table CSV,
+    read with the `csv` module's own reader: the cells stripped, a leading
+    byte-order mark dropped and the `label` column taken out by name."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = csv.reader(fh)
+    header = [h.strip() for h in header]
+    at = header.index("label")
+    table = {}
+    for row in rows:
+        cells = [int(c.strip()) for c in row]
+        label = cells.pop(at)
+        table[tuple(cells)] = label
+    return header[:at] + header[at + 1 :], table
+
+
+# ---------------------------------------------------------------------------
+# Constraints only the tests build
+
+
+def denial(space: FeatureSpace, positive, negative) -> Constraint:
+    """The constraint forbidding "all of `positive` are 1 and all of
+    `negative` are 0"."""
+    pos = tuple(sorted(set(positive)))
+    neg = tuple(sorted(set(negative)))
+    if set(pos) & set(neg):
+        raise ValueError(f"positive and negative features overlap: {set(pos) & set(neg)}")
+    for name in pos + neg:
+        space.index(name)
+    literals: list[formula.Node] = [formula.Var(n) for n in pos]
+    literals += [formula.Not(formula.Var(n)) for n in neg]
+    if not literals:
+        raise ValueError("a denial constraint needs at least one literal")
+    body = literals[0] if len(literals) == 1 else formula.And(tuple(literals))
+    return Constraint(space=space, root=formula.Not(body))
+
+
+def is_satisfiable(constraint: Constraint) -> bool:
+    return any(constraint.satisfied_by(e) for e in all_entities(constraint.space.width))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +708,7 @@ def random_distribution(rng: random.Random, space: FeatureSpace, kind: str):
     if rng.random() < 0.5:
         chosen = rng.sample(space.names, rng.randint(1, space.width))
         split = rng.randint(0, len(chosen))
-        return condition(base, Constraint.denial(space, chosen[:split], chosen[split:]))
+        return condition(base, denial(space, chosen[:split], chosen[split:]))
     return condition(base, Constraint(space=space, root=random_formula(rng, space.names)))
 
 

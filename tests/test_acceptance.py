@@ -15,6 +15,9 @@ from itertools import product
 import pytest
 
 from oracles import (
+    all_entities,
+    denial,
+    flip,
     hierarchy_by_definition,
     random_database_for,
     random_monotone_game,
@@ -30,11 +33,10 @@ from xscore.classify import (
     FeatureSpace,
     InconsistentConstraintError,
     UniformDistribution,
-    all_entities,
     condition,
     parse_constraint,
 )
-from xscore.knowledge import Constraint, EmpiricalDistribution, ProductDistribution
+from xscore.knowledge import EmpiricalDistribution, ProductDistribution
 from xscore.mlscores import ExplanationRequest, counter, resp, shap
 
 
@@ -223,7 +225,7 @@ def _check_counter_identity(width, table):
         entity = Entity(bits)
         request = ExplanationRequest(entity=entity, classifier=clf, distribution=dist)
         for i, name in enumerate(space.names):
-            expected = Fraction(clf.label(entity) - clf.label(entity.flip(i)), 2)
+            expected = Fraction(clf.label(entity) - clf.label(flip(entity, i)), 2)
             assert counter(request, name).value == expected
 
 
@@ -285,7 +287,7 @@ def _random_constraint(rng, space):
         k = rng.randint(1, min(3, len(names)))
         chosen = names[:k]
         split = rng.randint(0, k)
-        return Constraint.denial(space, positive=chosen[:split], negative=chosen[split:])
+        return denial(space, positive=chosen[:split], negative=chosen[split:])
     literals = []
     for name in rng.sample(space.names, rng.randint(1, min(3, space.width))):
         literals.append(name if rng.random() < 0.5 else f"~{name}")

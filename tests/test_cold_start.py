@@ -72,7 +72,8 @@ import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
     if sys.argv[1] == "clfserver":
         from xscore import clfserver
-        sys.stdin = io.StringIO("011\\n")
+        sys.stdin = io.TextIOWrapper(io.BytesIO(b"011\\n"))
+        sys.stdout = io.TextIOWrapper(io.BytesIO())
         code = clfserver.main(sys.argv[2:])
     else:
         from xscore import cli
@@ -313,7 +314,7 @@ def test_only_the_process_entries_exit_through_exit_process(monkeypatch, capsys)
 
     assert cli.main(shlex.split(f"db-scores {EX1} {Q} {ALL}")) == 0
     assert cli.main(shlex.split(EX6)) == 0
-    assert clfserver.serve(TABLE, io.StringIO("011\n"), io.StringIO()) == 0
+    assert clfserver.serve(TABLE, io.BytesIO(b"011\n"), io.BytesIO()) == 0
     assert events == []
 
     def main():
@@ -328,7 +329,7 @@ def test_only_the_process_entries_exit_through_exit_process(monkeypatch, capsys)
 
     events.clear()
     monkeypatch.setattr(sys, "argv", ["clfserver", TABLE])
-    monkeypatch.setattr(sys, "stdin", io.StringIO("011\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"011\n")))
     monkeypatch.delitem(sys.modules, "xscore.clfserver")  # as `python -m` finds it
     runpy.run_module("xscore.clfserver", run_name="__main__")
     assert events == ["atexit", "exit 0"]
