@@ -87,8 +87,8 @@ def _cmd_db_scores(args) -> list[dict]:
             continue
         values = dbscores.swing_scores(swings, kind, probability)
         records.extend(_score_record(t, kind, values.get(t, Fraction(0))) for t in ids)
-    if args.nonzero:
-        records = [r for r in records if r["value_float"] != 0.0]
+    if args.nonzero:  # on the exact value: a tiny one's float underflows to 0.0
+        records = [r for r in records if r["value"] not in ("0", "0.0")]
     records.sort(key=lambda r: (r["kind"], r["tuple"]))
     return records
 

@@ -15,22 +15,27 @@ tuples on which adding it makes the lineage true.  Shapley, Banzhaf and
 the causal effect at a shared tuple probability are weighted sums of
 those counts; a least contingency is what the largest such set leaves out.
 
-Monte Carlo Shapley plays no game: each sampled order credits the one
-tuple that first makes the lineage true, found by a min/max walk.
+Every walk runs on the lineage's integer form (`_form`), the formula tree
+node for node: tuple i of the sorted support is the bit 1 << i, a constant
+a bool, and an And/Or the pair (is_or, parts), so a set of tuples is a
+mask and memo keys hash in C.  Monte Carlo Shapley plays no game: each
+sampled order credits the tuple that ends its least prefix on which the
+lineage holds.
 """
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
-from math import comb
+from itertools import accumulate, zip_longest
+from math import comb, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from . import formula, games
 from ._record import record
-from .games import Game
 from .reldb import ConjunctiveQuery, Database, Lineage, compile_lineage
 
 __all__ = [
@@ -46,7 +51,6 @@ __all__ = [
     "swing_scores",
     "monte_carlo_shapley",
     "check_probability",
-    "lineage_game",
 ]
 
 HALF = Fraction(1, 2)
@@ -97,15 +101,15 @@ def lineage_causes(
     searched, at its one size, and each candidate tested is charged the
     lineage's tuple occurrences, the nodes its evaluation may visit.
     """
-    support = lineage.support()
-    if not lineage.evaluate(support):
+    form, bits = _form(lineage)
+    if not _holds(form, sum(bits.values())):
         raise NothingToExplainError("lineage is false even with every tuple present")
-    players = sorted(set(tuple_ids)) if tuple_ids is not None else sorted(support)
+    players = sorted(set(tuple_ids)) if tuple_ids is not None else list(bits)
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     if swings is None:
         swings = swing_counts(lineage, charge, players)
-    search = partial(charge, sum(1 for _ in formula.occurrences(lineage.root)))
-    return [_cause_of(lineage, support, t, swings.get(t, ()), search) for t in players]
+    search = partial(charge, len(_leaves(form)))
+    return [_cause_of(form, bits, t, swings.get(t, ()), search) for t in players]
 
 
 def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
@@ -119,7 +123,7 @@ def query_lineage(db: Database, query: ConjunctiveQuery) -> Lineage:
     return lineage
 
 
-def _cause_of(lineage: Lineage, support: frozenset, tuple_id: str, counts, charge) -> CauseReport:
+def _cause_of(form, bits: dict, tuple_id: str, counts, charge) -> CauseReport:
     # A contingency gamma works when the lineage holds without gamma and
     # fails without gamma and the tuple: the tuple swings it on the other
     # m - 1 - |gamma| tuples.  The largest k with d[k] > 0 gives the least
@@ -127,15 +131,13 @@ def _cause_of(lineage: Lineage, support: frozenset, tuple_id: str, counts, charg
     swung = [k for k, d in enumerate(counts) if d]
     if not swung:
         return CauseReport(tuple_id, False, False, None, None, Fraction(0))
-    rest = support - {tuple_id}
-    size = len(rest) - swung[-1]
-    holds = lineage.evaluate
-    gamma = games.least_contingency(
-        sorted(rest),
-        lambda g: holds(support.difference(g)) and not holds(rest.difference(g)),
-        (size,),
-        charge,
-    )
+    size, bit, full = len(bits) - 1 - swung[-1], bits[tuple_id], sum(bits.values())
+
+    def hits(gamma):  # on bit masks
+        kept = full - sum(map(bits.get, gamma))
+        return _holds(form, kept) and not _holds(form, kept - bit)
+
+    gamma = games.least_contingency([t for t in bits if t != tuple_id], hits, (size,), charge)
     return CauseReport(tuple_id, True, not gamma, size, gamma, Fraction(1, size + 1))
 
 
@@ -158,8 +160,7 @@ def intervene(lineage: Lineage, tuple_id: str, value: int) -> Lineage:
             stacklevel=2,
         )
         return lineage
-    root = formula.substitute(lineage.root, {tuple_id: bool(value)})
-    return Lineage(root=root)
+    return Lineage(root=formula.substitute(lineage.root, {tuple_id: bool(value)}))
 
 
 def lineage_probability(
@@ -174,8 +175,7 @@ def lineage_probability(
     = P(f|t=1) and P0 = P(f|t=0), which charges two units per distinct
     sub-formula: the swing P1 - P0 and P.
     """
-    (total,), _ = _expand_at(lineage, probabilities, frozenset(), charge)
-    return Fraction(total)
+    return Fraction(_expand_at(lineage, probabilities, (), charge)[0][0])
 
 
 def causal_effect(
@@ -214,7 +214,7 @@ def swing_counts(
     wanted = support if tuple_ids is None else support.intersection(tuple_ids)
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     # A present tuple multiplies by y: one place up.
-    _, swings = _expand(lineage.root, lambda t, poly: [0, *poly], wanted, charge)
+    _, swings = _expand(lineage, lambda i, poly: [0, *poly], wanted, charge)
     m, d = len(support), {}
     for t in sorted(wanted):
         charge(m)
@@ -229,10 +229,10 @@ def swing_scores(
     """Exact scores of the support tuples from their `swing_counts`.
 
     Each tuple's counts are weighted by `games.size_weights` of the kind,
-    over the m support tuples; the causal effect takes the shared tuple
-    probability p (default 1/2).  Tuples outside the support are null
-    players and score 0 in every kind, so these equal the scores of the
-    query game over the whole instance.
+    over the m support tuples and as integers over their common denominator;
+    the causal effect takes the shared tuple probability p (default 1/2).
+    Tuples outside the support are null players and score 0 in every kind,
+    so these equal the scores of the query game over the whole instance.
     """
     if kind not in ("shapley", "banzhaf", "causal_effect"):
         raise ValueError(f"no swing score of kind {kind!r}")
@@ -243,7 +243,9 @@ def swing_scores(
     # Every count list runs over k = 0 .. m-1, whichever tuples were counted.
     m = max(map(len, swings.values()), default=0)
     weights = games.size_weights(kind, m, p)
-    return {t: sum(w * d for w, d in zip(weights, counts)) for t, counts in swings.items()}
+    common = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (common // w.denominator) for w in weights]
+    return {t: Fraction(sum(map(mul, scaled, counts)), common) for t, counts in swings.items()}
 
 
 def monte_carlo_shapley(
@@ -254,53 +256,83 @@ def monte_carlo_shapley(
     players: Iterable[str] | None = None,
     charge: Callable | None = None,
 ) -> dict[str, float]:
-    """Monte Carlo Shapley estimates of the players of `lineage_game(lineage,
-    players)`, equal to `games.shapley_monte_carlo_all` of that game.
+    """Monte Carlo Shapley estimates of `players` (default: the support) in
+    the lineage's 0/1 game, equal to `games.shapley_monte_carlo_all` of it.
 
     In each of the `games.sample_orders`, only the player that first makes
-    the monotone lineage true has a nonzero marginal, 1.  Its place is the
-    lineage's value with each tuple at its place, an And the max of its
-    parts and an Or the min; a constant lineage credits nobody.  A
-    player's estimate is its wins over the samples.
+    the monotone lineage true has a nonzero marginal, 1.  The orders shuffle
+    the players' bits (0 outside the support) as they would the players,
+    and the last player of the least prefix mask on which the lineage
+    holds, found by bisection, is credited; a constant lineage credits
+    nobody.  A player's estimate is its wins over the samples.
     """
-    players = sorted(lineage.support() if players is None else players)
-    samples = games.sample_count(epsilon, delta)
-    wins = dict.fromkeys(players, 0)
-    never = len(players)
-    for order in games.sample_orders(players, epsilon, delta, seed, charge):
-        first = _first_place(lineage.root, dict(zip(order, range(never))), never)
-        if 0 <= first < never:
-            wins[order[first]] += 1
-    return {p: wins[p] / samples for p in players}
+    form, bits = _form(lineage)
+    players = sorted(bits if players is None else players)
+    samples, wins = games.sample_count(epsilon, delta), Counter()
+    keys = [bits.get(p, 0) for p in players]
+    for order in games.sample_orders(keys, epsilon, delta, seed, charge):
+        first = bisect_left([0, *accumulate(order)], True, key=partial(_holds, form))
+        if 0 < first <= len(order):
+            wins[order[first - 1]] += 1
+    return {p: wins[bits.get(p, 0)] / samples for p in players}
 
 
-def _first_place(node: formula.Node, place: Mapping[str, int], never: int) -> int:
-    # The place in the order whose player first makes the monotone node
-    # true: -1 when it holds on the empty prefix, `never` when on none.
-    if isinstance(node, formula.Var):
-        return place.get(node.name, never)
-    if isinstance(node, formula.And):
-        return max(_first_place(p, place, never) for p in node.parts)
-    if isinstance(node, formula.Or):
-        return min(_first_place(p, place, never) for p in node.parts)
-    if isinstance(node, formula.Const):
-        return -1 if node.value else never
-    raise ValueError("a Monte Carlo lineage must be monotone")
+def _form(lineage: Lineage) -> tuple:
+    # The integer form (see the module docstring) and the support's bits.
+    bits = {t: 1 << i for i, t in enumerate(sorted(lineage.support()))}
+
+    def build(node):
+        if isinstance(node, (formula.And, formula.Or)):
+            return isinstance(node, formula.Or), tuple(build(p) for p in node.parts)
+        if isinstance(node, formula.Not):
+            raise ValueError("a lineage must be monotone")
+        return bits[node.name] if isinstance(node, formula.Var) else node.value
+
+    return build(lineage.root), bits
 
 
-def _expand(root: formula.Node, present, wanted: frozenset, charge) -> tuple[list, dict]:
-    """Probability of `root` and the swings of its `wanted` tuples
-    (probability with the tuple present minus absent), from one Shannon
-    expansion that expands each distinct sub-formula once, on its most
-    frequent tuple t (least id on ties): P = P0 + p_t (P1 - P0), P1 and P0
-    the branches with t present and absent.  A probability is a list of
-    coefficients, and `present(t, poly)` multiplies one by p_t.  The
-    pivot's swing is P1 - P0, and another tuple's follows the same
-    recurrence (Darwiche, JACM 2003).  A tuple a branch no longer mentions
-    is present or absent with total probability 1, so nothing is smoothed.
-    Each recurrence charges one unit per coefficient it writes.  A lineage
-    that needs more nested pivots than Python's recursion limit allows is
-    a `ValueError`.
+def _leaves(node) -> list[int]:
+    # The form's tuple bits, once per occurrence.
+    if type(node) is tuple:
+        return [b for part in node[1] for b in _leaves(part)]
+    return [node] if type(node) is int else []
+
+
+def _holds(node, present: int) -> bool:
+    # The form's truth value when exactly the tuples of mask `present` are.
+    if type(node) is not tuple:
+        return node if type(node) is bool else present & node != 0
+    for part in node[1]:
+        if (present & part != 0 if type(part) is int else _holds(part, present)) is node[0]:
+            return node[0]
+    return not node[0]
+
+
+def _sub(node, t: int, value: bool):
+    # `formula.substitute` of the tuple bit t by `value`, on the form.
+    if type(node) is not tuple:
+        return value if node == t and node is not True else node
+    is_or, kept = node[0], []
+    for part in node[1]:
+        part = _sub(part, t, value)
+        if part is is_or:  # true absorbs an Or, false an And
+            return part
+        if part is not (not is_or):  # the other constant is dropped
+            kept.append(part)
+    return (is_or, tuple(kept)) if len(kept) > 1 else kept[0] if kept else not is_or
+
+
+def _expand(lineage: Lineage, present, wanted: Iterable[str], charge) -> tuple[list, dict]:
+    """Probability of the lineage and the swings of its `wanted` tuples
+    (present minus absent), from one Shannon expansion of its integer form
+    that expands each distinct sub-formula once, on its most frequent tuple
+    t (least bit on ties): P = P0 + p_t (P1 - P0), P1 and P0 the branches
+    with t present and absent, as coefficient lists; `present(i, poly)`
+    multiplies one by p_t, t tuple i of the sorted support.  Another
+    tuple's swing follows the same recurrence (Darwiche, JACM 2003), and a
+    tuple a branch no longer mentions needs no smoothing.  Each recurrence
+    charges one unit per coefficient it writes.  A lineage too deep for
+    Python's recursion limit, to build or to pivot, is a `ValueError`.
     """
     charge = charge or games.meter(games.DEFAULT_BUDGET)
     memo: dict = {}
@@ -308,62 +340,43 @@ def _expand(root: formula.Node, present, wanted: frozenset, charge) -> tuple[lis
     def mix(t, p0, p1):
         # P0 + p_t (P1 - P0), and the swing P1 - P0 on the way.
         swing = [x - y for x, y in zip_longest(p1, p0, fillvalue=0)]
-        out = [x + y for x, y in zip_longest(p0, present(t, swing), fillvalue=0)]
+        out = [x + y for x, y in zip_longest(p0, present(t.bit_length() - 1, swing), fillvalue=0)]
         charge(len(swing) + len(out))
         return out, swing
 
     def expand(node):
+        if type(node) is bool:  # kept apart: True == 1, the first tuple's bit
+            return [int(node)], {}
         got = memo.get(node)
         if got is None:
-            if isinstance(node, formula.Const):
-                got = [int(node.value)], {}
-            else:
-                occurrences = Counter(formula.occurrences(node))
-                t = min(occurrences, key=lambda u: (-occurrences[u], u))
-                p1, s1 = expand(formula.substitute(node, {t: True}))
-                p0, s0 = expand(formula.substitute(node, {t: False}))
-                swings = {u: mix(t, s0.get(u, []), s1.get(u, []))[0] for u in s1.keys() | s0.keys()}
-                p, swing = mix(t, p0, p1)
-                if t in wanted:
-                    swings[t] = swing
-                got = p, swings
-            memo[node] = got
+            t = min(Counter(_leaves(node)).items(), key=lambda c: (-c[1], c[0]))[0]
+            p1, s1 = expand(_sub(node, t, True))
+            p0, s0 = expand(_sub(node, t, False))
+            swings = {u: mix(t, s0.get(u, []), s1.get(u, []))[0] for u in s1.keys() | s0.keys()}
+            p, swing = mix(t, p0, p1)
+            if t & mask:
+                swings[t] = swing
+            got = memo[node] = p, swings
         return got
 
     try:
-        return expand(root)
+        form, bits = _form(lineage)
+        mask = sum(bits[t] for t in wanted)
+        p, swings = expand(form)
     except RecursionError:
-        size = len(formula.variables(root))
+        size = len(lineage.support())
         raise ValueError(f"lineage of {size} tuples is too deep to expand") from None
-
-
-# ---------------------------------------------------------------------------
-# Coalition games over database tuples
-
-
-def lineage_game(lineage: Lineage, players: Iterable[str] | None = None) -> Game:
-    """The 0/1 game over the lineage support; a coalition wins when the
-    formula is true with exactly that coalition present.
-
-    `players` (default: the support) may add null players, such as the
-    other tuples of the instance; with every tuple of `db` this is the
-    query game of the query whose lineage it is.
-    """
-
-    def value(coalition):
-        return 1 if lineage.evaluate(coalition) else 0
-
-    return Game(players=tuple(lineage.support() if players is None else players), value=value)
+    return p, {t: swings[b] for t, b in bits.items() if b in swings}
 
 
 def _expand_at(lineage: Lineage, probabilities, wanted: frozenset, charge) -> tuple[list, dict]:
     # `_expand` at the support tuples' checked probabilities.
     table = probabilities if isinstance(probabilities, Mapping) else {}
     shared = HALF if probabilities is None or table is probabilities else Fraction(probabilities)
-    prob = {t: Fraction(table.get(t, shared)) for t in sorted(lineage.support())}
-    for p in (shared, *prob.values()):
+    prob = [Fraction(table.get(t, shared)) for t in sorted(lineage.support())]
+    for p in (shared, *prob):
         check_probability(p)
-    return _expand(lineage.root, lambda t, poly: [prob[t] * c for c in poly], wanted, charge)
+    return _expand(lineage, lambda i, poly: [prob[i] * c for c in poly], wanted, charge)
 
 
 def check_probability(p: Fraction) -> None:

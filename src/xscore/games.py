@@ -3,7 +3,8 @@
 A game is a set of players plus a value oracle over coalitions (subsets of
 players).  The engine computes exact Shapley and Banzhaf values with
 arbitrary-precision rational arithmetic, and a seeded Monte Carlo Shapley
-estimate for games too large to enumerate.
+estimate for games too large to enumerate, whose orders are drawn from
+sha256 digests of (seed, sample), alike on every Python and platform.
 
 The work `meter` and its errors are the package root's, re-exported here.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -18,9 +20,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import DEFAULT_BUDGET, BudgetExceededError, GameError, meter
 from ._record import record
-
-Player = Hashable
-Coalition = frozenset
 
 
 class PlayerNotInGameError(GameError):
@@ -37,7 +36,7 @@ class Game:
     """
 
     players: tuple
-    value: Callable[[Coalition], Fraction | int | float]
+    value: Callable[[frozenset], Fraction | int | float]
 
     def __post_init__(self):
         ordered = tuple(sorted(self.players))
@@ -77,7 +76,7 @@ def banzhaf_all(game: Game, charge: Callable | None = None) -> dict:
 
 def shapley_monte_carlo(
     game: Game,
-    player: Player,
+    player: Hashable,
     epsilon: float,
     delta: float,
     seed: int,
@@ -174,10 +173,18 @@ def _marginal_sums(game: Game, kind: str, charge: Callable | None) -> dict:
 
 
 def _derived_seed(seed: int, index: int) -> int:
-    import hashlib
     # hash() is randomized per process; use a stable digest instead.
-    digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
+    digest = _sha256()(f"{seed}:{index}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@cache
+def _sha256():
+    # CPython's own sha256 gives hashlib's digests without loading OpenSSL.
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        return __import__("hashlib").sha256
 
 
 def least_contingency(

@@ -292,12 +292,14 @@ def _shap_values(
     slots = len(den)
     common = math.lcm(*{d for d in den if d})
     scaled = [a * (common // b) if b else 0 for a, b in zip(num, den)]
+    del num  # each 2^n list goes once read: den, scaled, joined, left at most
     c = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     # c[|S|-1] where S is some S' + j (never empty), c[|S|] where S lacks j.
     into, out = [0, *c], [*c, 0]
-    sizes = [s.bit_count() for s in range(slots)]
+    sizes = bytes(map(int.bit_count, range(slots)))
     joined = [into[k] * z for k, z in zip(sizes, scaled)]
     left = [out[k] * z for k, z in zip(sizes, scaled)]
+    del sizes, scaled
     scores = {}
     for name in features:
         bit = bits[name]

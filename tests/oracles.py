@@ -23,16 +23,25 @@ ratios of those rationals over the whole space; the tokenizer oracle walks
 the text one character at a time instead of matching a pattern per token;
 the truth-table oracle reads a whole CSV with the `csv` module into a
 {bits: label} dict instead of streaming it into a byte table.
+
+The record-tree walks are the tuple-score walks as `dbscores` ran them
+before it walked integer forms: the Shannon expansion, the witness test and
+the Monte Carlo first place over `formula` records, with the same memo,
+pivots and charges.  They are references for the integer walks, not
+independent oracles, and the lineage game plays a lineage by evaluating
+its record tree.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import partial
+from itertools import combinations, permutations, product, zip_longest
 
-from xscore import formula, reldb
+from xscore import formula, games, reldb
 from xscore.classify import (
     Entity,
     FeatureSpace,
@@ -75,9 +84,8 @@ def monte_carlo_by_player(game: Game, player, epsilon: float, delta: float, seed
     samples = math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
     total = Fraction(0)
     for index in range(samples):
-        digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
         order = list(game.players)
-        random.Random(int.from_bytes(digest[:8], "big")).shuffle(order)
+        random.Random(derived_seed_by_hashlib(seed, index)).shuffle(order)
         before = frozenset(order[: order.index(player)])
         total += Fraction(game.value(before | {player})) - Fraction(game.value(before))
     return float(total / samples), samples
@@ -508,6 +516,147 @@ def is_satisfiable(constraint: Constraint) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Record-tree walks: the tuple-score walks as they ran over formula records
+
+
+def lineage_game(lineage: reldb.Lineage, players=None) -> Game:
+    """The 0/1 game over the lineage support; a coalition wins when the
+    formula is true with exactly that coalition present.
+
+    `players` (default: the support) may add null players, such as the
+    other tuples of the instance; with every tuple of `db` this is the
+    query game of the query whose lineage it is.
+    """
+
+    def value(coalition):
+        return 1 if lineage.evaluate(coalition) else 0
+
+    return Game(players=tuple(lineage.support() if players is None else players), value=value)
+
+
+def expand_by_records(root: formula.Node, present, wanted, charge) -> tuple[list, dict]:
+    """Probability of `root` and the swings of its `wanted` tuples by the
+    memoized Shannon expansion over formula records: each distinct
+    sub-formula is expanded once, on its most frequent tuple (least id on
+    ties), its branches built by `formula.substitute`; `present(t, poly)`
+    multiplies a coefficient list by p_t, and each recurrence charges one
+    unit per coefficient it writes."""
+    memo: dict = {}
+
+    def mix(t, p0, p1):
+        swing = [x - y for x, y in zip_longest(p1, p0, fillvalue=0)]
+        out = [x + y for x, y in zip_longest(p0, present(t, swing), fillvalue=0)]
+        charge(len(swing) + len(out))
+        return out, swing
+
+    def expand(node):
+        got = memo.get(node)
+        if got is None:
+            if isinstance(node, formula.Const):
+                got = [int(node.value)], {}
+            else:
+                occurrences = Counter(formula.occurrences(node))
+                t = min(occurrences, key=lambda u: (-occurrences[u], u))
+                p1, s1 = expand(formula.substitute(node, {t: True}))
+                p0, s0 = expand(formula.substitute(node, {t: False}))
+                swings = {u: mix(t, s0.get(u, []), s1.get(u, []))[0] for u in s1.keys() | s0.keys()}
+                p, swing = mix(t, p0, p1)
+                if t in wanted:
+                    swings[t] = swing
+                got = p, swings
+            memo[node] = got
+        return got
+
+    return expand(root)
+
+
+def swing_counts_by_records(lineage: reldb.Lineage, charge, tuple_ids=None) -> dict:
+    """`dbscores.swing_counts` read off `expand_by_records` at a symbolic
+    probability, charging each tuple's conversion m units."""
+    support = lineage.support()
+    wanted = support if tuple_ids is None else support.intersection(tuple_ids)
+    _, swings = expand_by_records(lineage.root, lambda t, poly: [0, *poly], wanted, charge)
+    m, d = len(support), {}
+    for t in sorted(wanted):
+        charge(m)
+        a = swings.get(t, [])
+        d[t] = [sum(x * math.comb(m - 1 - j, k - j) for j, x in enumerate(a[:k + 1])) for k in range(m)]
+    return d
+
+
+def probability_by_records(lineage: reldb.Lineage, probabilities, tuple_id, charge):
+    """The lineage probability and `tuple_id`'s swing (None: 0) at the
+    probabilities of `dbscores.lineage_probability`, by `expand_by_records`."""
+    prob = _presence(sorted(lineage.support()), probabilities)
+    wanted = {tuple_id} & lineage.support()
+    (total,), swings = expand_by_records(
+        lineage.root, lambda t, poly: [prob[t] * c for c in poly], wanted, charge
+    )
+    return Fraction(total), Fraction(swings.get(tuple_id, [0])[0])
+
+
+def causes_by_records(lineage: reldb.Lineage, tuple_ids, charge, swings) -> list[CauseReport]:
+    """`dbscores.lineage_causes` with each size read off `swings`, and each
+    witness searched over sorted names by `games.least_contingency`, every
+    candidate tested by two evaluations of the record tree and charged the
+    lineage's tuple occurrences."""
+    support = lineage.support()
+    search = partial(charge, sum(1 for _ in formula.occurrences(lineage.root)))
+    reports = []
+    for t in sorted(set(tuple_ids)):
+        swung = [k for k, d in enumerate(swings.get(t, ())) if d]
+        if not swung:
+            reports.append(CauseReport(t, False, False, None, None, Fraction(0)))
+            continue
+        rest = support - {t}
+        size = len(rest) - swung[-1]
+        gamma = games.least_contingency(
+            sorted(rest),
+            lambda g: lineage.evaluate(support.difference(g))
+            and not lineage.evaluate(rest.difference(g)),
+            (size,),
+            search,
+        )
+        reports.append(CauseReport(t, True, not gamma, size, gamma, Fraction(1, size + 1)))
+    return reports
+
+
+def monte_carlo_by_records(lineage: reldb.Lineage, epsilon, delta, seed, players, charge):
+    """`dbscores.monte_carlo_shapley` over the players' names: each of the
+    `games.sample_orders` credits the player at the first place of a
+    min/max walk over the record tree."""
+    players = sorted(lineage.support() if players is None else players)
+    samples = games.sample_count(epsilon, delta)
+    wins = dict.fromkeys(players, 0)
+    never = len(players)
+    for order in games.sample_orders(players, epsilon, delta, seed, charge):
+        first = _first_place(lineage.root, dict(zip(order, range(never))), never)
+        if 0 <= first < never:
+            wins[order[first]] += 1
+    return {p: wins[p] / samples for p in players}
+
+
+def _first_place(node: formula.Node, place, never: int) -> int:
+    # The place in the order whose player first makes the monotone node
+    # true: -1 when it holds on the empty prefix, `never` when on none.
+    if isinstance(node, formula.Var):
+        return place.get(node.name, never)
+    if isinstance(node, formula.And):
+        return max(_first_place(p, place, never) for p in node.parts)
+    if isinstance(node, formula.Or):
+        return min(_first_place(p, place, never) for p in node.parts)
+    if isinstance(node, formula.Const):
+        return -1 if node.value else never
+    raise ValueError("a Monte Carlo lineage must be monotone")
+
+
+def derived_seed_by_hashlib(seed: int, index: int) -> int:
+    """The first 8 bytes, big-endian, of hashlib's sha256 of "seed:index"."""
+    digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 
 
@@ -589,6 +738,27 @@ def random_nested_lineage(rng: random.Random, ids, depth: int = 3) -> formula.No
         return formula.Var(rng.choice(ids))
     kind = rng.choice((formula.And, formula.Or))
     return kind(tuple(random_nested_lineage(rng, ids, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def random_monotone_lineage(rng: random.Random, ids, depth: int = 3) -> formula.Node:
+    """Random And/Or tree over some of `ids`, each a tuple, a constant now
+    and then, or a connective whose later parts may repeat an earlier one,
+    as it is or with its own parts permuted; ids it misses are null players."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return formula.Var(rng.choice(ids))
+    if roll < 0.3:
+        return rng.choice((formula.TRUE, formula.FALSE))
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        if parts and rng.random() < 0.3:
+            twin = rng.choice(parts)
+            if isinstance(twin, (formula.And, formula.Or)):
+                twin = type(twin)(tuple(rng.sample(twin.parts, len(twin.parts))))
+            parts.append(twin)
+        else:
+            parts.append(random_monotone_lineage(rng, ids, depth - 1))
+    return rng.choice((formula.And, formula.Or))(tuple(parts))
 
 
 def random_dnf_lineage(rng: random.Random, ids) -> formula.Node:

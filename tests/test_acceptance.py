@@ -19,6 +19,7 @@ from oracles import (
     denial,
     flip,
     hierarchy_by_definition,
+    lineage_game,
     random_database_for,
     random_monotone_game,
     random_query,
@@ -99,7 +100,7 @@ def test_criterion_04_banzhaf_equals_causal_effect():
             query = random_sjf_query(rng, max_atoms=3)
             db = random_database_for(rng, query, max_tuples=8)
             lineage = reldb.compile_lineage(db, query)
-            indices = games.banzhaf_all(dbscores.lineage_game(lineage, db.tuple_ids()))
+            indices = games.banzhaf_all(lineage_game(lineage, db.tuple_ids()))
             for tid in db.tuple_ids():
                 assert indices[tid] == dbscores.causal_effect(lineage, tid)
 
@@ -141,7 +142,7 @@ def test_criterion_07_monte_carlo_shapley(ex1_db, ex1_query):
     with criterion(7, "Monte Carlo Shapley coverage (100 seeded runs)", 60.0):
         lineage = reldb.compile_lineage(ex1_db, ex1_query)
         players = ex1_db.tuple_ids()
-        exact = games.shapley_all(dbscores.lineage_game(lineage, players))
+        exact = games.shapley_all(lineage_game(lineage, players))
         epsilon = delta = 0.05
         runs = [
             dbscores.monte_carlo_shapley(lineage, epsilon, delta, seed, players)

@@ -306,6 +306,27 @@ def test_db_scores_nonzero_filter(capsys, data_dir):
     assert {r["tuple"] for r in report["records"]} == {"S(b)", "R(a,b)", "R(b,b)", "S(a)"}
 
 
+def test_nonzero_keeps_an_exact_score_whose_float_underflows(capsys, data_dir, tmp_path):
+    # At P = 1/10^400 each tuple's causal effect is P, whose float is 0.0;
+    # --nonzero reads the exact value.
+    csv = tmp_path / "T.csv"
+    csv.write_text("A\nc0\nc1\n")
+    tiny = f"1/{10**400}"
+    argv = ("db-scores", "--relation", f"T={csv}", "--lineage", "T:0 & T:1", "--nonzero")
+    records = run_json(capsys, *argv, "--kinds", "causal_effect", "--probability", tiny)["records"]
+    assert [(r["tuple"], r["value"], r["value_float"]) for r in records] == [
+        ("T:0", tiny, 0.0),
+        ("T:1", tiny, 0.0),
+    ]
+    # A Monte Carlo estimate keeps its float: R(c,d) and S(c) never win.
+    approx = db_args(data_dir, "--kinds", "shapley", "--mode", "approx", "--epsilon", "0.2",
+                     "--delta", "0.2")
+    every = run_json(capsys, *approx)["records"]
+    kept = run_json(capsys, *approx, "--nonzero")["records"]
+    assert kept == [r for r in every if r["value_float"]]
+    assert {r["tuple"] for r in every} - {r["tuple"] for r in kept} == {"R(c,d)", "S(c)"}
+
+
 def test_repeated_id_column_exits_1_naming_the_file(capsys, tmp_path):
     t = tmp_path / "dup_id.csv"
     t.write_text("_id,A,_id\nt1,x,t2\n")

@@ -11,26 +11,31 @@ from hypothesis import strategies as st
 from oracles import (
     causal_effect_by_enumeration,
     causes_by_exhaustion,
+    causes_by_records,
+    lineage_game,
     lineage_probability_by_enumeration,
     matches_by_nested_loop,
     min_contingency_unrestricted,
     monte_carlo_by_player,
+    monte_carlo_by_records,
+    probability_by_records,
     random_database_for,
     random_dnf_lineage,
+    random_monotone_lineage,
     random_nested_lineage,
     random_sjf_query,
     shapley_by_permutations,
     substitute_then_simplify,
     swing_counts_by_enumeration,
+    swing_counts_by_records,
 )
-from xscore import formula, games, reldb
+from xscore import dbscores, formula, games, reldb
 from xscore.dbscores import (
     NothingToExplainError,
     VacuousInterventionWarning,
     causal_effect,
     intervene,
     lineage_causes,
-    lineage_game,
     lineage_probability,
     monte_carlo_shapley,
     query_lineage,
@@ -433,6 +438,86 @@ def test_lineage_counting_matches_enumeration(seed, nested):
         assert causal_effect(lineage, t, probabilities=table) == causal_effect_by_enumeration(
             lineage, t, table
         )
+
+
+class _Tally:
+    """A charge that adds up its units and calls."""
+
+    def __init__(self):
+        self.units = self.calls = 0
+
+    def __call__(self, units: int = 1) -> None:
+        self.units += units
+        self.calls += 1
+
+    @property
+    def seen(self) -> tuple[int, int]:
+        return self.units, self.calls
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_integer_walks_equal_the_record_walks(seed):
+    # The walks over the integer form against the same walks over the
+    # formula records (tests/oracles.py): every result and every unit.
+    rng = random.Random(seed)
+    ids = NESTED_IDS[: rng.randint(1, 5)]
+    root = random_monotone_lineage(rng, ids)
+    if not formula.variables(root) and not isinstance(root, formula.Const):
+        root = formula.Or((root, formula.Var(ids[0])))  # neither walk pivots on no tuple
+    lineage = reldb.Lineage(root)
+    support = lineage.support()
+    asked = rng.sample(NESTED_IDS, rng.randint(0, len(NESTED_IDS)))
+    fast, slow = _Tally(), _Tally()
+    swings = swing_counts(lineage, fast, asked)
+    assert swings == swing_counts_by_records(lineage, slow, asked)
+    assert fast.seen == slow.seen
+
+    table = {t: Fraction(rng.randint(0, 7), 7) for t in rng.sample(NESTED_IDS, rng.randint(0, 6))}
+    for probabilities in (None, Fraction(rng.randint(0, 9), rng.randint(9, 11)), table):
+        fast, slow = _Tally(), _Tally()
+        total, _ = probability_by_records(lineage, probabilities, None, slow)
+        assert lineage_probability(lineage, probabilities, fast) == total
+        assert fast.seen == slow.seen
+        for t in sorted(support.intersection(asked)):
+            fast, slow = _Tally(), _Tally()
+            _, swing = probability_by_records(lineage, probabilities, t, slow)
+            assert causal_effect(lineage, t, probabilities, fast) == swing
+            assert fast.seen == slow.seen
+
+    fast, slow = _Tally(), _Tally()
+    if lineage.evaluate(support):
+        reports = lineage_causes(lineage, asked, fast, swings)
+        assert reports == causes_by_records(lineage, asked, slow, swings)
+        assert fast.seen == slow.seen
+    else:
+        with pytest.raises(NothingToExplainError):
+            lineage_causes(lineage, asked, fast, swings)
+
+    players = rng.choice((None, NESTED_IDS, asked))
+    epsilon, delta = rng.choice(((0.3, 0.2), (0.5, 0.4), (0.25, 0.05)))
+    sample_seed = rng.randrange(10**6)
+    fast, slow = _Tally(), _Tally()
+    estimates = monte_carlo_shapley(lineage, epsilon, delta, sample_seed, players, fast)
+    assert estimates == monte_carlo_by_records(lineage, epsilon, delta, sample_seed, players, slow)
+    assert list(estimates) == sorted(estimates)
+    assert fast.seen == slow.seen
+
+
+def test_lineage_too_deep_to_build_its_form_is_refused():
+    # t699 & (t698 & (... & t0)): the support is found within Python's
+    # recursion limit, but the integer form, built two frames a level, is
+    # not; the refusal is the one an expansion too deep to pivot gives.
+    node = formula.Var("t0")
+    for i in range(1, 700):
+        node = formula.And((formula.Var(f"t{i}"), node))
+    lineage = reldb.Lineage(node)
+    assert len(lineage.support()) == 700
+    with pytest.raises(RecursionError):
+        dbscores._form(lineage)
+    for run in (swing_counts, lineage_probability):
+        with pytest.raises(ValueError, match="^lineage of 700 tuples is too deep to expand$"):
+            run(lineage)
 
 
 EX1_SHAPLEY = {

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    derived_seed_by_hashlib,
     monte_carlo_by_player,
     random_monotone_game,
     random_rational_game,
     shapley_by_permutations,
 )
+from xscore import games
 from xscore.games import (
     BudgetExceededError,
     Game,
@@ -272,3 +276,20 @@ def test_monte_carlo_all_players_pins_per_player_records(game_seed, seed):
         assert (result, sample_count(epsilon, delta)) == monte_carlo_by_player(
             game, player, epsilon, delta, seed
         )
+
+
+def test_derived_seed_is_the_hashlib_sha256_derivation(monkeypatch):
+    # CPython's own sha256 module, and hashlib's where neither it nor its
+    # 3.12 name `_sha2` imports, give the same sample seeds.
+    pairs = [(seed, index) for seed in (0, 1, 7, -3, 2**70) for index in range(0, 2000, 37)]
+    expected = [derived_seed_by_hashlib(seed, index) for seed, index in pairs]
+    assert [games._derived_seed(seed, index) for seed, index in pairs] == expected
+    assert games._sha256() is not hashlib.sha256
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    games._sha256.cache_clear()
+    try:
+        assert games._sha256() is hashlib.sha256
+        assert [games._derived_seed(seed, index) for seed, index in pairs] == expected
+    finally:
+        games._sha256.cache_clear()

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -738,3 +739,27 @@ def test_request_width_validation(ex6_classifier, ex6_space):
             classifier=ex6_classifier,
             distribution=UniformDistribution(ex6_space),
         )
+
+
+def test_wide_shap_keeps_at_most_four_coalition_lists():
+    # Width 16 uniform: each list of 2^16 coalition values is a few MiB.
+    # Keeping num, den, scaled, joined, left and the sizes at once peaked
+    # at 10.9-11.3 MiB under tracemalloc (Python 3.10-3.13); releasing
+    # each once read leaves den, scaled, joined and left, about 9 MiB.
+    width = 16
+    rng = random.Random(16)
+    table = bytearray(rng.getrandbits(1) for _ in range(2**width))
+    table[-1] = 1
+    space = FeatureSpace(tuple(f"F{i + 1}" for i in range(width)))
+    request = ExplanationRequest(
+        Entity.at(2**width - 1, width), TableClassifier(width, table), UniformDistribution(space)
+    )
+    tracemalloc.start()
+    try:
+        scores = mlscores._shap_values(request, space.names, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # Efficiency: the scores sum to L(e) - E[L].
+    assert sum(s.value for s in scores.values()) == 1 - Fraction(sum(table), 2**width)
